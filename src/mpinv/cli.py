@@ -12,7 +12,7 @@ import sys
 
 from .core import DEFAULT_TOL, Tolerance
 from .harness import FuzzConfig, fuzz, generate_regular
-from .isometry import classify, conorm, generate_special, normal_mph_check
+from .isometry import SPECIAL_KINDS, classify, conorm, generate_special, normal_mph_check
 from .matrix_io import load_matrix, matrix_to_dict, save_matrix
 from .mp_hermitian import (
     generate_mp_hermitian,
@@ -122,41 +122,31 @@ def _parse_inertia(text):
 
 
 def _cmd_gen(args):
-    kind = args.kind
-    if kind == "regular":
+    if args.kind == "regular":
+        rows, cols = args.rows or args.dim, args.cols or args.dim
         m = generate_regular(
-            args.rows or args.dim,
-            args.cols or args.dim,
-            args.rank if args.rank is not None else min(args.rows or args.dim, args.cols or args.dim),
+            rows,
+            cols,
+            args.rank if args.rank is not None else min(rows, cols),
             sv_low=args.sv_low,
             sv_high=args.sv_high,
             seed=args.seed,
         )
-    elif kind == "mph":
+    elif args.kind == "mph":
         if args.rank is None:
             raise _CliError("gen --kind mph needs --rank")
         m = generate_mp_hermitian(args.dim, args.rank, args.seed)
-    elif kind == "partial_isometry":
-        if args.rank is None:
-            raise _CliError("gen --kind partial_isometry needs --rank")
-        m = generate_special("partial_isometry", args.dim, args.seed, rank=args.rank)
-    elif kind == "hermitian_partial_isometry":
-        if not args.inertia:
-            raise _CliError("gen --kind hermitian_partial_isometry needs --inertia p,m,z")
+    else:
         m = generate_special(
-            "hermitian_partial_isometry", args.dim, args.seed,
-            inertia=_parse_inertia(args.inertia),
+            args.kind, args.dim, args.seed,
+            rank=args.rank,
+            inertia=_parse_inertia(args.inertia) if args.inertia else None,
+            singular_values=(
+                [float(v) for v in args.singular_values.split(",")]
+                if args.singular_values else None
+            ),
+            rows=args.rows,
         )
-    elif kind == "prescribed_singular_values":
-        if not args.singular_values:
-            raise _CliError("gen --kind prescribed_singular_values needs --singular-values")
-        sv = [float(v) for v in args.singular_values.split(",")]
-        m = generate_special(
-            "prescribed_singular_values", args.dim, args.seed,
-            singular_values=sv, rows=args.rows,
-        )
-    else:  # pragma: no cover - argparse choices guard this
-        raise _CliError(f"unknown kind {kind!r}")
     if args.out:
         save_matrix(m, args.out)
     else:
@@ -209,9 +199,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser("gen", help="write a fixture matrix")
-    p.add_argument("--kind", required=True,
-                   choices=["regular", "mph", "partial_isometry",
-                            "hermitian_partial_isometry", "prescribed_singular_values"])
+    p.add_argument("--kind", required=True, choices=("regular", "mph") + SPECIAL_KINDS)
     p.add_argument("--dim", type=int, default=4, help="square dimension n")
     p.add_argument("--rows", type=int, help="row count (regular/prescribed kinds)")
     p.add_argument("--cols", type=int, help="column count (regular kind)")

@@ -135,20 +135,17 @@ class FuzzReport:
 def generate_regular(m, n, r, sv_low=0.5, sv_high=2.0, seed=0) -> np.ndarray:
     """Seeded m-by-n matrix with exactly r singular values in [sv_low, sv_high].
 
-    Unitary factors come from QR of complex Gaussians; rank 0 gives the
-    zero matrix.  Deterministic per argument tuple.
+    The values are drawn uniformly, then ``matrix_with_singular_values``
+    builds the matrix from the same stream; rank 0 gives the zero
+    matrix.  Deterministic per argument tuple.
     """
     if not (0 <= r <= min(m, n)):
         raise ValueError(f"rank r={r} must be in [0, {min(m, n)}]")
     if r > 0 and not (0 < sv_low <= sv_high):
         raise ValueError("need 0 < sv_low <= sv_high")
     rng = as_rng(seed)
-    if r == 0:
-        return np.zeros((m, n), dtype=np.complex128)
-    sv = np.sort(rng.uniform(sv_low, sv_high, size=r))[::-1]
-    u = haar_unitary(m, rng)[:, :r]
-    v = haar_unitary(n, rng)[:, :r]
-    return (u * sv) @ adjoint(v)
+    sv = rng.uniform(sv_low, sv_high, size=r) if r else ()
+    return matrix_with_singular_values(sv, (m, n), rng)
 
 
 class RolPairMode(str, Enum):
@@ -186,13 +183,32 @@ def generate_rol_pair(n, mode, seed):
     return a, b
 
 
-def _embed(base, n, rng):
-    """Pad a small block with zeros to size n and conjugate by a unitary."""
-    k = base.shape[0]
+def _padded(base, n):
+    """The 2-by-2 ``base`` in the top-left corner of an n-by-n zero matrix."""
     padded = np.zeros((n, n), dtype=np.complex128)
-    padded[:k, :k] = base
-    q = haar_unitary(n, rng)
-    return q, padded
+    padded[:2, :2] = base
+    return padded
+
+
+def _rotated_pair(a0, b0, n, seed):
+    """``(u a0 v*, v b0 w*)`` for padded 2-by-2 bases and seeded Haar u, v, w.
+
+    The shared v makes the product ``u a0 b0 w*`` a rotation of the base
+    product, so every catalog residual of the base pair carries over.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    rng = as_rng(seed)
+    u, v, w = (haar_unitary(n, rng) for _ in range(3))
+    return u @ _padded(a0, n) @ adjoint(v), v @ _padded(b0, n) @ adjoint(w)
+
+
+def _rotated_similarity(base, n, seed):
+    """``q base q*`` for a padded 2-by-2 base and a seeded Haar q."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    q = haar_unitary(n, as_rng(seed))
+    return q @ _padded(base, n) @ adjoint(q)
 
 
 def rol_negative_pair(n, seed):
@@ -203,15 +219,7 @@ def rol_negative_pair(n, seed):
     size n and rotated by matched unitaries, which leaves all catalog
     residuals unchanged.  Needs n >= 2.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    rng = as_rng(seed)
-    a0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
-    b0 = np.array([[1, 0], [1, 0]], dtype=np.complex128)
-    u, a_pad = _embed(a0, n, rng)
-    v, b_pad = _embed(b0, n, rng)
-    w = haar_unitary(n, rng)
-    return u @ a_pad @ adjoint(v), v @ b_pad @ adjoint(w)
+    return _rotated_pair([[1, 0], [0, 0]], [[1, 0], [1, 0]], n, seed)
 
 
 def mbekhta_gap_pair(n, seed):
@@ -219,36 +227,18 @@ def mbekhta_gap_pair(n, seed):
     pseudoinverse: the generalized-inverse trio holds while every
     Moore-Penrose condition fails.  Base: a = diag(1, 0), b = [[1, 1], [0, 1]].
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    rng = as_rng(seed)
-    a0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
-    b0 = np.array([[1, 1], [0, 1]], dtype=np.complex128)
-    u, a_pad = _embed(a0, n, rng)
-    v, b_pad = _embed(b0, n, rng)
-    w = haar_unitary(n, rng)
-    return u @ a_pad @ adjoint(v), v @ b_pad @ adjoint(w)
+    return _rotated_pair([[1, 0], [0, 0]], [[1, 1], [0, 1]], n, seed)
 
 
 def nonnormal_mph_fixture(n, seed):
     """MPH but not normal: [[1, 1], [0, -1]] padded and rotated. n >= 2."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    rng = as_rng(seed)
-    base = np.array([[1, 1], [0, -1]], dtype=np.complex128)
-    q, padded = _embed(base, n, rng)
-    return q @ padded @ adjoint(q)
+    return _rotated_similarity([[1, 1], [0, -1]], n, seed)
 
 
 def nonhermitian_partial_isometry_fixture(n, seed):
     """Partial isometry but not hermitian: the unit shift, padded and
     rotated. n >= 2."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    rng = as_rng(seed)
-    base = np.array([[0, 1], [0, 0]], dtype=np.complex128)
-    q, padded = _embed(base, n, rng)
-    return q @ padded @ adjoint(q)
+    return _rotated_similarity([[0, 1], [0, 0]], n, seed)
 
 
 def _jsonable(v):

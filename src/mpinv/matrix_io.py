@@ -2,19 +2,22 @@
 
 A matrix is serialized as ``{"rows": m, "cols": n, "data": [[re, im], ...]}``
 with ``data`` row-major of length ``m * n``.  Parsing rejects wrong
-lengths and non-finite values.
+lengths, entries that are not JSON numbers (booleans included) and
+non-finite values.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
-import math
 
 import numpy as np
 
 from .core import as_matrix
 
 __all__ = ["matrix_to_dict", "matrix_from_dict", "load_matrix", "save_matrix"]
+
+_NUMBER = (int, float)
 
 
 def matrix_to_dict(m) -> dict:
@@ -32,7 +35,7 @@ def matrix_from_dict(obj) -> np.ndarray:
     if missing:
         raise ValueError(f"matrix JSON missing keys: {sorted(missing)}")
     rows, cols = obj["rows"], obj["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
+    if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
         raise ValueError("rows and cols must be positive integers")
     data = obj["data"]
     if not isinstance(data, list) or len(data) != rows * cols:
@@ -44,10 +47,17 @@ def matrix_from_dict(obj) -> np.ndarray:
     for i, pair in enumerate(data):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"data[{i}] must be a [re, im] pair")
-        re, im = float(pair[0]), float(pair[1])
-        if not (math.isfinite(re) and math.isfinite(im)):
+        re, im = pair
+        # Exact types: JSON numbers parse to int or float, and bool is an int.
+        if type(re) not in _NUMBER or type(im) not in _NUMBER:
+            raise ValueError(f"data[{i}] must hold two numbers, got {pair!r}")
+        try:
+            z = complex(re, im)
+        except OverflowError:  # an integer literal beyond the float range
+            raise ValueError(f"data[{i}] is not finite") from None
+        if not cmath.isfinite(z):
             raise ValueError(f"data[{i}] is not finite")
-        entries[i] = complex(re, im)
+        entries[i] = z
     return entries.reshape(rows, cols)
 
 

@@ -168,46 +168,34 @@ class FormulationId(str, Enum):
     P24_V = "P24_V"
 
 
-# Each entry maps to the defining equation(s) of the formulation, as
-# (lhs, rhs) builders over (a, x, a*, x*).  Single equations stand on
-# their own; the grouped variants are conjunctions of two.
+# The eight distinct defining equations of the catalog, as (lhs, rhs)
+# builders over (a, x, a*, x*).
+_EQUATIONS = (
+    lambda a, x, ah, xh: (a, xh @ ah @ a),
+    lambda a, x, ah, xh: (a, a @ ah @ xh),
+    lambda a, x, ah, xh: (x, x @ xh @ ah),
+    lambda a, x, ah, xh: (x, ah @ xh @ x),
+    lambda a, x, ah, xh: (ah, ah @ a @ x),
+    lambda a, x, ah, xh: (xh, xh @ x @ a),
+    lambda a, x, ah, xh: (ah, x @ a @ ah),
+    lambda a, x, ah, xh: (xh, a @ x @ xh),
+)
+
+# Each formulation is one equation or the conjunction of two, named by
+# their indices into _EQUATIONS.
 _FORMULATION_EQUATIONS = {
-    FormulationId.P21_I: (lambda a, x, ah, xh: (a, xh @ ah @ a),),
-    FormulationId.P21_II: (lambda a, x, ah, xh: (a, a @ ah @ xh),),
-    FormulationId.P21_III: (lambda a, x, ah, xh: (x, x @ xh @ ah),),
-    FormulationId.P21_IV: (lambda a, x, ah, xh: (x, ah @ xh @ x),),
-    FormulationId.P22_II: (
-        lambda a, x, ah, xh: (a, xh @ ah @ a),
-        lambda a, x, ah, xh: (x, ah @ xh @ x),
-    ),
-    FormulationId.P22_III: (
-        lambda a, x, ah, xh: (a, a @ ah @ xh),
-        lambda a, x, ah, xh: (x, x @ xh @ ah),
-    ),
-    FormulationId.R23_II: (
-        lambda a, x, ah, xh: (ah, ah @ a @ x),
-        lambda a, x, ah, xh: (xh, xh @ x @ a),
-    ),
-    FormulationId.R23_III: (
-        lambda a, x, ah, xh: (ah, x @ a @ ah),
-        lambda a, x, ah, xh: (xh, a @ x @ xh),
-    ),
-    FormulationId.P24_II: (
-        lambda a, x, ah, xh: (ah, x @ a @ ah),
-        lambda a, x, ah, xh: (x, x @ xh @ ah),
-    ),
-    FormulationId.P24_III: (
-        lambda a, x, ah, xh: (a, a @ ah @ xh),
-        lambda a, x, ah, xh: (xh, a @ x @ xh),
-    ),
-    FormulationId.P24_IV: (
-        lambda a, x, ah, xh: (ah, ah @ a @ x),
-        lambda a, x, ah, xh: (x, ah @ xh @ x),
-    ),
-    FormulationId.P24_V: (
-        lambda a, x, ah, xh: (a, xh @ ah @ a),
-        lambda a, x, ah, xh: (xh, xh @ x @ a),
-    ),
+    FormulationId.P21_I: (0,),
+    FormulationId.P21_II: (1,),
+    FormulationId.P21_III: (2,),
+    FormulationId.P21_IV: (3,),
+    FormulationId.P22_II: (0, 3),
+    FormulationId.P22_III: (1, 2),
+    FormulationId.R23_II: (4, 5),
+    FormulationId.R23_III: (6, 7),
+    FormulationId.P24_II: (6, 2),
+    FormulationId.P24_III: (1, 7),
+    FormulationId.P24_IV: (4, 3),
+    FormulationId.P24_V: (0, 5),
 }
 
 
@@ -226,8 +214,8 @@ def formulation_residual(a, x, formulation: FormulationId) -> float:
     xh = adjoint(xm)
     scale = max(1.0, frobenius_norm(am), frobenius_norm(xm))
     worst = 0.0
-    for equation in _FORMULATION_EQUATIONS[FormulationId(formulation)]:
-        lhs, rhs = equation(am, xm, ah, xh)
+    for index in _FORMULATION_EQUATIONS[FormulationId(formulation)]:
+        lhs, rhs = _EQUATIONS[index](am, xm, ah, xh)
         worst = max(worst, frobenius_norm(lhs - rhs) / scale)
     return worst
 

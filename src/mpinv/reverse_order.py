@@ -375,7 +375,11 @@ def full_report(a, b, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
     """Evaluate the whole catalog on (a, b), recording pinv ranks too."""
     w = _Workspace(a, b, tol)
     report = ConditionReport(tolerance_used=tol)
+    residuals = {}  # G1 and ROL_DIRECT share one function; run it once
     for cond in ConditionId:
-        report.add(cond.value, _CONDITION_FUNCS[cond](w))
+        func = _CONDITION_FUNCS[cond]
+        if func not in residuals:
+            residuals[func] = func(w)
+        report.add(cond.value, residuals[func])
     report.ranks = {"a": w.rank_a, "b": w.rank_b, "ab": w.rank_ab}
     return report

@@ -224,6 +224,20 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "pinv", "--in", str(path))
         assert code == 1 and "length" in err
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"rows": True, "cols": True, "data": [[1, 0]]},
+            {"rows": 1, "cols": 1, "data": [[None, 0]]},
+            {"rows": 1, "cols": 1, "data": [["1.5", 0]]},
+            {"rows": 1, "cols": 1, "data": [[True, 0]]},
+        ],
+    )
+    def test_non_numeric_entries_exit_1(self, capsys, write_json, obj):
+        code, out, err = run_cli(capsys, "pinv", "--in", write_json("bad.json", obj))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "pinv", "--in", "/nonexistent/a.json")
         assert code == 1 and "error:" in err

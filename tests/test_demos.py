@@ -1,0 +1,23 @@
+"""Run every walkthrough in ``demos/`` as a script.
+
+The demos import the public generators and checks by name and assert
+their own claims, so a rename or a changed verdict breaks them here
+rather than in a reader's terminal.
+"""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_all_demos_found():
+    assert len(DEMOS) == 6
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

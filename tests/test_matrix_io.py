@@ -58,6 +58,11 @@ def test_file_round_trip(tmp_path):
         ({"rows": 1, "cols": 1, "data": [[1, "x"]]}, None),
         ({"rows": 1, "cols": 1, "data": [[float("nan"), 0]]}, "not finite"),
         ({"rows": 1, "cols": 1, "data": [[float("inf"), 0]]}, "not finite"),
+        ({"rows": 1, "cols": 1, "data": [[10**400, 0]]}, "not finite"),
+        ({"rows": True, "cols": True, "data": [[1, 0]]}, "positive integers"),
+        ({"rows": 1, "cols": 2, "data": [[1, 0], [None, 0]]}, r"data\[1\]"),
+        ({"rows": 1, "cols": 2, "data": [[1, 0], ["1.5", 0]]}, r"data\[1\]"),
+        ({"rows": 1, "cols": 2, "data": [[1, 0], [0, True]]}, r"data\[1\]"),
     ],
 )
 def test_rejects_malformed(obj, message):
