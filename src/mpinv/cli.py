@@ -1,7 +1,8 @@
 """Command-line interface: JSON matrices in, JSON reports out.
 
 Exit codes: 0 on success, 1 on I/O or precondition errors (including
-bad flags), 2 when a fuzz campaign found failures.
+bad flags and inputs the library refuses to certify), 2 when a fuzz
+campaign found failures.
 """
 
 from __future__ import annotations
@@ -10,16 +11,16 @@ import argparse
 import json
 import sys
 
-from .core import DEFAULT_TOL, Tolerance
+from .core import DEFAULT_TOL, SvdConvergenceError, Tolerance
 from .harness import FuzzConfig, fuzz, generate_regular
-from .isometry import SPECIAL_KINDS, classify, conorm, generate_special, normal_mph_check
+from .isometry import SPECIAL_KINDS, classify, generate_special, normal_mph_check
 from .matrix_io import load_matrix, matrix_to_dict, save_matrix
 from .mp_hermitian import (
     generate_mp_hermitian,
     mph_decompose,
     mph_subspace_check,
 )
-from .pinv import pinv
+from .pinv import PenroseResidualError, pinv
 from .reverse_order import full_report
 
 __all__ = ["main", "entry"]
@@ -95,8 +96,10 @@ def _cmd_conorm(args):
     tol = _tolerance(args)
     a = load_matrix(args.infile)
     report = classify(a, tol)
-    c = conorm(a, tol)
-    _emit({"conorm": c, "op_norm": report.op_norm, "pinv_norm": report.pinv_norm})
+    if report.conorm is None:
+        raise ValueError("conorm undefined for the zero element")
+    _emit({"conorm": report.conorm, "op_norm": report.op_norm,
+           "pinv_norm": report.pinv_norm})
     return 0
 
 
@@ -123,7 +126,8 @@ def _parse_inertia(text):
 
 def _cmd_gen(args):
     if args.kind == "regular":
-        rows, cols = args.rows or args.dim, args.cols or args.dim
+        rows = args.dim if args.rows is None else args.rows
+        cols = args.dim if args.cols is None else args.cols
         m = generate_regular(
             rows,
             cols,
@@ -226,7 +230,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (_CliError, ValueError, OSError) as exc:
+    except (_CliError, ValueError, OSError,
+            PenroseResidualError, SvdConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

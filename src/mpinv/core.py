@@ -3,8 +3,9 @@
 Every higher-level identity in this package is evaluated on plain 2-D
 ``complex128`` arrays.  This module owns input validation, the SVD
 factorization (with its unitarity/ordering/reconstruction guarantees),
-the rank threshold, and the scale-aware equality predicate used by all
-verdicts.
+the rank threshold, and the one residual-normalization rule behind
+every verdict: a Frobenius residual divided by ``residual_scale`` of
+the norms it is measured against.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ __all__ = [
     "svd",
     "numerical_rank",
     "operator_norm",
+    "residual_scale",
+    "residual",
+    "distance",
     "approx_eq",
     "haar_unitary",
     "as_rng",
@@ -142,7 +146,7 @@ def svd(m) -> SvdFactorization:
         ) from exc
     f = SvdFactorization(u=u, sigma=s, v=adjoint(vh))
     recon_err = frobenius_norm(f.reconstruct() - a)
-    if recon_err > 1e-12 * max(1.0, frobenius_norm(a)):
+    if recon_err > 1e-12 * residual_scale(frobenius_norm(a)):
         raise SvdConvergenceError(
             f"SVD reconstruction residual {recon_err:.3e} exceeds tolerance"
         )
@@ -165,13 +169,28 @@ def operator_norm(m) -> float:
     return float(svd(m).sigma[0])
 
 
+def residual_scale(*norms) -> float:
+    """The one residual normalizer: the largest of ``norms``, at least 1."""
+    return max((1.0, *norms))
+
+
+def residual(diff, *norms) -> float:
+    """``||diff||_F / residual_scale(*norms)``."""
+    return frobenius_norm(diff) / residual_scale(*norms)
+
+
+def distance(x, y) -> float:
+    """Relative distance ``residual(x - y, ||x||_F, ||y||_F)``."""
+    return residual(x - y, frobenius_norm(x), frobenius_norm(y))
+
+
 def approx_eq(x, y, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Relative Frobenius comparison: ||x - y|| <= eq_tol * max(1, ||x||, ||y||)."""
+    """True iff ``||x - y||_F <= eq_tol * residual_scale(||x||_F, ||y||_F)``."""
     xm = as_matrix(x, "x")
     ym = as_matrix(y, "y")
     if xm.shape != ym.shape:
         raise ValueError(f"shape mismatch: {xm.shape} vs {ym.shape}")
-    scale = max(1.0, frobenius_norm(xm), frobenius_norm(ym))
+    scale = residual_scale(frobenius_norm(xm), frobenius_norm(ym))
     return bool(frobenius_norm(xm - ym) <= tol.eq_tol * scale)
 
 

@@ -10,6 +10,7 @@ isolation with ``run_trial``.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,8 +24,7 @@ from .core import (
     as_rng,
     frobenius_norm,
     haar_unitary,
-    numerical_rank,
-    svd,
+    residual,
 )
 from .isometry import (
     gram_projection_residual,
@@ -141,8 +141,8 @@ def generate_regular(m, n, r, sv_low=0.5, sv_high=2.0, seed=0) -> np.ndarray:
     """
     if not (0 <= r <= min(m, n)):
         raise ValueError(f"rank r={r} must be in [0, {min(m, n)}]")
-    if r > 0 and not (0 < sv_low <= sv_high):
-        raise ValueError("need 0 < sv_low <= sv_high")
+    if r > 0 and not (0 < sv_low <= sv_high < math.inf):
+        raise ValueError("need 0 < sv_low <= sv_high < inf")
     rng = as_rng(seed)
     sv = rng.uniform(sv_low, sv_high, size=r) if r else ()
     return matrix_with_singular_values(sv, (m, n), rng)
@@ -276,19 +276,16 @@ def _trial_penrose(rng, max_dim, tol, fail):
     if not result.residuals.within(tol):
         fail("penrose_system", result.residuals.as_dict(), {"a": a, "x": x})
 
-    back = pinv(x, tol).pinv
-    res = frobenius_norm(back - a) / max(1.0, frobenius_norm(a))
+    res = residual(pinv(x, tol).pinv - a, frobenius_norm(a))
     if res > tol.eq_tol:
         fail("double_pinv_identity", {"residual": res}, {"a": a})
 
-    lhs = pinv(adjoint(a), tol).pinv
-    res = frobenius_norm(lhs - adjoint(x)) / max(1.0, frobenius_norm(x))
+    res = residual(pinv(adjoint(a), tol).pinv - adjoint(x), frobenius_norm(x))
     if res > tol.eq_tol:
         fail("adjoint_pinv_commute", {"residual": res}, {"a": a})
 
     for name, proj in (("left", x @ a), ("right", a @ x)):
-        self_pinv = pinv(proj, tol).pinv
-        res = frobenius_norm(self_pinv - proj) / max(1.0, frobenius_norm(proj))
+        res = residual(pinv(proj, tol).pinv - proj, frobenius_norm(proj))
         if res > tol.eq_tol:
             fail(f"projection_self_pinv_{name}", {"residual": res}, {"a": a})
 
@@ -487,11 +484,11 @@ def _trial_isometry(rng, max_dim, tol, fail):
             n, n, _mixed_rank(rng, n), sv_low=0.25, sv_high=4.0, seed=rng
         )
 
-    f = svd(a)
-    rank = numerical_rank(f, tol)
+    result = pinv(a, tol)
+    rank = result.rank
     if rank > 0:
-        c = float(f.sigma[rank - 1])
-        pinv_norm = operator_norm(pinv(a, tol).pinv)
+        c = float(result.factorization.sigma[rank - 1])
+        pinv_norm = operator_norm(result.pinv)
         if abs(c * pinv_norm - 1.0) > tol.eq_tol:
             fail(
                 "conorm_pinv_norm_reciprocal",

@@ -29,9 +29,9 @@ from .core import (
     haar_unitary,
     numerical_rank,
     operator_norm,
+    residual,
     svd,
 )
-from .mp_hermitian import is_mp_hermitian
 from .pinv import pinv
 
 __all__ = [
@@ -115,10 +115,8 @@ def gram_projection_residual(a, side: str = "left") -> float:
         g = m @ adjoint(m)
     else:
         raise ValueError("side must be 'left' or 'right'")
-    scale = max(1.0, frobenius_norm(g))
-    idem = frobenius_norm(g @ g - g) / max(1.0, frobenius_norm(g) ** 2, scale)
-    herm = frobenius_norm(adjoint(g) - g) / scale
-    return max(idem, herm)
+    ng = frobenius_norm(g)
+    return max(residual(g @ g - g, ng**2, ng), residual(adjoint(g) - g, ng))
 
 
 def hermitian_residual(a) -> float:
@@ -152,15 +150,14 @@ def norm_conorm_check(a, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
     (the two agree, which is the point being checked).
     """
     m = as_matrix(a, "a")
-    f = svd(m)
-    r = numerical_rank(f, tol)
+    result = pinv(m, tol)
+    f, r, x = result.factorization, result.rank, result.pinv
     if r == 0:
         raise ValueError("check undefined for the zero element")
     report = ConditionReport(tolerance_used=tol)
 
-    x = pinv(m, tol).pinv
     lhs = approx_eq(x, adjoint(m), tol)
-    pi_res = frobenius_norm(x - adjoint(m)) / max(1.0, frobenius_norm(m))
+    pi_res = residual(x - adjoint(m), frobenius_norm(m))
     report.add("partial_isometry", pi_res, verdict=lhs)
 
     c = float(f.sigma[r - 1])
@@ -178,7 +175,9 @@ def normal_mph_check(a, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
 
     Verdicts: ``normal_mp_hermitian`` (normality residual within
     tolerance and a^+ = a), ``hermitian_partial_isometry`` (hermitian
-    residual within tolerance and a^+ = a*), and ``consistent``.
+    residual within tolerance and a^+ = a*), and ``consistent``.  The
+    pseudoinverse is computed once, and only for normal or hermitian
+    input.
     """
     m = as_matrix(a, "a")
     if m.shape[0] != m.shape[1]:
@@ -186,11 +185,14 @@ def normal_mph_check(a, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
     report = ConditionReport(tolerance_used=tol)
 
     norm_res = normality_residual(m)
-    lhs = norm_res <= tol.eq_tol and is_mp_hermitian(m, tol)
-    report.add("normal_mp_hermitian", norm_res, verdict=lhs)
-
     herm_res = hermitian_residual(m)
-    rhs = herm_res <= tol.eq_tol and is_partial_isometry(m, tol)
+    normal = norm_res <= tol.eq_tol
+    hermitian = herm_res <= tol.eq_tol
+    x = pinv(m, tol).pinv if normal or hermitian else None
+
+    lhs = normal and approx_eq(x, m, tol)
+    report.add("normal_mp_hermitian", norm_res, verdict=lhs)
+    rhs = hermitian and approx_eq(x, adjoint(m), tol)
     report.add("hermitian_partial_isometry", herm_res, verdict=rhs)
 
     report.add("consistent", 0.0 if lhs == rhs else 1.0, verdict=lhs == rhs)
@@ -206,10 +208,9 @@ def classify(a, tol: Tolerance = DEFAULT_TOL) -> ClassificationReport:
     than one number echoed twice.
     """
     m = as_matrix(a, "a")
-    f = svd(m)
-    rank = numerical_rank(f, tol)
+    result = pinv(m, tol)
+    f, rank, x = result.factorization, result.rank, result.pinv
     op = float(f.sigma[0])
-    x = pinv(m, tol).pinv
     pinv_norm = operator_norm(x)
     square = m.shape[0] == m.shape[1]
     return ClassificationReport(
@@ -254,6 +255,8 @@ def matrix_with_singular_values(singular_values, shape, seed) -> np.ndarray:
     rank-and-spectrum generators delegate here.
     """
     m, n = int(shape[0]), int(shape[1])
+    if m < 1 or n < 1:
+        raise ValueError(f"shape {(m, n)} must have positive dimensions")
     sv = np.asarray(singular_values, dtype=np.float64)
     if sv.ndim != 1 or len(sv) > min(m, n):
         raise ValueError(f"need at most min{m, n} singular values, got {sv.shape}")
@@ -291,5 +294,7 @@ def generate_special(kind: str, n: int, seed, rank=None, inertia=None, singular_
     if kind == "prescribed_singular_values":
         if singular_values is None:
             raise ValueError("prescribed_singular_values needs singular_values")
-        return matrix_with_singular_values(singular_values, (rows or n, n), seed)
+        return matrix_with_singular_values(
+            singular_values, (n if rows is None else rows, n), seed
+        )
     raise ValueError(f"unknown kind {kind!r}; expected one of {SPECIAL_KINDS}")

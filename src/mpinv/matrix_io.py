@@ -67,6 +67,8 @@ def load_matrix(path) -> np.ndarray:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: malformed JSON ({exc})") from exc
+        except RecursionError:  # the decoder recurses once per nested array
+            raise ValueError(f"{path}: malformed JSON (nesting too deep)") from None
     return matrix_from_dict(obj)
 
 

@@ -25,9 +25,11 @@ from .core import (
     approx_eq,
     as_matrix,
     as_rng,
+    distance,
     frobenius_norm,
     haar_unitary,
     numerical_rank,
+    residual,
     svd,
 )
 from .pinv import pinv
@@ -135,11 +137,8 @@ def algebraic_mph_check(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Pseudoinverse-free MPH test: ``a = a^3`` and ``a^2`` hermitian."""
     m = _require_square(a)
     a2 = m @ m
-    a3 = a2 @ m
-    res_cube = frobenius_norm(m - a3) / max(
-        1.0, frobenius_norm(m), frobenius_norm(a3)
-    )
-    res_herm = frobenius_norm(adjoint(a2) - a2) / max(1.0, frobenius_norm(a2))
+    res_cube = distance(m, a2 @ m)
+    res_herm = residual(adjoint(a2) - a2, frobenius_norm(a2))
     return res_cube <= tol.eq_tol and res_herm <= tol.eq_tol
 
 
@@ -150,17 +149,13 @@ def annihilator_spectrum_check(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     the spectrum to the roots {0, -1, 1} without any eigensolve.
     """
     m = _require_square(a)
-    a3 = m @ m @ m
-    res = frobenius_norm(a3 - m) / max(1.0, frobenius_norm(m), frobenius_norm(a3))
-    return res <= tol.eq_tol
+    return distance(m @ m @ m, m) <= tol.eq_tol
 
 
-def _split_bases(m, tol):
-    """Column-space and null-space bases of both m and m*, via one SVD."""
-    f = svd(m)
-    r = numerical_rank(f, tol)
+def _split_bases(f, r):
+    """Column-space and null-space bases of m and m*, read off the SVD
+    ``f`` of m at numerical rank ``r``."""
     return {
-        "rank": r,
         "range": f.u[:, :r],       # col(m)
         "corange": f.v[:, :r],     # col(m*) = row space of m
         "null": f.v[:, r:],        # null(m)
@@ -183,18 +178,17 @@ def mph_subspace_check(a, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
     The conjunction of all four is equivalent to ``is_mp_hermitian``.
     """
     m = _require_square(a)
-    bases = _split_bases(m, tol)
+    f = svd(m)
+    bases = _split_bases(f, numerical_rank(f, tol))
     report = ConditionReport(tolerance_used=tol)
 
     p_range = bases["range"] @ adjoint(bases["range"])
     p_corange = bases["corange"] @ adjoint(bases["corange"])
-    scale = max(1.0, frobenius_norm(p_range), frobenius_norm(p_corange))
-    report.add("range_equal", frobenius_norm(p_range - p_corange) / scale)
+    report.add("range_equal", distance(p_range, p_corange))
 
     p_null = bases["null"] @ adjoint(bases["null"])
     p_conull = bases["conull"] @ adjoint(bases["conull"])
-    scale = max(1.0, frobenius_norm(p_null), frobenius_norm(p_conull))
-    report.add("null_equal", frobenius_norm(p_null - p_conull) / scale)
+    report.add("null_equal", distance(p_null, p_conull))
 
     stacked = np.hstack([bases["range"], bases["null"]])
     smin = float(np.linalg.svd(stacked, compute_uv=False)[-1]) if stacked.size else 0.0
@@ -204,13 +198,9 @@ def mph_subspace_check(a, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
     if b.shape[1] == 0:
         report.add("restriction_involutive", 0.0)
     else:
-        a2b = m @ (m @ b)
         ah = adjoint(m)
-        ah2b = ah @ (ah @ b)
-        e1 = frobenius_norm(a2b - b) / max(1.0, frobenius_norm(a2b), frobenius_norm(b))
-        e2 = frobenius_norm(ah2b - b) / max(
-            1.0, frobenius_norm(ah2b), frobenius_norm(b)
-        )
+        e1 = distance(m @ (m @ b), b)
+        e2 = distance(ah @ (ah @ b), b)
         report.add("restriction_involutive", max(e1, e2))
     return report
 
@@ -222,23 +212,21 @@ def mph_decompose(a, tol: Tolerance = DEFAULT_TOL) -> MphDecomposition:
     the input is not MPH to tolerance.
     """
     m = _require_square(a)
-    x = pinv(m, tol).pinv
-    gap = frobenius_norm(x - m) / max(1.0, frobenius_norm(x), frobenius_norm(m))
+    result = pinv(m, tol)
+    gap = distance(result.pinv, m)
     if gap > tol.eq_tol:
         raise NotMpHermitianError(
             f"matrix is not Moore-Penrose hermitian: ||a^+ - a|| residual {gap:.3e}",
             gap,
         )
-    bases = _split_bases(m, tol)
+    bases = _split_bases(result.factorization, result.rank)
     h2_cols = bases["range"]
     h1_cols = bases["null"]
-    r = bases["rank"]
+    r = result.rank
     t2 = adjoint(h2_cols) @ m @ h2_cols
     orth = frobenius_norm(adjoint(h1_cols) @ h2_cols)
     invol = frobenius_norm(t2 @ t2 - np.eye(r))
-    recon = frobenius_norm(h2_cols @ t2 @ adjoint(h2_cols) - m) / max(
-        1.0, frobenius_norm(m)
-    )
+    recon = residual(h2_cols @ t2 @ adjoint(h2_cols) - m, frobenius_norm(m))
     return MphDecomposition(
         h1=SubspaceBasis(h1_cols),
         h2=SubspaceBasis(h2_cols),

@@ -21,11 +21,15 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     ConditionReport,
+    SvdFactorization,
     Tolerance,
     adjoint,
     as_matrix,
+    distance,
     frobenius_norm,
     numerical_rank,
+    residual,
+    residual_scale,
     svd,
 )
 
@@ -55,7 +59,7 @@ class PenroseResidualError(RuntimeError):
 class PenroseResiduals:
     """Relative residuals of the four defining equations.
 
-    r1..r4 are scaled by ``max(1, ||a||_F, ||x||_F)``; ``absolute``
+    r1..r4 are divided by ``residual_scale(||a||_F, ||x||_F)``; ``absolute``
     keeps the raw Frobenius norms for diagnostics.
     """
 
@@ -83,9 +87,12 @@ class PenroseResiduals:
 
 @dataclass(frozen=True)
 class PinvResult:
+    """``factorization`` is the SVD of ``a``, kept so callers need not redo it."""
+
     pinv: np.ndarray
     rank: int
     residuals: PenroseResiduals
+    factorization: SvdFactorization
 
     def as_dict(self) -> dict:
         from .matrix_io import matrix_to_dict
@@ -117,7 +124,7 @@ def penrose_residuals(a, x) -> PenroseResiduals:
         frobenius_norm(adjoint(ax) - ax),
         frobenius_norm(adjoint(xa) - xa),
     )
-    scale = max(1.0, frobenius_norm(am), frobenius_norm(xm))
+    scale = residual_scale(frobenius_norm(am), frobenius_norm(xm))
     r = tuple(v / scale for v in abs_res)
     return PenroseResiduals(r[0], r[1], r[2], r[3], absolute=abs_res)
 
@@ -143,7 +150,7 @@ def pinv(a, tol: Tolerance = DEFAULT_TOL) -> PinvResult:
             f"pseudoinverse residuals {res.as_dict()} exceed eq_tol={tol.eq_tol}",
             res,
         )
-    return PinvResult(pinv=x, rank=r, residuals=res)
+    return PinvResult(pinv=x, rank=r, residuals=res, factorization=f)
 
 
 def pinv_matrix(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -202,7 +209,7 @@ _FORMULATION_EQUATIONS = {
 def formulation_residual(a, x, formulation: FormulationId) -> float:
     """Worst relative residual over the formulation's equation(s).
 
-    Scaled by ``max(1, ||a||_F, ||x||_F)``, matching penrose_residuals.
+    Scaled by ``residual_scale(||a||_F, ||x||_F)``, matching penrose_residuals.
     """
     am = as_matrix(a, "a")
     xm = as_matrix(x, "x")
@@ -212,11 +219,11 @@ def formulation_residual(a, x, formulation: FormulationId) -> float:
         )
     ah = adjoint(am)
     xh = adjoint(xm)
-    scale = max(1.0, frobenius_norm(am), frobenius_norm(xm))
+    na, nx = frobenius_norm(am), frobenius_norm(xm)
     worst = 0.0
     for index in _FORMULATION_EQUATIONS[FormulationId(formulation)]:
         lhs, rhs = _EQUATIONS[index](am, xm, ah, xh)
-        worst = max(worst, frobenius_norm(lhs - rhs) / scale)
+        worst = max(worst, residual(lhs - rhs, na, nx))
     return worst
 
 
@@ -235,12 +242,6 @@ def involution_laws_check(a, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
     x = pinv(am, tol).pinv
     report = ConditionReport(tolerance_used=tol)
 
-    lhs = pinv(adjoint(am), tol).pinv
-    rhs = adjoint(x)
-    scale = max(1.0, frobenius_norm(lhs), frobenius_norm(rhs))
-    report.add("adjoint_pinv_commute", frobenius_norm(lhs - rhs) / scale)
-
-    back = pinv(x, tol).pinv
-    scale = max(1.0, frobenius_norm(back), frobenius_norm(am))
-    report.add("double_pinv_identity", frobenius_norm(back - am) / scale)
+    report.add("adjoint_pinv_commute", distance(pinv(adjoint(am), tol).pinv, adjoint(x)))
+    report.add("double_pinv_identity", distance(pinv(x, tol).pinv, am))
     return report

@@ -26,7 +26,9 @@ from .core import (
     Tolerance,
     adjoint,
     as_matrix,
+    distance,
     frobenius_norm,
+    residual,
 )
 from .pinv import pinv
 
@@ -111,7 +113,7 @@ class RolIntermediates:
     def __post_init__(self):
         for name in ("p", "q", "r", "s", "q_dag", "r_dag"):
             m = getattr(self, name)
-            herm = frobenius_norm(adjoint(m) - m) / max(1.0, frobenius_norm(m))
+            herm = residual(adjoint(m) - m, frobenius_norm(m))
             if herm > 1e-9:
                 raise ValueError(f"intermediate {name} is not hermitian ({herm:.3e})")
 
@@ -172,162 +174,125 @@ class _Workspace:
         )
 
 
-def _zero(expr, operand_norms) -> float:
-    """Residual of a one-sided condition ``expr = 0``."""
-    prod = 1.0
-    for v in operand_norms:
-        prod *= v
-    return frobenius_norm(expr) / max(1.0, prod)
-
-
-def _eq(lhs, rhs, lhs_norms, rhs_norms) -> float:
-    """Residual of ``lhs = rhs`` with operand-product scaling on both sides."""
-    pl = 1.0
-    for v in lhs_norms:
-        pl *= v
-    pr = 1.0
-    for v in rhs_norms:
-        pr *= v
-    return frobenius_norm(lhs - rhs) / max(1.0, pl, pr)
-
-
-def _cmp(lhs, rhs) -> float:
-    """Residual for comparing two already-computed quantities."""
-    return frobenius_norm(lhs - rhs) / max(
-        1.0, frobenius_norm(lhs), frobenius_norm(rhs)
-    )
+# Each condition ``lhs = rhs`` (or ``expr = 0``) is scored by
+# ``residual`` with the product of the operand norms on each side.
 
 
 def _cond_rol_direct(w):
-    return _cmp(w.ab_dag, w.b_dag @ w.a_dag)
+    return distance(w.ab_dag, w.b_dag @ w.a_dag)
 
 
 def _cond_g2(w):
-    e1 = _eq(w.s @ w.r @ w.ah, w.r @ w.ah, (w.ns, w.nr, w.na), (w.nr, w.na))
+    e1 = residual(w.s @ w.r @ w.ah - w.r @ w.ah, w.ns * w.nr * w.na, w.nr * w.na)
     aab = w.aa @ w.b
-    e2 = _eq(w.p @ aab, aab, (w.np_, w.naa, w.nb), (w.naa, w.nb))
+    e2 = residual(w.p @ aab - aab, w.np_ * w.naa * w.nb, w.naa * w.nb)
     return max(e1, e2)
 
 
 def _cond_g3(w):
-    e1 = _zero(w.s @ w.r - w.r @ w.s, (w.ns, w.nr))
-    e2 = _zero(w.aa @ w.p - w.p @ w.aa, (w.naa, w.np_))
+    e1 = residual(w.s @ w.r - w.r @ w.s, w.ns * w.nr)
+    e2 = residual(w.aa @ w.p - w.p @ w.aa, w.naa * w.np_)
     return max(e1, e2)
 
 
 def _cond_g4(w):
-    return _eq(
-        w.s @ w.r @ w.aa @ w.p, w.r @ w.aa,
-        (w.ns, w.nr, w.naa, w.np_), (w.nr, w.naa),
-    )
+    return residual(w.s @ w.r @ w.aa @ w.p - w.r @ w.aa,
+                    w.ns * w.nr * w.naa * w.np_, w.nr * w.naa)
 
 
 def _cond_g5(w):
-    e1 = _eq(
-        w.s @ w.b, w.b @ w.ab_dag @ w.ab,
-        (w.ns, w.nb), (w.nb, w.nabd, w.nab),
-    )
-    e2 = _eq(
-        w.p @ w.ah, w.ah @ w.ab @ w.ab_dag,
-        (w.np_, w.na), (w.na, w.nab, w.nabd),
-    )
+    e1 = residual(w.s @ w.b - w.b @ w.ab_dag @ w.ab,
+                  w.ns * w.nb, w.nb * w.nabd * w.nab)
+    e2 = residual(w.p @ w.ah - w.ah @ w.ab @ w.ab_dag,
+                  w.np_ * w.na, w.na * w.nab * w.nabd)
     return max(e1, e2)
 
 
 def _cond_mbekhta_gi(w):
     bdad = w.b_dag @ w.a_dag
-    return _eq(
-        w.ab @ bdad @ w.ab, w.ab,
-        (w.nab, w.nbd, w.nad, w.nab), (w.nab,),
-    )
+    return residual(w.ab @ bdad @ w.ab - w.ab, w.nab * w.nbd * w.nad * w.nab, w.nab)
 
 
 def _cond_mbekhta_comm(w):
     # Here the generalized-inverse convention applies: the commuting
     # pair is p = b b^+ with s = a^+ a.
-    return _zero(w.a @ (w.p @ w.s - w.s @ w.p) @ w.b, (w.na, w.np_, w.ns, w.nb))
+    return residual(w.a @ (w.p @ w.s - w.s @ w.p) @ w.b, w.na * w.np_ * w.ns * w.nb)
 
 
 def _cond_mbekhta_idem(w):
     sp = w.s @ w.p
-    return _eq(sp @ sp, sp, (w.ns, w.np_, w.ns, w.np_), (w.ns, w.np_))
+    return residual(sp @ sp - sp, w.ns * w.np_ * w.ns * w.np_, w.ns * w.np_)
 
 
 def _cond_t31_ii(w):
-    e1 = _zero(w.a @ (w.p @ w.q - w.q @ w.p) @ w.bdh, (w.na, w.np_, w.nq, w.nbd))
-    e2 = _zero(w.a @ (w.r @ w.s - w.s @ w.r) @ w.bdh, (w.na, w.nr, w.ns, w.nbd))
+    e1 = residual(w.a @ (w.p @ w.q - w.q @ w.p) @ w.bdh, w.na * w.np_ * w.nq * w.nbd)
+    e2 = residual(w.a @ (w.r @ w.s - w.s @ w.r) @ w.bdh, w.na * w.nr * w.ns * w.nbd)
     return max(e1, e2)
 
 
 def _cond_t31_iii(w):
     qp = w.q @ w.p
-    e1 = _eq(w.s @ w.p @ qp, qp, (w.ns, w.np_, w.nq, w.np_), (w.nq, w.np_))
-    e2 = _eq(w.s @ w.r @ w.s @ w.p, w.s @ w.r, (w.ns, w.nr, w.ns, w.np_), (w.ns, w.nr))
+    e1 = residual(w.s @ w.p @ qp - qp, w.ns * w.np_ * w.nq * w.np_, w.nq * w.np_)
+    e2 = residual(w.s @ w.r @ w.s @ w.p - w.s @ w.r,
+                  w.ns * w.nr * w.ns * w.np_, w.ns * w.nr)
     return max(e1, e2)
 
 
 def _cond_t32_ii(w):
-    e1 = _zero(w.b_dag @ (w.q @ w.p - w.p @ w.q) @ w.ah, (w.nbd, w.nq, w.np_, w.na))
-    e2 = _zero(w.b_dag @ (w.s @ w.r - w.r @ w.s) @ w.ah, (w.nbd, w.ns, w.nr, w.na))
+    e1 = residual(w.b_dag @ (w.q @ w.p - w.p @ w.q) @ w.ah, w.nbd * w.nq * w.np_ * w.na)
+    e2 = residual(w.b_dag @ (w.s @ w.r - w.r @ w.s) @ w.ah, w.nbd * w.ns * w.nr * w.na)
     return max(e1, e2)
 
 
 def _cond_t32_iii(w):
     pq = w.p @ w.q
-    e1 = _eq(pq @ w.p @ w.s, pq, (w.np_, w.nq, w.np_, w.ns), (w.np_, w.nq))
-    e2 = _eq(w.p @ w.s @ w.r @ w.s, w.r @ w.s, (w.np_, w.ns, w.nr, w.ns), (w.nr, w.ns))
+    e1 = residual(pq @ w.p @ w.s - pq, w.np_ * w.nq * w.np_ * w.ns, w.np_ * w.nq)
+    e2 = residual(w.p @ w.s @ w.r @ w.s - w.r @ w.s,
+                  w.np_ * w.ns * w.nr * w.ns, w.nr * w.ns)
     return max(e1, e2)
 
 
 def _cond_t33_ii(w):
-    e1 = _zero(
-        w.bh @ (w.q_dag @ w.p - w.p @ w.q_dag) @ w.a_dag,
-        (w.nb, w.nqd, w.np_, w.nad),
-    )
-    e2 = _zero(
-        w.bh @ (w.s @ w.r_dag - w.r_dag @ w.s) @ w.a_dag,
-        (w.nb, w.ns, w.nrd, w.nad),
-    )
+    e1 = residual(w.bh @ (w.q_dag @ w.p - w.p @ w.q_dag) @ w.a_dag,
+                  w.nb * w.nqd * w.np_ * w.nad)
+    e2 = residual(w.bh @ (w.s @ w.r_dag - w.r_dag @ w.s) @ w.a_dag,
+                  w.nb * w.ns * w.nrd * w.nad)
     return max(e1, e2)
 
 
 def _cond_t33_iii(w):
     pqd = w.p @ w.q_dag
-    e1 = _eq(pqd @ w.p @ w.s, pqd, (w.np_, w.nqd, w.np_, w.ns), (w.np_, w.nqd))
+    e1 = residual(pqd @ w.p @ w.s - pqd, w.np_ * w.nqd * w.np_ * w.ns, w.np_ * w.nqd)
     rds = w.r_dag @ w.s
-    e2 = _eq(w.p @ w.s @ rds, rds, (w.np_, w.ns, w.nrd, w.ns), (w.nrd, w.ns))
+    e2 = residual(w.p @ w.s @ rds - rds, w.np_ * w.ns * w.nrd * w.ns, w.nrd * w.ns)
     return max(e1, e2)
 
 
 def _cond_t34_ii(w):
-    e1 = _zero(
-        w.adh @ (w.p @ w.q_dag - w.q_dag @ w.p) @ w.b,
-        (w.nad, w.np_, w.nqd, w.nb),
-    )
-    e2 = _zero(
-        w.adh @ (w.r_dag @ w.s - w.s @ w.r_dag) @ w.b,
-        (w.nad, w.nrd, w.ns, w.nb),
-    )
+    e1 = residual(w.adh @ (w.p @ w.q_dag - w.q_dag @ w.p) @ w.b,
+                  w.nad * w.np_ * w.nqd * w.nb)
+    e2 = residual(w.adh @ (w.r_dag @ w.s - w.s @ w.r_dag) @ w.b,
+                  w.nad * w.nrd * w.ns * w.nb)
     return max(e1, e2)
 
 
 def _cond_t34_iii(w):
     qdp = w.q_dag @ w.p
-    e1 = _eq(w.s @ w.p @ qdp, qdp, (w.ns, w.np_, w.nqd, w.np_), (w.nqd, w.np_))
+    e1 = residual(w.s @ w.p @ qdp - qdp, w.ns * w.np_ * w.nqd * w.np_, w.nqd * w.np_)
     srd = w.s @ w.r_dag
-    e2 = _eq(srd @ w.s @ w.p, srd, (w.ns, w.nrd, w.ns, w.np_), (w.ns, w.nrd))
+    e2 = residual(srd @ w.s @ w.p - srd, w.ns * w.nrd * w.ns * w.np_, w.ns * w.nrd)
     return max(e1, e2)
 
 
 def _cond_r35_comm(w):
-    e1 = _zero(w.p @ w.q - w.q @ w.p, (w.np_, w.nq))
-    e2 = _zero(w.r @ w.s - w.s @ w.r, (w.nr, w.ns))
+    e1 = residual(w.p @ w.q - w.q @ w.p, w.np_ * w.nq)
+    e2 = residual(w.r @ w.s - w.s @ w.r, w.nr * w.ns)
     return max(e1, e2)
 
 
 def _cond_r35_dag_comm(w):
-    e1 = _zero(w.q_dag @ w.p - w.p @ w.q_dag, (w.nqd, w.np_))
-    e2 = _zero(w.r_dag @ w.s - w.s @ w.r_dag, (w.nrd, w.ns))
+    e1 = residual(w.q_dag @ w.p - w.p @ w.q_dag, w.nqd * w.np_)
+    e2 = residual(w.r_dag @ w.s - w.s @ w.r_dag, w.nrd * w.ns)
     return max(e1, e2)
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mpinv import matrix_from_dict, penrose_residuals, save_matrix
+from mpinv import generate_regular, matrix_from_dict, penrose_residuals, save_matrix
 from mpinv.cli import main
 
 DIAG_2_0 = {"rows": 2, "cols": 2, "data": [[2, 0], [0, 0], [0, 0], [0, 0]]}
@@ -255,6 +255,46 @@ class TestErrorPaths:
         path.write_text(json.dumps({"rows": 1, "cols": 1, "data": [[1e999, 0]]}))
         code, _, err = run_cli(capsys, "pinv", "--in", str(path))
         assert code == 1 and "finite" in err
+
+    @pytest.mark.parametrize("command", ["pinv", "classify", "conorm"])
+    def test_refused_certification_exit_1(self, capsys, write_json, command):
+        # At machine-epsilon tolerance pinv refuses to certify this matrix.
+        path = write_json("a.json", generate_regular(4, 3, 3, seed=0))
+        code, out, err = run_cli(capsys, command, "--in", path, "--tol", "2.3e-16")
+        assert code == 1 and out == ""
+        assert err.startswith("error: pseudoinverse residuals") and err.count("\n") == 1
+
+    def test_svd_failure_exit_1(self, capsys, write_json, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        path = write_json("a.json", np.eye(2, dtype=complex))
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        code, out, err = run_cli(capsys, "pinv", "--in", path)
+        assert code == 1 and out == ""
+        assert err.startswith("error: SVD did not converge") and err.count("\n") == 1
+
+    def test_deep_nesting_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run_cli(capsys, "pinv", "--in", str(path))
+        assert code == 1 and out == ""
+        assert "nesting too deep" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kind", "regular", "--sv-high", "inf"],
+            ["--kind", "regular", "--rows", "0", "--cols", "2", "--dim", "3"],
+            ["--kind", "regular", "--cols", "0"],
+            ["--kind", "prescribed_singular_values", "--singular-values", "1", "--rows", "0"],
+        ],
+        ids=["infinite_sv_high", "zero_rows", "zero_cols", "prescribed_zero_rows"],
+    )
+    def test_gen_bad_values_exit_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, "gen", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_help_exit_0(self, capsys):
         code, out, _ = run_cli(capsys, "--help")

@@ -1,5 +1,8 @@
 """Tests for the matrix substrate: adjoint, SVD, rank, norms, comparison."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -17,6 +20,7 @@ from mpinv import (
     operator_norm,
     svd,
 )
+from mpinv.core import distance, residual, residual_scale
 
 
 def exact_rank_fractions(int_matrix):
@@ -235,6 +239,38 @@ class TestApproxEq:
     def test_scale_relative(self):
         big = 1e12 * np.eye(2)
         assert approx_eq(big, big + 1.0)  # 1e-12 relative perturbation
+
+
+class TestResidualRule:
+    def test_scale_is_largest_norm_floored_at_one(self):
+        assert residual_scale() == 1.0
+        assert residual_scale(0.0, 0.25) == 1.0
+        assert residual_scale(3.0, 0.5, 7.0) == 7.0
+
+    def test_residual_is_relative_above_one_absolute_below(self):
+        d = np.array([[3.0, 4.0]])
+        assert residual(d) == 5.0
+        assert residual(d, 0.1, 0.2) == 5.0
+        assert residual(d, 10.0, 2.5) == 0.5
+
+    def test_distance_uses_both_norms(self):
+        x = 8.0 * np.eye(2)
+        y = np.zeros((2, 2))
+        assert distance(x, y) == 1.0
+        assert distance(y, x) == 1.0
+        assert distance(1e-3 * x, y) == frobenius_norm(1e-3 * x)
+
+    def test_distance_agrees_with_approx_eq_away_from_threshold(self):
+        big = 1e12 * np.eye(2)
+        for x, y in ((big, big + 1.0), (np.eye(3), 2 * np.eye(3))):
+            assert (distance(x, y) <= Tolerance().eq_tol) == approx_eq(x, y)
+
+    def test_floor_lives_only_in_core(self):
+        floor = re.compile(r"max\(\(?1\.0\b")
+        src = Path(__file__).resolve().parents[1] / "src" / "mpinv"
+        counts = {p.name: len(floor.findall(p.read_text())) for p in src.glob("*.py")}
+        assert counts.pop("core.py") == 1  # residual_scale
+        assert not any(counts.values()), counts
 
 
 class TestTolerance:
