@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,203 +119,121 @@ class RolIntermediates:
                 raise ValueError(f"intermediate {name} is not hermitian ({herm:.3e})")
 
 
+class _Comm(NamedTuple):
+    """The commutator ``x y - y x``, used as one factor of a product."""
+
+    x: str
+    y: str
+
+
 class _Workspace:
-    """Everything evaluate_condition needs, computed once per pair."""
+    """Every matrix the catalog reads, with its norm, computed once per pair.
+
+    ``q^+`` and ``r^+`` take their closed forms ``a* a`` and
+    ``(b^+)* b^+``, so ``pinv`` runs only on ``a``, ``b`` and ``ab``.
+    """
 
     def __init__(self, a, b, tol: Tolerance):
-        self.a = as_matrix(a, "a")
-        self.b = as_matrix(b, "b")
-        if self.a.shape[1] != self.b.shape[0]:
-            raise ValueError(
-                f"product ab undefined: a is {self.a.shape}, b is {self.b.shape}"
-            )
-        self.tol = tol
-        self.ah = adjoint(self.a)
-        self.bh = adjoint(self.b)
-        ra = pinv(self.a, tol)
-        rb = pinv(self.b, tol)
-        self.a_dag = ra.pinv
-        self.b_dag = rb.pinv
-        self.rank_a = ra.rank
-        self.rank_b = rb.rank
-        self.adh = adjoint(self.a_dag)
-        self.bdh = adjoint(self.b_dag)
-        self.ab = self.a @ self.b
-        rab = pinv(self.ab, tol)
-        self.ab_dag = rab.pinv
-        self.rank_ab = rab.rank
-
-        self.p = self.b @ self.b_dag
-        self.q = self.a_dag @ self.adh
-        self.r = self.b @ self.bh
-        self.s = self.a_dag @ self.a
-        self.q_dag = pinv(self.q, tol).pinv
-        self.r_dag = pinv(self.r, tol).pinv
-        self.aa = self.ah @ self.a
-
-        n = frobenius_norm
-        self.na = n(self.a)
-        self.nb = n(self.b)
-        self.nad = n(self.a_dag)
-        self.nbd = n(self.b_dag)
-        self.nab = n(self.ab)
-        self.nabd = n(self.ab_dag)
-        self.np_ = n(self.p)
-        self.nq = n(self.q)
-        self.nr = n(self.r)
-        self.ns = n(self.s)
-        self.nqd = n(self.q_dag)
-        self.nrd = n(self.r_dag)
-        self.naa = n(self.aa)
+        a = as_matrix(a, "a")
+        b = as_matrix(b, "b")
+        if a.shape[1] != b.shape[0]:
+            raise ValueError(f"product ab undefined: a is {a.shape}, b is {b.shape}")
+        ra = pinv(a, tol)
+        rb = pinv(b, tol)
+        ab = a @ b
+        rab = pinv(ab, tol)
+        self.ranks = {"a": ra.rank, "b": rb.rank, "ab": rab.rank}
+        a_dag, b_dag = ra.pinv, rb.pinv
+        ah, bh, adh, bdh = adjoint(a), adjoint(b), adjoint(a_dag), adjoint(b_dag)
+        aa = ah @ a
+        self.mats = {
+            "a": a, "b": b, "ab": ab, "a_dag": a_dag, "b_dag": b_dag, "ab_dag": rab.pinv,
+            "p": b @ b_dag, "q": a_dag @ adh, "r": b @ bh, "s": a_dag @ a,
+            "aa": aa, "q_dag": pinv(a_dag @ adh, tol).pinv, "r_dag": pinv(b @ bh, tol).pinv,
+        }
+        self.norms = {name: frobenius_norm(m) for name, m in self.mats.items()}
+        # An adjoint has the norm of its matrix, and q^+ is a* a itself.
+        for name, m, of in (("ah", ah, "a"), ("bh", bh, "b"), ("adh", adh, "a_dag"),
+                            ("bdh", bdh, "b_dag")):
+            self.mats[name] = m
+            self.norms[name] = self.norms[of]
 
     def intermediates(self) -> RolIntermediates:
-        return RolIntermediates(
-            p=self.p, q=self.q, r=self.r, s=self.s,
-            q_dag=self.q_dag, r_dag=self.r_dag,
-        )
+        return RolIntermediates(**{
+            name: self.mats[name] for name in ("p", "q", "r", "s", "q_dag", "r_dag")
+        })
 
+    def product(self, factors, norm=1.0):
+        """The left-to-right product of ``factors`` and the running norm product.
 
-# Each condition ``lhs = rhs`` (or ``expr = 0``) is scored by
-# ``residual`` with the product of the operand norms on each side.
+        A factor is a workspace name, a ``_Comm``, or a tuple of factors
+        multiplied first; the norm product runs over the flattened list.
+        """
+        out = None
+        for f in factors:
+            if isinstance(f, _Comm):
+                x, y = self.mats[f.x], self.mats[f.y]
+                m, norm = x @ y - y @ x, norm * self.norms[f.x] * self.norms[f.y]
+            elif isinstance(f, tuple):
+                m, norm = self.product(f, norm)
+            else:
+                m, norm = self.mats[f], norm * self.norms[f]
+            out = m if out is None else out @ m
+        return out, norm
+
+    def score(self, lhs, rhs) -> float:
+        """The residual of ``lhs = rhs``, or of ``lhs = 0`` when ``rhs`` is None."""
+        lm, ln = self.product(lhs)
+        if rhs is None:
+            return residual(lm, ln)
+        rm, rn = self.product(rhs)
+        return residual(lm - rm, ln, rn)
+
+    def evaluate(self, row) -> float:
+        """The residual of one catalog row, the worst over its equations."""
+        return row(self) if callable(row) else max(self.score(*eq) for eq in row)
 
 
 def _cond_rol_direct(w):
-    return distance(w.ab_dag, w.b_dag @ w.a_dag)
+    return distance(w.mats["ab_dag"], w.mats["b_dag"] @ w.mats["a_dag"])
 
 
-def _cond_g2(w):
-    e1 = residual(w.s @ w.r @ w.ah - w.r @ w.ah, w.ns * w.nr * w.na, w.nr * w.na)
-    aab = w.aa @ w.b
-    e2 = residual(w.p @ aab - aab, w.np_ * w.naa * w.nb, w.naa * w.nb)
-    return max(e1, e2)
-
-
-def _cond_g3(w):
-    e1 = residual(w.s @ w.r - w.r @ w.s, w.ns * w.nr)
-    e2 = residual(w.aa @ w.p - w.p @ w.aa, w.naa * w.np_)
-    return max(e1, e2)
-
-
-def _cond_g4(w):
-    return residual(w.s @ w.r @ w.aa @ w.p - w.r @ w.aa,
-                    w.ns * w.nr * w.naa * w.np_, w.nr * w.naa)
-
-
-def _cond_g5(w):
-    e1 = residual(w.s @ w.b - w.b @ w.ab_dag @ w.ab,
-                  w.ns * w.nb, w.nb * w.nabd * w.nab)
-    e2 = residual(w.p @ w.ah - w.ah @ w.ab @ w.ab_dag,
-                  w.np_ * w.na, w.na * w.nab * w.nabd)
-    return max(e1, e2)
-
-
-def _cond_mbekhta_gi(w):
-    bdad = w.b_dag @ w.a_dag
-    return residual(w.ab @ bdad @ w.ab - w.ab, w.nab * w.nbd * w.nad * w.nab, w.nab)
-
-
-def _cond_mbekhta_comm(w):
-    # Here the generalized-inverse convention applies: the commuting
-    # pair is p = b b^+ with s = a^+ a.
-    return residual(w.a @ (w.p @ w.s - w.s @ w.p) @ w.b, w.na * w.np_ * w.ns * w.nb)
-
-
-def _cond_mbekhta_idem(w):
-    sp = w.s @ w.p
-    return residual(sp @ sp - sp, w.ns * w.np_ * w.ns * w.np_, w.ns * w.np_)
-
-
-def _cond_t31_ii(w):
-    e1 = residual(w.a @ (w.p @ w.q - w.q @ w.p) @ w.bdh, w.na * w.np_ * w.nq * w.nbd)
-    e2 = residual(w.a @ (w.r @ w.s - w.s @ w.r) @ w.bdh, w.na * w.nr * w.ns * w.nbd)
-    return max(e1, e2)
-
-
-def _cond_t31_iii(w):
-    qp = w.q @ w.p
-    e1 = residual(w.s @ w.p @ qp - qp, w.ns * w.np_ * w.nq * w.np_, w.nq * w.np_)
-    e2 = residual(w.s @ w.r @ w.s @ w.p - w.s @ w.r,
-                  w.ns * w.nr * w.ns * w.np_, w.ns * w.nr)
-    return max(e1, e2)
-
-
-def _cond_t32_ii(w):
-    e1 = residual(w.b_dag @ (w.q @ w.p - w.p @ w.q) @ w.ah, w.nbd * w.nq * w.np_ * w.na)
-    e2 = residual(w.b_dag @ (w.s @ w.r - w.r @ w.s) @ w.ah, w.nbd * w.ns * w.nr * w.na)
-    return max(e1, e2)
-
-
-def _cond_t32_iii(w):
-    pq = w.p @ w.q
-    e1 = residual(pq @ w.p @ w.s - pq, w.np_ * w.nq * w.np_ * w.ns, w.np_ * w.nq)
-    e2 = residual(w.p @ w.s @ w.r @ w.s - w.r @ w.s,
-                  w.np_ * w.ns * w.nr * w.ns, w.nr * w.ns)
-    return max(e1, e2)
-
-
-def _cond_t33_ii(w):
-    e1 = residual(w.bh @ (w.q_dag @ w.p - w.p @ w.q_dag) @ w.a_dag,
-                  w.nb * w.nqd * w.np_ * w.nad)
-    e2 = residual(w.bh @ (w.s @ w.r_dag - w.r_dag @ w.s) @ w.a_dag,
-                  w.nb * w.ns * w.nrd * w.nad)
-    return max(e1, e2)
-
-
-def _cond_t33_iii(w):
-    pqd = w.p @ w.q_dag
-    e1 = residual(pqd @ w.p @ w.s - pqd, w.np_ * w.nqd * w.np_ * w.ns, w.np_ * w.nqd)
-    rds = w.r_dag @ w.s
-    e2 = residual(w.p @ w.s @ rds - rds, w.np_ * w.ns * w.nrd * w.ns, w.nrd * w.ns)
-    return max(e1, e2)
-
-
-def _cond_t34_ii(w):
-    e1 = residual(w.adh @ (w.p @ w.q_dag - w.q_dag @ w.p) @ w.b,
-                  w.nad * w.np_ * w.nqd * w.nb)
-    e2 = residual(w.adh @ (w.r_dag @ w.s - w.s @ w.r_dag) @ w.b,
-                  w.nad * w.nrd * w.ns * w.nb)
-    return max(e1, e2)
-
-
-def _cond_t34_iii(w):
-    qdp = w.q_dag @ w.p
-    e1 = residual(w.s @ w.p @ qdp - qdp, w.ns * w.np_ * w.nqd * w.np_, w.nqd * w.np_)
-    srd = w.s @ w.r_dag
-    e2 = residual(srd @ w.s @ w.p - srd, w.ns * w.nrd * w.ns * w.np_, w.ns * w.nrd)
-    return max(e1, e2)
-
-
-def _cond_r35_comm(w):
-    e1 = residual(w.p @ w.q - w.q @ w.p, w.np_ * w.nq)
-    e2 = residual(w.r @ w.s - w.s @ w.r, w.nr * w.ns)
-    return max(e1, e2)
-
-
-def _cond_r35_dag_comm(w):
-    e1 = residual(w.q_dag @ w.p - w.p @ w.q_dag, w.nqd * w.np_)
-    e2 = residual(w.r_dag @ w.s - w.s @ w.r_dag, w.nrd * w.ns)
-    return max(e1, e2)
-
-
-_CONDITION_FUNCS = {
+# Each condition is ``_cond_rol_direct`` or a tuple of equations
+# ``(lhs, rhs)``, each side a product for ``_Workspace.product``.  An
+# equation is scored by ``residual(lhs - rhs, ||lhs||, ||rhs||)``, each
+# norm being the product of its side's operand norms; ``rhs`` None means
+# ``lhs = 0``.  The generalized-inverse condition MBEKHTA_COMM pairs
+# p = b b^+ with s = a^+ a.
+_C = _Comm
+_CONDITIONS = {
     ConditionId.G1: _cond_rol_direct,
-    ConditionId.G2: _cond_g2,
-    ConditionId.G3: _cond_g3,
-    ConditionId.G4: _cond_g4,
-    ConditionId.G5: _cond_g5,
-    ConditionId.MBEKHTA_GI: _cond_mbekhta_gi,
-    ConditionId.MBEKHTA_COMM: _cond_mbekhta_comm,
-    ConditionId.MBEKHTA_IDEM: _cond_mbekhta_idem,
-    ConditionId.T31_II: _cond_t31_ii,
-    ConditionId.T31_III: _cond_t31_iii,
-    ConditionId.T32_II: _cond_t32_ii,
-    ConditionId.T32_III: _cond_t32_iii,
-    ConditionId.T33_II: _cond_t33_ii,
-    ConditionId.T33_III: _cond_t33_iii,
-    ConditionId.T34_II: _cond_t34_ii,
-    ConditionId.T34_III: _cond_t34_iii,
-    ConditionId.R35_COMM: _cond_r35_comm,
-    ConditionId.R35_DAG_COMM: _cond_r35_dag_comm,
+    ConditionId.G2: ((("s", "r", "ah"), ("r", "ah")),
+                     (("p", ("aa", "b")), ("aa", "b"))),
+    ConditionId.G3: (((_C("s", "r"),), None), ((_C("aa", "p"),), None)),
+    ConditionId.G4: ((("s", "r", "aa", "p"), ("r", "aa")),),
+    ConditionId.G5: ((("s", "b"), ("b", "ab_dag", "ab")),
+                     (("p", "ah"), ("ah", "ab", "ab_dag"))),
+    ConditionId.MBEKHTA_GI: ((("ab", ("b_dag", "a_dag"), "ab"), ("ab",)),),
+    ConditionId.MBEKHTA_COMM: ((("a", _C("p", "s"), "b"), None),),
+    ConditionId.MBEKHTA_IDEM: (((("s", "p"), ("s", "p")), ("s", "p")),),
+    ConditionId.T31_II: ((("a", _C("p", "q"), "bdh"), None),
+                         (("a", _C("r", "s"), "bdh"), None)),
+    ConditionId.T31_III: ((("s", "p", ("q", "p")), ("q", "p")),
+                          (("s", "r", "s", "p"), ("s", "r"))),
+    ConditionId.T32_II: ((("b_dag", _C("q", "p"), "ah"), None),
+                         (("b_dag", _C("s", "r"), "ah"), None)),
+    ConditionId.T32_III: ((("p", "q", "p", "s"), ("p", "q")),
+                          (("p", "s", "r", "s"), ("r", "s"))),
+    ConditionId.T33_II: ((("bh", _C("q_dag", "p"), "a_dag"), None),
+                         (("bh", _C("s", "r_dag"), "a_dag"), None)),
+    ConditionId.T33_III: ((("p", "q_dag", "p", "s"), ("p", "q_dag")),
+                          (("p", "s", ("r_dag", "s")), ("r_dag", "s"))),
+    ConditionId.T34_II: ((("adh", _C("p", "q_dag"), "b"), None),
+                         (("adh", _C("r_dag", "s"), "b"), None)),
+    ConditionId.T34_III: ((("s", "p", ("q_dag", "p")), ("q_dag", "p")),
+                          (("s", "r_dag", "s", "p"), ("s", "r_dag"))),
+    ConditionId.R35_COMM: (((_C("p", "q"),), None), ((_C("r", "s"),), None)),
+    ConditionId.R35_DAG_COMM: (((_C("q_dag", "p"),), None), ((_C("r_dag", "s"),), None)),
     ConditionId.ROL_DIRECT: _cond_rol_direct,
 }
 
@@ -331,8 +250,7 @@ def evaluate_condition(a, b, condition: ConditionId, tol: Tolerance = DEFAULT_TO
     ``residual <= tol.eq_tol``.  For two-equation conditions the
     residual is the max over the pair.
     """
-    w = _Workspace(a, b, tol)
-    res = _CONDITION_FUNCS[ConditionId(condition)](w)
+    res = _Workspace(a, b, tol).evaluate(_CONDITIONS[ConditionId(condition)])
     return (res <= tol.eq_tol, float(res))
 
 
@@ -340,11 +258,11 @@ def full_report(a, b, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
     """Evaluate the whole catalog on (a, b), recording pinv ranks too."""
     w = _Workspace(a, b, tol)
     report = ConditionReport(tolerance_used=tol)
-    residuals = {}  # G1 and ROL_DIRECT share one function; run it once
+    residuals = {}  # G1 and ROL_DIRECT share one row; evaluate it once
     for cond in ConditionId:
-        func = _CONDITION_FUNCS[cond]
-        if func not in residuals:
-            residuals[func] = func(w)
-        report.add(cond.value, residuals[func])
-    report.ranks = {"a": w.rank_a, "b": w.rank_b, "ab": w.rank_ab}
+        row = _CONDITIONS[cond]
+        if row not in residuals:
+            residuals[row] = w.evaluate(row)
+        report.add(cond.value, residuals[row])
+    report.ranks = w.ranks
     return report

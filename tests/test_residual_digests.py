@@ -16,11 +16,13 @@ import numpy as np
 import pytest
 
 from mpinv import (
+    ConditionId,
     FormulationId,
     algebraic_mph_check,
     annihilator_spectrum_check,
     classify,
     formulation_residual,
+    full_report,
     generate_mp_hermitian,
     generate_regular,
     gram_projection_residual,
@@ -116,6 +118,38 @@ def _classify():
         yield [classify(a).as_dict(), normal_mph_check(a).as_dict()]
 
 
+# The conditions built from q^+ or r^+; only their verdicts are pinned,
+# since the closed forms of q^+ and r^+ round differently from an SVD.
+_READS_DAG = {
+    ConditionId.T33_II, ConditionId.T33_III, ConditionId.T34_II, ConditionId.T34_III,
+    ConditionId.R35_DAG_COMM,
+}
+
+
+def _rol_pairs():
+    for seed in SEEDS:
+        for m, n, k in ((2, 2, 2), (3, 3, 3), (4, 2, 3), (2, 4, 3)):
+            for ra in range(min(m, n) + 1):
+                for rb in range(min(n, k) + 1):
+                    a = generate_regular(m, n, ra, sv_low=0.25, sv_high=4.0, seed=seed)
+                    b = generate_regular(n, k, rb, sv_low=0.25, sv_high=4.0, seed=seed + 100)
+                    yield a, b
+                    for scale in SCALES[1:]:
+                        yield scale * a, b
+                        yield a, scale * b
+
+
+def _full_report():
+    for a, b in _rol_pairs():
+        report = full_report(a, b)
+        yield {
+            "verdicts": report.verdicts,
+            "ranks": report.ranks,
+            "residuals": {c.value: report.residuals[c.value]
+                          for c in ConditionId if c not in _READS_DAG},
+        }
+
+
 CHECKS = {
     "norm_conorm_check": _norm_conorm,
     "involution_laws_check": _involution,
@@ -125,12 +159,14 @@ CHECKS = {
     "mph_subspace_check": _subspace,
     "mph_decompose": _decompose,
     "classify_and_normal_mph": _classify,
+    "full_report": _full_report,
 }
 
 DIGESTS = {
     "algebraic_and_annihilator": "4bcf92dd2b13034dddb3bd9ddb5f0fc073d58abc33e89f571d203372fcf51442",
     "classify_and_normal_mph": "e04d343a443518b1b32d58d09bb3dcc573d42ee4ec1dd316194ce0e32f4c3474",
     "formulation_residual": "016df9a7e0b3f699f37c411d842b95f1ea11ebde5571ef7325b4e0b2b5c255b3",
+    "full_report": "0174a6cceb550ff504dcbd5de442434d781faf0f49324059dbcb4f9d490791b2",
     "gram_projection_residual": "cf48a4929af9e082f2a546faf7742dc1536930048aa8bfb7f66bae67252796be",
     "involution_laws_check": "2da6eaf6cd5dacca56fae39065274e879832c84155cd8e962eb894afd64b1581",
     "mph_decompose": "13969411ea57a2fb8a68cbbfe564b39ddc0749a8d7ab339297551c3af6d0d703",
