@@ -149,12 +149,12 @@ class _Workspace:
         self.mats = {
             "a": a, "b": b, "ab": ab, "a_dag": a_dag, "b_dag": b_dag, "ab_dag": rab.pinv,
             "p": b @ b_dag, "q": a_dag @ adh, "r": b @ bh, "s": a_dag @ a,
-            "aa": aa, "q_dag": pinv(a_dag @ adh, tol).pinv, "r_dag": pinv(b @ bh, tol).pinv,
+            "aa": aa, "r_dag": bdh @ b_dag,
         }
         self.norms = {name: frobenius_norm(m) for name, m in self.mats.items()}
         # An adjoint has the norm of its matrix, and q^+ is a* a itself.
         for name, m, of in (("ah", ah, "a"), ("bh", bh, "b"), ("adh", adh, "a_dag"),
-                            ("bdh", bdh, "b_dag")):
+                            ("bdh", bdh, "b_dag"), ("q_dag", aa, "aa")):
             self.mats[name] = m
             self.norms[name] = self.norms[of]
 

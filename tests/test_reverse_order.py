@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mpinv import (
+    EPS,
     MBEKHTA_CONDITIONS,
     MP_ROL_CONDITIONS,
     ConditionId,
@@ -14,6 +15,7 @@ from mpinv import (
     generate_regular,
     generate_rol_pair,
     haar_unitary,
+    matrix_with_singular_values,
     mbekhta_gap_pair,
     pinv_matrix,
     rol_intermediates,
@@ -54,6 +56,25 @@ class TestIntermediates:
             bd = pinv_matrix(b)
             alt = adjoint(bd) @ bd
             assert frobenius_norm(inter.r_dag - alt) <= 1e-9 * max(1.0, frobenius_norm(alt))
+
+    def test_closed_forms_match_pinv(self):
+        # q^+ = a* a and r^+ = (b^+)* b^+ are built in closed form; the
+        # SVD route must agree to the accuracy a pseudoinverse of
+        # condition number kappa(q) = kappa(a)^2 <= 1e6 allows, on
+        # rectangular, rank-deficient and 2^k-scaled factors.
+        rng = np.random.default_rng(107)
+        for _ in range(200):
+            m, n, k = (int(v) for v in rng.integers(1, 7, size=3))
+            kappa = float(rng.choice([1.0, 1e1, 1e2, 1e3]))
+            factors = []
+            for shape in ((m, n), (n, k)):
+                sv = np.geomspace(1.0, 1.0 / kappa, int(rng.integers(1, min(shape) + 1)))
+                scale = 2.0 ** int(rng.integers(-30, 31))
+                factors.append(scale * matrix_with_singular_values(sv, shape, rng))
+            inter = rol_intermediates(*factors)
+            for x, x_dag in ((inter.q, inter.q_dag), (inter.r, inter.r_dag)):
+                err = frobenius_norm(pinv_matrix(x) - x_dag)
+                assert err <= 100 * EPS * kappa**2 * frobenius_norm(x_dag), (kappa, factors)
 
     def test_projections_idempotent(self):
         rng = np.random.default_rng(79)
