@@ -10,6 +10,7 @@ the norms it is measured against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,9 +175,20 @@ def residual_scale(*norms) -> float:
     return max((1.0, *norms))
 
 
+def _all_finite(*values) -> bool:
+    return all(map(math.isfinite, values))
+
+
 def residual(diff, *norms) -> float:
-    """``||diff||_F / residual_scale(*norms)``."""
-    return frobenius_norm(diff) / residual_scale(*norms)
+    """``||diff||_F / residual_scale(*norms)``, or ``inf`` if a value is not finite.
+
+    An overflowed norm would otherwise scale the residual to 0 or NaN,
+    and either reads as a pass.
+    """
+    d = frobenius_norm(diff)
+    if not _all_finite(d, *norms):
+        return math.inf
+    return d / residual_scale(*norms)
 
 
 def distance(x, y) -> float:
@@ -185,13 +197,15 @@ def distance(x, y) -> float:
 
 
 def approx_eq(x, y, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff ``||x - y||_F <= eq_tol * residual_scale(||x||_F, ||y||_F)``."""
+    """True iff ``||x - y||_F <= eq_tol * residual_scale(||x||_F, ||y||_F)``
+    and all three norms are finite."""
     xm = as_matrix(x, "x")
     ym = as_matrix(y, "y")
     if xm.shape != ym.shape:
         raise ValueError(f"shape mismatch: {xm.shape} vs {ym.shape}")
-    scale = residual_scale(frobenius_norm(xm), frobenius_norm(ym))
-    return bool(frobenius_norm(xm - ym) <= tol.eq_tol * scale)
+    norms = (frobenius_norm(xm), frobenius_norm(ym))
+    d = frobenius_norm(xm - ym)
+    return _all_finite(d, *norms) and bool(d <= tol.eq_tol * residual_scale(*norms))
 
 
 @dataclass

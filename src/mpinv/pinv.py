@@ -13,6 +13,7 @@ as ``a = x* a* a`` or ``a* = x a a*``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -59,8 +60,9 @@ class PenroseResidualError(RuntimeError):
 class PenroseResiduals:
     """Relative residuals of the four defining equations.
 
-    r1..r4 are divided by ``residual_scale(||a||_F, ||x||_F)``; ``absolute``
-    keeps the raw Frobenius norms for diagnostics.
+    r1..r4 are divided by ``residual_scale(||a||_F, ||x||_F)``, and are
+    ``inf`` where a norm is not finite; ``absolute`` keeps the raw
+    Frobenius norms for diagnostics.
     """
 
     r1: float
@@ -70,7 +72,9 @@ class PenroseResiduals:
     absolute: tuple = ()
 
     def max(self) -> float:
-        return max(self.r1, self.r2, self.r3, self.r4)
+        """The largest residual, or NaN if any is NaN, so that it fails ``within``."""
+        rs = (self.r1, self.r2, self.r3, self.r4)
+        return math.nan if any(map(math.isnan, rs)) else max(rs)
 
     def within(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         return self.max() <= tol.eq_tol
@@ -125,7 +129,8 @@ def penrose_residuals(a, x) -> PenroseResiduals:
         frobenius_norm(adjoint(xa) - xa),
     )
     scale = residual_scale(frobenius_norm(am), frobenius_norm(xm))
-    r = tuple(v / scale for v in abs_res)
+    finite = math.isfinite(scale)
+    r = tuple(v / scale if finite and math.isfinite(v) else math.inf for v in abs_res)
     return PenroseResiduals(r[0], r[1], r[2], r[3], absolute=abs_res)
 
 

@@ -6,11 +6,14 @@ projection-flavored intermediates
 
     p = b b^+,   q = a^+ (a^+)*,   r = b b*,   s = a^+ a,
 
-their pseudoinverses ``q^+ = a* a`` and ``r^+ = (b b*)^+``, and the
-weaker generalized-inverse criterion that uses ``p`` with ``s`` in
-place of ``q``.  Every condition is scored with a residual normalized
-by the product of its operand norms, so verdicts are stable under
-rescaling of ``a`` or ``b``.
+their pseudoinverses, taken in the closed forms ``q^+ = a* a`` and
+``r^+ = (b b*)^+ = (b^+)* b^+``, and the weaker generalized-inverse
+criterion that uses ``p`` with ``s`` in place of ``q``.  A pair costs
+three SVD-backed ``pinv`` calls, for ``a``, ``b`` and ``ab``.
+
+Each condition is one row of a table: a tuple of equations, each side a
+product of named workspace matrices.  An equation is scored by
+``core.residual`` against the product of each side's operand norms.
 """
 
 from __future__ import annotations
@@ -202,8 +205,8 @@ def _cond_rol_direct(w):
 # ``(lhs, rhs)``, each side a product for ``_Workspace.product``.  An
 # equation is scored by ``residual(lhs - rhs, ||lhs||, ||rhs||)``, each
 # norm being the product of its side's operand norms; ``rhs`` None means
-# ``lhs = 0``.  The generalized-inverse condition MBEKHTA_COMM pairs
-# p = b b^+ with s = a^+ a.
+# ``lhs = 0``; ``_C(x, y)`` is the commutator factor ``x y - y x``.  The
+# generalized-inverse condition MBEKHTA_COMM pairs p = b b^+ with s = a^+ a.
 _C = _Comm
 _CONDITIONS = {
     ConditionId.G1: _cond_rol_direct,

@@ -264,6 +264,27 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         assert err.startswith("error: pseudoinverse residuals") and err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")  # a numpy warning would print its own lines
+    @pytest.mark.parametrize(
+        "command, diagonal",
+        [
+            ("classify", [1e200, 1e200]),
+            ("pinv", [1e-300, 1e-300]),
+            ("pinv", [5e-324, 5e-324]),
+            ("rol", [1e200, 1.0]),
+        ],
+        ids=["classify_overflow", "pinv_overflow", "pinv_subnormal", "rol_overflow"],
+    )
+    def test_non_finite_arithmetic_refused_in_one_line(self, capsys, write_json, command,
+                                                       diagonal):
+        # Norms and products overflow or underflow here; the verdicts
+        # must fail closed.
+        path = write_json("a.json", np.diag(diagonal).astype(complex))
+        args = ["--a", path, "--b", path] if command == "rol" else ["--in", path]
+        code, out, err = run_cli(capsys, command, *args)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_svd_failure_exit_1(self, capsys, write_json, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")

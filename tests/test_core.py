@@ -265,6 +265,16 @@ class TestResidualRule:
         for x, y in ((big, big + 1.0), (np.eye(3), 2 * np.eye(3))):
             assert (distance(x, y) <= Tolerance().eq_tol) == approx_eq(x, y)
 
+    def test_non_finite_norm_fails_closed(self):
+        # diag(1e200, 1e200) overflows frobenius_norm; an infinite scale
+        # must not turn its residuals into 0.
+        big = np.diag([1e200, 1e200]).astype(complex)
+        with np.errstate(all="ignore"):
+            assert residual(np.ones((2, 2)), frobenius_norm(big)) == np.inf
+            assert residual(np.zeros((2, 2)), np.inf * 0.0) == np.inf
+            assert distance(big, big) == np.inf
+            assert not approx_eq(big, big)
+
     def test_floor_lives_only_in_core(self):
         floor = re.compile(r"max\(\(?1\.0\b")
         src = Path(__file__).resolve().parents[1] / "src" / "mpinv"

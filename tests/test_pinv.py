@@ -6,6 +6,7 @@ import pytest
 from mpinv import (
     FormulationId,
     PenroseResidualError,
+    PenroseResiduals,
     Tolerance,
     adjoint,
     approx_eq,
@@ -108,6 +109,18 @@ class TestPenroseResiduals:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             penrose_residuals(np.eye(2), np.eye(3))
+
+    def test_overflowed_norm_fails_closed(self):
+        # ||a||_F overflows, so the absolute r1 of 0.5 must not scale to 0.
+        with np.errstate(all="ignore"):
+            res = penrose_residuals(np.diag([1e200, 1.0]), np.diag([1e-200, 0.5]))
+        assert res.absolute[0] == 0.5
+        assert (res.r1, res.r2, res.r3, res.r4) == (np.inf,) * 4
+        assert not res.within()
+
+    def test_max_keeps_nan(self):
+        res = PenroseResiduals(0.0, float("nan"), 0.0, 0.0)
+        assert np.isnan(res.max()) and not res.within()
 
     def test_uniqueness_under_perturbation(self):
         # Any perturbation of the pseudoinverse at or above 10x the
