@@ -205,38 +205,40 @@ def _cond_rol_direct(w):
 # ``(lhs, rhs)``, each side a product for ``_Workspace.product``.  An
 # equation is scored by ``residual(lhs - rhs, ||lhs||, ||rhs||)``, each
 # norm being the product of its side's operand norms; ``rhs`` None means
-# ``lhs = 0``; ``_C(x, y)`` is the commutator factor ``x y - y x``.  The
-# generalized-inverse condition MBEKHTA_COMM pairs p = b b^+ with s = a^+ a.
-_C = _Comm
+# ``lhs = 0``.  The generalized-inverse condition MBEKHTA_COMM pairs
+# p = b b^+ with s = a^+ a.
 _CONDITIONS = {
     ConditionId.G1: _cond_rol_direct,
     ConditionId.G2: ((("s", "r", "ah"), ("r", "ah")),
                      (("p", ("aa", "b")), ("aa", "b"))),
-    ConditionId.G3: (((_C("s", "r"),), None), ((_C("aa", "p"),), None)),
+    ConditionId.G3: (((_Comm("s", "r"),), None),
+                     ((_Comm("aa", "p"),), None)),
     ConditionId.G4: ((("s", "r", "aa", "p"), ("r", "aa")),),
     ConditionId.G5: ((("s", "b"), ("b", "ab_dag", "ab")),
                      (("p", "ah"), ("ah", "ab", "ab_dag"))),
     ConditionId.MBEKHTA_GI: ((("ab", ("b_dag", "a_dag"), "ab"), ("ab",)),),
-    ConditionId.MBEKHTA_COMM: ((("a", _C("p", "s"), "b"), None),),
+    ConditionId.MBEKHTA_COMM: ((("a", _Comm("p", "s"), "b"), None),),
     ConditionId.MBEKHTA_IDEM: (((("s", "p"), ("s", "p")), ("s", "p")),),
-    ConditionId.T31_II: ((("a", _C("p", "q"), "bdh"), None),
-                         (("a", _C("r", "s"), "bdh"), None)),
+    ConditionId.T31_II: ((("a", _Comm("p", "q"), "bdh"), None),
+                         (("a", _Comm("r", "s"), "bdh"), None)),
     ConditionId.T31_III: ((("s", "p", ("q", "p")), ("q", "p")),
                           (("s", "r", "s", "p"), ("s", "r"))),
-    ConditionId.T32_II: ((("b_dag", _C("q", "p"), "ah"), None),
-                         (("b_dag", _C("s", "r"), "ah"), None)),
+    ConditionId.T32_II: ((("b_dag", _Comm("q", "p"), "ah"), None),
+                         (("b_dag", _Comm("s", "r"), "ah"), None)),
     ConditionId.T32_III: ((("p", "q", "p", "s"), ("p", "q")),
                           (("p", "s", "r", "s"), ("r", "s"))),
-    ConditionId.T33_II: ((("bh", _C("q_dag", "p"), "a_dag"), None),
-                         (("bh", _C("s", "r_dag"), "a_dag"), None)),
+    ConditionId.T33_II: ((("bh", _Comm("q_dag", "p"), "a_dag"), None),
+                         (("bh", _Comm("s", "r_dag"), "a_dag"), None)),
     ConditionId.T33_III: ((("p", "q_dag", "p", "s"), ("p", "q_dag")),
                           (("p", "s", ("r_dag", "s")), ("r_dag", "s"))),
-    ConditionId.T34_II: ((("adh", _C("p", "q_dag"), "b"), None),
-                         (("adh", _C("r_dag", "s"), "b"), None)),
+    ConditionId.T34_II: ((("adh", _Comm("p", "q_dag"), "b"), None),
+                         (("adh", _Comm("r_dag", "s"), "b"), None)),
     ConditionId.T34_III: ((("s", "p", ("q_dag", "p")), ("q_dag", "p")),
                           (("s", "r_dag", "s", "p"), ("s", "r_dag"))),
-    ConditionId.R35_COMM: (((_C("p", "q"),), None), ((_C("r", "s"),), None)),
-    ConditionId.R35_DAG_COMM: (((_C("q_dag", "p"),), None), ((_C("r_dag", "s"),), None)),
+    ConditionId.R35_COMM: (((_Comm("p", "q"),), None),
+                           ((_Comm("r", "s"),), None)),
+    ConditionId.R35_DAG_COMM: (((_Comm("q_dag", "p"),), None),
+                               ((_Comm("r_dag", "s"),), None)),
     ConditionId.ROL_DIRECT: _cond_rol_direct,
 }
 
