@@ -8,7 +8,7 @@ campaign found failures.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from .core import DEFAULT_TOL, SvdConvergenceError, Tolerance
 from .harness import FuzzConfig, FuzzSuite, fuzz, generate_regular
 from .isometry import SPECIAL_KINDS, classify, generate_special, normal_mph_check
-from .matrix_io import load_matrix, matrix_to_dict, save_matrix
+from .matrix_io import dumps, load_matrix, matrix_to_dict, save_matrix
 from .mp_hermitian import (
     generate_mp_hermitian,
     mph_decompose,
@@ -54,7 +54,7 @@ def _add_tol_flags(p):
 
 
 def _emit(obj):
-    print(json.dumps(obj, indent=2))
+    print(dumps(obj))
 
 
 def _cmd_pinv(args):
@@ -160,6 +160,9 @@ def _cmd_gen(args):
     return 0
 
 
+# Parsing leaves no state in the parser (each call gets a fresh
+# namespace), so one parser serves every call in the process.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="mpinv",

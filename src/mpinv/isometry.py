@@ -119,19 +119,27 @@ def gram_projection_residual(a, side: str = "left") -> float:
     return max(residual(g @ g - g, ng**2, ng), residual(adjoint(g) - g, ng))
 
 
+def _fail_closed(d: float, scale: float) -> float:
+    """``d / scale``, or ``inf`` if either is not finite (an overflowed
+    norm would otherwise read as 0 or NaN, and either as a pass)."""
+    return d / scale if math.isfinite(d) and math.isfinite(scale) else math.inf
+
+
 def hermitian_residual(a) -> float:
-    """Relative distance from ``a`` to its adjoint (square input)."""
+    """Relative distance from ``a`` to its adjoint (square input); ``inf``
+    if a norm overflows."""
     m = as_matrix(a, "a")
     if m.shape[0] != m.shape[1]:
         raise ValueError("hermitian residual needs a square matrix")
     na = frobenius_norm(m)
     if na == 0.0:
         return 0.0
-    return frobenius_norm(m - adjoint(m)) / na
+    return _fail_closed(frobenius_norm(m - adjoint(m)), na)
 
 
 def normality_residual(a) -> float:
-    """``||a a* - a* a||_F / ||a||_F^2``; scale-stable normality measure."""
+    """``||a a* - a* a||_F / ||a||_F^2``; scale-stable normality measure,
+    ``inf`` if a norm overflows."""
     m = as_matrix(a, "a")
     if m.shape[0] != m.shape[1]:
         raise ValueError("normality residual needs a square matrix")
@@ -139,7 +147,7 @@ def normality_residual(a) -> float:
     if na == 0.0:
         return 0.0
     ah = adjoint(m)
-    return frobenius_norm(m @ ah - ah @ m) / (na * na)
+    return _fail_closed(frobenius_norm(m @ ah - ah @ m), na * na)
 
 
 def norm_conorm_check(a, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:

@@ -149,6 +149,12 @@ def pinv(a, tol: Tolerance = DEFAULT_TOL) -> PinvResult:
         x = np.zeros((am.shape[1], am.shape[0]), dtype=np.complex128)
     else:
         x = (f.v[:, :r] / f.sigma[:r]) @ adjoint(f.u[:, :r])
+        if not np.isfinite(x).all():  # e.g. 1/sigma for a subnormal sigma
+            raise PenroseResidualError(
+                "pseudoinverse overflows float64 (smallest kept singular "
+                f"value {float(f.sigma[r - 1])!r})",
+                PenroseResiduals(math.inf, math.inf, math.inf, math.inf),
+            )
     res = penrose_residuals(am, x)
     if not res.within(tol):
         raise PenroseResidualError(

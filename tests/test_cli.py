@@ -5,7 +5,21 @@ import json
 import numpy as np
 import pytest
 
-from mpinv import generate_regular, matrix_from_dict, penrose_residuals, save_matrix
+import mpinv.cli
+from mpinv import (
+    classify,
+    full_report,
+    generate_mp_hermitian,
+    generate_regular,
+    matrix_from_dict,
+    matrix_to_dict,
+    mph_decompose,
+    mph_subspace_check,
+    normal_mph_check,
+    penrose_residuals,
+    pinv,
+    save_matrix,
+)
 from mpinv.cli import main
 
 DIAG_2_0 = {"rows": 2, "cols": 2, "data": [[2, 0], [0, 0], [0, 0], [0, 0]]}
@@ -285,6 +299,15 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_subnormal_pinv_names_the_overflow(self, capsys, write_json):
+        # 1/5e-324 is inf; the refusal must say so, not blame an argument
+        # the caller never passed.
+        path = write_json("a.json", np.diag([5e-324, 5e-324]).astype(complex))
+        code, out, err = run_cli(capsys, "pinv", "--in", path)
+        assert code == 1 and out == ""
+        assert err.startswith("error: pseudoinverse overflows") and err.count("\n") == 1
+        assert "x contains" not in err
+
     def test_svd_failure_exit_1(self, capsys, write_json, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
@@ -320,3 +343,107 @@ class TestErrorPaths:
     def test_help_exit_0(self, capsys):
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0 and "pinv" in out
+
+
+def _classify_dict(a):
+    out = classify(a).as_dict()
+    out["subspace_check"] = mph_subspace_check(a).as_dict()
+    out["normal_mph_check"] = normal_mph_check(a).as_dict()
+    return out
+
+
+def _conorm_dict(a):
+    report = classify(a)
+    return {"conorm": report.conorm, "op_norm": report.op_norm,
+            "pinv_norm": report.pinv_norm}
+
+
+A = generate_regular(4, 3, 2, seed=11) * (1 - 0.5j)
+SQUARE = generate_regular(5, 5, 3, seed=12)
+MPH = generate_mp_hermitian(5, 3, 13)
+
+
+class TestWireFormat:
+    """stdout and written files are ``json.dumps(..., indent=2)`` byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv, matrices, reference",
+        [
+            (["pinv"], [A], lambda: pinv(A).as_dict()),
+            (["rol"], [A, A.T], lambda: full_report(A, A.T).as_dict()),
+            (["classify"], [SQUARE], lambda: _classify_dict(SQUARE)),
+            (["classify"], [A], lambda: {**classify(A).as_dict(), "subspace_check": None,
+                                         "normal_mph_check": None}),
+            (["conorm"], [A], lambda: _conorm_dict(A)),
+            (["decompose"], [MPH], lambda: mph_decompose(MPH).as_dict()),
+            (["decompose"], [SIGNS[:2, :2]], lambda: mph_decompose(SIGNS[:2, :2]).as_dict()),
+            (["decompose"], [np.zeros((2, 2))], lambda: mph_decompose(np.zeros((2, 2))).as_dict()),
+        ],
+        ids=["pinv", "rol", "classify", "classify_rectangular", "conorm", "decompose",
+             "decompose_empty_h1", "decompose_empty_h2"],
+    )
+    def test_stdout_matches_indented_json(self, capsys, write_json, argv, matrices, reference):
+        paths = [write_json(f"{i}.json", m) for i, m in enumerate(matrices)]
+        flags = ["--a", paths[0], "--b", paths[1]] if argv == ["rol"] else ["--in", paths[0]]
+        code, out, err = run_cli(capsys, *argv, *flags)
+        assert code == 0 and err == ""
+        assert out == json.dumps(reference(), indent=2) + "\n"
+
+    def test_gen_stdout_and_file_match_indented_json(self, capsys, tmp_path):
+        args = ["gen", "--kind", "regular", "--rows", "6", "--cols", "4", "--seed", "3"]
+        code, out, _ = run_cli(capsys, *args)
+        reference = json.dumps(matrix_to_dict(generate_regular(6, 4, 4, seed=3)), indent=2)
+        assert code == 0 and out == reference + "\n"
+        path = tmp_path / "m.json"
+        assert run_cli(capsys, *args, "--out", str(path))[0] == 0
+        assert path.read_text() == reference + "\n"
+
+    def test_pinv_out_file_matches_indented_json(self, capsys, write_json, tmp_path):
+        path = tmp_path / "x.json"
+        assert run_cli(capsys, "pinv", "--in", write_json("a.json", A), "--out", str(path))[0] == 0
+        assert path.read_text() == json.dumps(matrix_to_dict(pinv(A).pinv), indent=2) + "\n"
+
+
+GEN_ARGS = ["gen", "--kind", "regular", "--dim", "3", "--seed", "2"]
+
+
+def _gen_stdout():
+    """What ``main(GEN_ARGS)`` prints."""
+    return json.dumps(matrix_to_dict(generate_regular(3, 3, 3, seed=2)), indent=2) + "\n"
+
+
+class TestParserReuse:
+    """One parser serves every call in a process and carries nothing over."""
+
+    def test_parser_is_built_once(self):
+        assert mpinv.cli._build_parser() is mpinv.cli._build_parser()
+
+    def test_tolerance_resets_to_default(self, capsys, write_json, monkeypatch):
+        seen = []
+
+        def spy(a, tol):
+            seen.append(tol.eq_tol)
+            return pinv(a, tol)
+
+        monkeypatch.setattr(mpinv.cli, "pinv", spy)
+        path = write_json("a.json", A)
+        assert run_cli(capsys, "pinv", "--in", path, "--tol", "1e-6")[0] == 0
+        assert run_cli(capsys, "pinv", "--in", path)[0] == 0
+        assert seen == [1e-6, 1e-9]
+
+    def test_out_does_not_stick(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        code, out, _ = run_cli(capsys, *GEN_ARGS, "--out", str(path))
+        assert code == 0 and out == "" and path.exists()
+        path.unlink()
+        code, out, _ = run_cli(capsys, *GEN_ARGS)
+        assert code == 0 and out == _gen_stdout()
+        assert not path.exists()
+
+    @pytest.mark.parametrize("first", [["--help"], ["pinv", "--bogus", "x"], ["gen"]],
+                             ids=["help", "bad_flag", "missing_kind"])
+    def test_valid_call_after_early_exit(self, capsys, first):
+        assert main(first) in (0, 1)
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, *GEN_ARGS)
+        assert code == 0 and err == "" and out == _gen_stdout()

@@ -11,12 +11,14 @@ from mpinv import (
     generate_special,
     gram_projection_residual,
     haar_unitary,
+    hermitian_residual,
     is_partial_isometry,
     matrix_with_singular_values,
     nonhermitian_partial_isometry_fixture,
     nonnormal_mph_fixture,
     norm_conorm_check,
     normal_mph_check,
+    normality_residual,
     operator_norm,
     pinv_matrix,
     random_hermitian_partial_isometry,
@@ -45,6 +47,29 @@ class TestConorm:
     def test_zero_matrix_is_an_error(self):
         with pytest.raises(ValueError, match="undefined for the zero element"):
             conorm(np.zeros((2, 2)))
+
+
+class TestStructureResiduals:
+    def test_finite_values_keep_their_divisor(self):
+        rng = np.random.default_rng(8)
+        for scale in (2.0**-30, 1.0, 3e5):
+            m = scale * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+            na = np.linalg.norm(m)
+            assert hermitian_residual(m) == np.linalg.norm(m - m.conj().T) / na
+            assert normality_residual(m) == (
+                np.linalg.norm(m @ m.conj().T - m.conj().T @ m) / (na * na))
+
+    def test_hermitian_overflow_fails_closed(self):
+        # ||a||_F overflows; the sqrt(2) difference must not scale to 0.
+        with np.errstate(all="ignore"):
+            assert hermitian_residual([[1e200, 1], [0, 1e200]]) == np.inf
+
+    def test_normality_overflow_fails_closed(self):
+        # The products overflow to NaN; that must not read as a pass.
+        with np.errstate(all="ignore"):
+            assert normality_residual([[1e200, 1], [0, 1e200]]) == np.inf
+            # ||a||_F is finite here but its square, the divisor, is not.
+            assert normality_residual(np.diag([1e154, 1e154])) == np.inf
 
 
 class TestPartialIsometry:

@@ -1,6 +1,8 @@
 """Tests for the canonical matrix JSON wire format."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpinv import load_matrix, matrix_from_dict, matrix_to_dict, save_matrix
+from mpinv.matrix_io import dumps
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -63,11 +66,88 @@ def test_file_round_trip(tmp_path):
         ({"rows": 1, "cols": 2, "data": [[1, 0], [None, 0]]}, r"data\[1\]"),
         ({"rows": 1, "cols": 2, "data": [[1, 0], ["1.5", 0]]}, r"data\[1\]"),
         ({"rows": 1, "cols": 2, "data": [[1, 0], [0, True]]}, r"data\[1\]"),
+        ({"rows": 1, "cols": 2, "data": [(1, 0), (2,)]}, r"^data\[1\] must be a \[re, im\] pair$"),
+        ({"rows": 1, "cols": 2, "data": [(1, 0), (0, "x")]},
+         r"^data\[1\] must hold two numbers, got \(0, 'x'\)$"),
+        ({"rows": 1, "cols": 2, "data": [(1, 0), [1, 2, 3]]}, r"^data\[1\] must be a \[re, im\] pair$"),
+        ({"rows": 1, "cols": 2, "data": [[5e-324, 0], [0, -10**400]]}, r"^data\[1\] is not finite$"),
+        ({"rows": 1, "cols": 3, "data": [[2**63 + 1, 0], [1, None], [float("nan"), 0]]},
+         r"^data\[1\] must hold two numbers, got \[1, None\]$"),
+        ({"rows": 1, "cols": 1, "data": [5]}, r"^data\[0\] must be a \[re, im\] pair$"),
     ],
 )
 def test_rejects_malformed(obj, message):
     with pytest.raises(ValueError, match=message):
         matrix_from_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [(1.5, -2), (0, 3)],
+        [[2**53 + 1, 0], [0, 2**53 + 1]],
+        [[2**63 + 1, -(2**63 + 1)], [2**64, 1]],
+        [[-10**308, 10**308], [1, 1]],
+        [[-0, -0.0], [-0.0, -0]],
+        [[5e-324, -5e-324], [-0.0, 0.0]],
+        [[1.7976931348623157e308, -2.2250738585072014e-308], [0.1, 1.5]],
+    ],
+)
+def test_parses_like_complex(data):
+    # Bit for bit, signed zeros included.
+    expected = np.array([complex(re, im) for re, im in data]).reshape(1, 2)
+    assert matrix_from_dict({"rows": 1, "cols": 2, "data": data}).tobytes() == expected.tobytes()
+
+
+def test_dumps_matches_indented_json():
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    m[0, 0] = complex(-0.0, 5e-324)
+    report = {
+        "matrices": [matrix_to_dict(m), {"name": "x", "m": matrix_to_dict(m.T[:1])}],
+        "empty": {"rows": 2, "cols": 0, "data": []},
+        "data": [[1.0, float("nan")], [float("inf"), -float("inf")]],
+        "not_pairs": {"data": [[1, 2.0], [3.0]]},
+        "tuple": ({"data": [[0.5, 1e300]]}, 2),
+        "keys": {1: None, 2.5: True, False: "s"},
+        "top": 1e-7,
+    }
+    for obj in (matrix_to_dict(m), report, [report, []], {}, [], 3.0, "data"):
+        assert dumps(obj) == json.dumps(obj, indent=2)
+
+
+def test_dumps_survives_a_string_that_spells_its_marker():
+    from mpinv.matrix_io import _SLOT
+
+    obj = {_SLOT: _SLOT, "m": matrix_to_dict(np.eye(2))}
+    assert dumps(obj) == json.dumps(obj, indent=2)
+
+
+def test_save_matrix_writes_indented_json(tmp_path):
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((5, 2)) - 1j * rng.standard_normal((5, 2))
+    path = tmp_path / "m.json"
+    save_matrix(m, path)
+    assert path.read_text(encoding="utf-8") == json.dumps(matrix_to_dict(m), indent=2) + "\n"
+
+
+def test_one_indented_json_writer():
+    # The wire text has one writer, matrix_io.dumps: no other module may
+    # call json.dump or json.dumps with indent.
+    src = Path(__file__).resolve().parents[1] / "src" / "mpinv"
+    counts = {}
+    for p in src.glob("*.py"):
+        counts[p.name] = sum(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("dump", "dumps")
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json"
+            and any(k.arg == "indent" for k in node.keywords)
+            for node in ast.walk(ast.parse(p.read_text()))
+        )
+    assert counts.pop("matrix_io.py") >= 1
+    assert not any(counts.values()), counts
 
 
 def test_load_malformed_json(tmp_path):

@@ -88,6 +88,14 @@ class TestPinv:
         assert err.value.residuals.max() > 0
 
 
+    def test_subnormal_singular_values_refused_as_overflow(self):
+        # 1/5e-324 is inf: refused as an overflow, not as a bad argument.
+        with np.errstate(all="ignore"), pytest.raises(PenroseResidualError,
+                                                      match="overflows") as err:
+            pinv(np.diag([5e-324, 5e-324]))
+        assert err.value.residuals.max() == np.inf
+
+
 class TestPenroseResiduals:
     def test_identity_all_zero(self):
         res = penrose_residuals(np.eye(3), np.eye(3))
