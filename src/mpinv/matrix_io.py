@@ -136,9 +136,9 @@ def _render_pairs(data, indent: str) -> str:
 
 
 def dumps(obj) -> str:
-    """Exactly ``json.dumps(obj, indent=2)``, with each matrix ``data``
-    list rendered in bulk instead of by the pure-Python encoder that
-    ``indent`` selects."""
+    """Exactly ``json.dumps(obj, indent=2)`` for any acyclic ``obj``, with
+    each matrix ``data`` list rendered in bulk instead of by the
+    pure-Python encoder that ``indent`` selects."""
     slots = []
     skeleton = json.dumps(_with_slots(obj, slots), indent=2)
     parts = skeleton.split(_SLOT_JSON)

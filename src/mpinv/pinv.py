@@ -148,13 +148,15 @@ def pinv(a, tol: Tolerance = DEFAULT_TOL) -> PinvResult:
     if r == 0:
         x = np.zeros((am.shape[1], am.shape[0]), dtype=np.complex128)
     else:
-        x = (f.v[:, :r] / f.sigma[:r]) @ adjoint(f.u[:, :r])
-        if not np.isfinite(x).all():  # e.g. 1/sigma for a subnormal sigma
+        # Unit rows of u and v bound every |x_ij| by (1 + O(n eps)) / sigma_r,
+        # so a finite 2 / sigma_r keeps x finite.
+        sigma_r = float(f.sigma[r - 1])
+        if not math.isfinite(2.0 / sigma_r):
             raise PenroseResidualError(
-                "pseudoinverse overflows float64 (smallest kept singular "
-                f"value {float(f.sigma[r - 1])!r})",
+                f"pseudoinverse overflows float64 (smallest kept singular value {sigma_r!r})",
                 PenroseResiduals(math.inf, math.inf, math.inf, math.inf),
             )
+        x = (f.v[:, :r] / f.sigma[:r]) @ adjoint(f.u[:, :r])
     res = penrose_residuals(am, x)
     if not res.within(tol):
         raise PenroseResidualError(
