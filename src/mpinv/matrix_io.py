@@ -145,10 +145,9 @@ def dumps(obj) -> str:
     if len(parts) != len(slots) + 1:  # a string in obj spells the slot marker
         return json.dumps(obj, indent=2)
     out = [parts[0]]
-    for data, part in zip(slots, parts[1:]):
-        line = out[-1][out[-1].rfind("\n") + 1:]
-        out.append(_render_pairs(data, line[:len(line) - len(line.lstrip(" "))]))
-        out.append(part)
+    for data, before, after in zip(slots, parts, parts[1:]):
+        line = before[before.rfind("\n") + 1:]
+        out += [_render_pairs(data, " " * (len(line) - len(line.lstrip(" ")))), after]
     return "".join(out)
 
 
