@@ -48,6 +48,8 @@ def _entries(data):
 
 
 def _raise_first_bad_entry(data):
+    """Raise the ``ValueError`` that names the first entry ``_entries``
+    rejected."""
     for i, pair in enumerate(data):
         if not isinstance(pair, _PAIR) or len(pair) != 2:
             raise ValueError(f"data[{i}] must be a [re, im] pair")
