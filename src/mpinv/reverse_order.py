@@ -12,12 +12,15 @@ criterion that uses ``p`` with ``s`` in place of ``q``.  A pair costs
 three SVD-backed ``pinv`` calls, for ``a``, ``b`` and ``ab``.
 
 Each condition is one row of a table: a tuple of equations, each side a
-product of named workspace matrices.  An equation is scored by
-``core.residual`` against the product of each side's operand norms.
+product of named workspace matrices, scored by ``core.residual`` against
+the product of each side's operand norms.  The table is compiled once
+into straight-line code that forms each distinct product once per pair.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -71,32 +74,10 @@ class ConditionId(str, Enum):
     ROL_DIRECT = "ROL_DIRECT"
 
 
-# Conditions equivalent to (ab)^+ = b^+ a^+ itself.
-MP_ROL_CONDITIONS = (
-    ConditionId.G1,
-    ConditionId.G2,
-    ConditionId.G3,
-    ConditionId.G4,
-    ConditionId.G5,
-    ConditionId.T31_II,
-    ConditionId.T31_III,
-    ConditionId.T32_II,
-    ConditionId.T32_III,
-    ConditionId.T33_II,
-    ConditionId.T33_III,
-    ConditionId.T34_II,
-    ConditionId.T34_III,
-    ConditionId.R35_COMM,
-    ConditionId.R35_DAG_COMM,
-    ConditionId.ROL_DIRECT,
-)
-
-# The strictly weaker criterion: b^+ a^+ is a generalized inverse of ab.
-MBEKHTA_CONDITIONS = (
-    ConditionId.MBEKHTA_GI,
-    ConditionId.MBEKHTA_COMM,
-    ConditionId.MBEKHTA_IDEM,
-)
+# The strictly weaker criterion that b^+ a^+ is a generalized inverse of
+# ab, and the conditions equivalent to (ab)^+ = b^+ a^+ itself.
+MBEKHTA_CONDITIONS = tuple(c for c in ConditionId if c.startswith("MBEKHTA_"))
+MP_ROL_CONDITIONS = tuple(c for c in ConditionId if c not in MBEKHTA_CONDITIONS)
 
 
 @dataclass(frozen=True)
@@ -166,81 +147,124 @@ class _Workspace:
             name: self.mats[name] for name in ("p", "q", "r", "s", "q_dag", "r_dag")
         })
 
-    def product(self, factors, norm=1.0):
-        """The left-to-right product of ``factors`` and the running norm product.
 
-        A factor is a workspace name, a ``_Comm``, or a tuple of factors
-        multiplied first; the norm product runs over the flattened list.
-        """
-        out = None
-        for f in factors:
-            if isinstance(f, _Comm):
-                x, y = self.mats[f.x], self.mats[f.y]
-                m, norm = x @ y - y @ x, norm * self.norms[f.x] * self.norms[f.y]
-            elif isinstance(f, tuple):
-                m, norm = self.product(f, norm)
-            else:
-                m, norm = self.mats[f], norm * self.norms[f]
-            out = m if out is None else out @ m
-        return out, norm
-
-    def score(self, lhs, rhs) -> float:
-        """The residual of ``lhs = rhs``, or of ``lhs = 0`` when ``rhs`` is None."""
-        lm, ln = self.product(lhs)
-        if rhs is None:
-            return residual(lm, ln)
-        rm, rn = self.product(rhs)
-        return residual(lm - rm, ln, rn)
-
-    def evaluate(self, row) -> float:
-        """The residual of one catalog row, the worst over its equations."""
-        return row(self) if callable(row) else max(self.score(*eq) for eq in row)
+def _flat(factors) -> tuple:
+    """The workspace names in a product or equation, left to right."""
+    return tuple(n for f in factors for n in ((f,) if isinstance(f, str) else _flat(f)))
 
 
-def _cond_rol_direct(w):
-    return distance(w.mats["ab_dag"], w.mats["b_dag"] @ w.mats["a_dag"])
+class _Program:
+    """Catalog rows compiled to straight-line code over the workspace matrices.
+
+    Slots ``0 .. len(leaves) - 1`` hold workspace matrices; instruction
+    ``i`` of ``code``, ``(op, x, y, factors, dead)``, fills the next slot
+    and then drops the slots in ``dead``, whose last reader it is.  A step
+    (``op`` a matmul or a commutator's subtraction) holds ``op(slot x,
+    slot y)``; no two steps are alike, so each product is formed once, left
+    to right with nested factors first, as the table writes it.  An
+    equation (``op`` None) holds its residual; ``factors`` are the operand
+    names of each side, whose norm products scale it.
+    """
+
+    def __init__(self, rows: dict):
+        self.leaves = list(dict.fromkeys(n for row in rows.values() for n in _flat(row)))
+        slot = {name: i for i, name in enumerate(self.leaves)}
+        code = []
+
+        def emit(op, x, y, factors=None):
+            key = (op, x, y, factors)  # a tuple, so never equal to a name
+            if key not in slot:
+                slot[key] = len(slot)
+                code.append(key)
+            return slot[key]
+
+        def side(factors):
+            out = None
+            for f in factors:
+                if isinstance(f, _Comm):
+                    x, y = slot[f.x], slot[f.y]
+                    f = emit(operator.sub, emit(operator.matmul, x, y),
+                             emit(operator.matmul, y, x))
+                else:
+                    f = slot[f] if isinstance(f, str) else side(f)
+                out = f if out is None else emit(operator.matmul, out, f)
+            return out
+
+        self.rows = {cond: tuple(
+            emit(None, side(lhs), side(rhs), None if row is _DIRECT else (_flat(lhs), _flat(rhs)))
+            for lhs, rhs in row) for cond, row in rows.items()}
+        last = {s: i for i, (_, x, y, _) in enumerate(code) for s in (x, y)}
+        self.code = [(*c, tuple(s for s in {c[1], c[2]} - {None} if last[s] == i))
+                     for i, c in enumerate(code)]
+
+    def run(self, w: _Workspace) -> dict:
+        """Each row's worst residual; takes ``w.mats``, to free each after its last reader."""
+        v = [w.mats.pop(name) for name in self.leaves]
+        for op, x, y, factors, dead in self.code:
+            v.append(op(v[x], v[y]) if op else
+                     _score(w.norms, v[x], None if y is None else v[y], factors))
+            for s in dead:
+                v[s] = None
+        return {cond: max(v[i] for i in eqs) for cond, eqs in self.rows.items()}
 
 
-# Each condition is ``_cond_rol_direct`` or a tuple of equations
-# ``(lhs, rhs)``, each side a product for ``_Workspace.product``.  An
-# equation is scored by ``residual(lhs - rhs, ||lhs||, ||rhs||)``, each
-# norm being the product of its side's operand norms; ``rhs`` None means
-# ``lhs = 0``.  The generalized-inverse condition MBEKHTA_COMM pairs
-# p = b b^+ with s = a^+ a.
+def _score(norms, lhs, rhs, factors) -> float:
+    """The residual of ``lhs = rhs`` (``lhs = 0`` for ``rhs`` None); see ``_CONDITIONS``."""
+    if factors is None:
+        return distance(lhs, rhs)
+    ln = math.prod(map(norms.__getitem__, factors[0]))
+    if rhs is None:
+        return residual(lhs, ln)
+    return residual(lhs - rhs, ln, math.prod(map(norms.__getitem__, factors[1])))
+
+
+# ROL_DIRECT is the law itself, scored by ``distance``: by its sides' own norms.
+_DIRECT = ((("ab_dag",), ("b_dag", "a_dag")),)
+
+# Each condition is a tuple of equations ``(lhs, rhs)``, each side a
+# product of factors: a workspace name, a ``_Comm``, or a parenthesized
+# tuple of factors.  An equation is scored by ``residual(lhs - rhs,
+# ||lhs||, ||rhs||)``, each norm being the product of its side's operand
+# norms; ``rhs`` () means ``lhs = 0``.  The generalized-inverse
+# condition MBEKHTA_COMM pairs p = b b^+ with s = a^+ a.  The rows run in
+# this order: those reading ab and ab^+ first, the q^+, r^+ family last,
+# and rows sharing products side by side, so few matrices are alive at once.
 _CONDITIONS = {
-    ConditionId.G1: _cond_rol_direct,
-    ConditionId.G2: ((("s", "r", "ah"), ("r", "ah")),
-                     (("p", ("aa", "b")), ("aa", "b"))),
-    ConditionId.G3: (((_Comm("s", "r"),), None),
-                     ((_Comm("aa", "p"),), None)),
-    ConditionId.G4: ((("s", "r", "aa", "p"), ("r", "aa")),),
     ConditionId.G5: ((("s", "b"), ("b", "ab_dag", "ab")),
                      (("p", "ah"), ("ah", "ab", "ab_dag"))),
     ConditionId.MBEKHTA_GI: ((("ab", ("b_dag", "a_dag"), "ab"), ("ab",)),),
-    ConditionId.MBEKHTA_COMM: ((("a", _Comm("p", "s"), "b"), None),),
-    ConditionId.MBEKHTA_IDEM: (((("s", "p"), ("s", "p")), ("s", "p")),),
-    ConditionId.T31_II: ((("a", _Comm("p", "q"), "bdh"), None),
-                         (("a", _Comm("r", "s"), "bdh"), None)),
-    ConditionId.T31_III: ((("s", "p", ("q", "p")), ("q", "p")),
-                          (("s", "r", "s", "p"), ("s", "r"))),
-    ConditionId.T32_II: ((("b_dag", _Comm("q", "p"), "ah"), None),
-                         (("b_dag", _Comm("s", "r"), "ah"), None)),
+    ConditionId.G1: _DIRECT,
+    ConditionId.ROL_DIRECT: _DIRECT,
+    ConditionId.T32_II: ((("b_dag", _Comm("q", "p"), "ah"), ()),
+                         (("b_dag", _Comm("s", "r"), "ah"), ())),
+    ConditionId.G3: (((_Comm("s", "r"),), ()),
+                     ((_Comm("aa", "p"),), ())),
     ConditionId.T32_III: ((("p", "q", "p", "s"), ("p", "q")),
                           (("p", "s", "r", "s"), ("r", "s"))),
-    ConditionId.T33_II: ((("bh", _Comm("q_dag", "p"), "a_dag"), None),
-                         (("bh", _Comm("s", "r_dag"), "a_dag"), None)),
+    ConditionId.R35_COMM: (((_Comm("p", "q"),), ()),
+                           ((_Comm("r", "s"),), ())),
+    ConditionId.T31_II: ((("a", _Comm("p", "q"), "bdh"), ()),
+                         (("a", _Comm("r", "s"), "bdh"), ())),
+    ConditionId.G2: ((("s", "r", "ah"), ("r", "ah")),
+                     (("p", ("aa", "b")), ("aa", "b"))),
+    ConditionId.MBEKHTA_COMM: ((("a", _Comm("p", "s"), "b"), ()),),
+    ConditionId.T31_III: ((("s", "p", ("q", "p")), ("q", "p")),
+                          (("s", "r", "s", "p"), ("s", "r"))),
+    ConditionId.MBEKHTA_IDEM: (((("s", "p"), ("s", "p")), ("s", "p")),),
     ConditionId.T33_III: ((("p", "q_dag", "p", "s"), ("p", "q_dag")),
                           (("p", "s", ("r_dag", "s")), ("r_dag", "s"))),
-    ConditionId.T34_II: ((("adh", _Comm("p", "q_dag"), "b"), None),
-                         (("adh", _Comm("r_dag", "s"), "b"), None)),
+    ConditionId.G4: ((("s", "r", "aa", "p"), ("r", "aa")),),
     ConditionId.T34_III: ((("s", "p", ("q_dag", "p")), ("q_dag", "p")),
                           (("s", "r_dag", "s", "p"), ("s", "r_dag"))),
-    ConditionId.R35_COMM: (((_Comm("p", "q"),), None),
-                           ((_Comm("r", "s"),), None)),
-    ConditionId.R35_DAG_COMM: (((_Comm("q_dag", "p"),), None),
-                               ((_Comm("r_dag", "s"),), None)),
-    ConditionId.ROL_DIRECT: _cond_rol_direct,
+    ConditionId.T33_II: ((("bh", _Comm("q_dag", "p"), "a_dag"), ()),
+                         (("bh", _Comm("s", "r_dag"), "a_dag"), ())),
+    ConditionId.R35_DAG_COMM: (((_Comm("q_dag", "p"),), ()),
+                               ((_Comm("r_dag", "s"),), ())),
+    ConditionId.T34_II: ((("adh", _Comm("p", "q_dag"), "b"), ()),
+                         (("adh", _Comm("r_dag", "s"), "b"), ())),
 }
+_PROGRAM = _Program(_CONDITIONS)
+_ROW_PROGRAMS = {cond: _Program({cond: row}) for cond, row in _CONDITIONS.items()}
 
 
 def rol_intermediates(a, b, tol: Tolerance = DEFAULT_TOL) -> RolIntermediates:
@@ -255,7 +279,8 @@ def evaluate_condition(a, b, condition: ConditionId, tol: Tolerance = DEFAULT_TO
     ``residual <= tol.eq_tol``.  For two-equation conditions the
     residual is the max over the pair.
     """
-    res = _Workspace(a, b, tol).evaluate(_CONDITIONS[ConditionId(condition)])
+    condition = ConditionId(condition)
+    res = _ROW_PROGRAMS[condition].run(_Workspace(a, b, tol))[condition]
     return (res <= tol.eq_tol, float(res))
 
 
@@ -263,11 +288,8 @@ def full_report(a, b, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
     """Evaluate the whole catalog on (a, b), recording pinv ranks too."""
     w = _Workspace(a, b, tol)
     report = ConditionReport(tolerance_used=tol)
-    residuals = {}  # G1 and ROL_DIRECT share one row; evaluate it once
+    residuals = _PROGRAM.run(w)
     for cond in ConditionId:
-        row = _CONDITIONS[cond]
-        if row not in residuals:
-            residuals[row] = w.evaluate(row)
-        report.add(cond.value, residuals[row])
+        report.add(cond.value, residuals[cond])
     report.ranks = w.ranks
     return report

@@ -1,6 +1,7 @@
 """Tests for the matrix substrate: adjoint, SVD, rank, norms, comparison."""
 
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,92 @@ class TestSvd:
                 sigma=np.array([0.5, 1.0]),
                 v=np.eye(2, dtype=complex),
             )
+
+    @pytest.mark.parametrize("u, sigma, v, match", [
+        (np.ones((2, 3)), [1.0, 0.5], np.eye(3), "square"),
+        (np.eye(2), [1.0, 0.5], np.ones((3, 2)), "square"),
+        (np.eye(2), [1.0], np.eye(3), "length"),
+        (np.eye(2), [1.0, 0.5, 0.25], np.eye(3), "length"),
+        (np.eye(2), [1.0, -0.5], np.eye(2), "non-negative"),
+        (np.eye(2), [1.0, 0.5], np.array([[1.0, 1e-6], [0.0, 1.0]]), "v is not unitary"),
+    ])
+    def test_each_validation_branch_fires(self, u, sigma, v, match):
+        # With test_factorization_validation, every ValueError branch of the constructor.
+        with pytest.raises(ValueError, match=match):
+            SvdFactorization(u=np.asarray(u, dtype=complex), sigma=np.array(sigma),
+                             v=np.asarray(v, dtype=complex))
+
+    def test_sigma_predicates_match_diff_reference(self):
+        # The ordering test reads sigma[1:] > sigma[:-1] in place of
+        # np.diff(sigma) > 0; both pass NaN and agree on inf, -0.0 and
+        # subnormals.
+        specials = [0.0, -0.0, 5e-324, 1e-310, 1.0, 2.0, np.inf, np.nan, -1.0]
+        rng = np.random.default_rng(137)
+        for _ in range(400):
+            sigma = rng.choice(specials, size=3)
+            with np.errstate(invalid="ignore"):  # inf - inf in the reference
+                expect = bool(np.any(sigma < 0) or np.any(np.diff(sigma) > 0))
+            try:
+                SvdFactorization(u=np.eye(3, dtype=complex), sigma=sigma,
+                                 v=np.eye(3, dtype=complex))
+                raised = False
+            except ValueError:
+                raised = True
+            assert raised == expect, sigma
+
+    def test_unitarity_threshold_matches_eye_reference(self):
+        # ||u* u - I||_F > 1e-12 m, with I subtracted in place, must
+        # decide exactly as the version that builds np.eye(m).
+        rng = np.random.default_rng(139)
+        for _ in range(200):
+            m = int(rng.integers(1, 7))
+            u = haar_unitary(m, rng)
+            u = u + 10.0 ** rng.uniform(-14, -10) * rng.standard_normal((m, m))
+            expect = frobenius_norm(adjoint(u) @ u - np.eye(m)) > 1e-12 * m
+            try:
+                SvdFactorization(u=u, sigma=np.ones(m), v=np.eye(m, dtype=complex))
+                raised = False
+            except ValueError:
+                raised = True
+            assert raised == expect, m
+
+
+class TestFrobeniusNorm:
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(131)
+        z = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+        yield "c_order", z
+        yield "f_order", np.asfortranarray(z)
+        yield "strided", z[::2, 1::2]
+        yield "adjoint", adjoint(z)
+        yield "real", z.real.copy()
+        yield "real_view", z.imag
+        yield "real_f_order", np.asfortranarray(z.real)
+        yield "int", rng.integers(-9, 10, size=(4, 3))
+        yield "one_by_one", np.array([[3.0 - 4.0j]])
+        yield "one_by_one_real", np.array([[-2.5]])
+        yield "zero", np.zeros((3, 2), dtype=complex)
+        yield "overflow", np.full((3, 3), 1e200 + 1e200j)
+        yield "overflow_real", np.full((2, 2), 1e300)
+        yield "nan", np.array([[1.0, np.nan], [0.0, 2.0j]])
+        yield "nan_real", np.array([[np.nan, 1.0]])
+        yield "inf", np.array([[np.inf, 1.0j]])
+        yield "complex64", z.astype(np.complex64)
+        yield "float32", z.real.astype(np.float32)
+        yield "list", [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_bit_identical_to_numpy_norm(self):
+        for name, m in self.cases():
+            with np.errstate(over="ignore"):
+                got, want = frobenius_norm(m), float(np.linalg.norm(m))
+            assert type(got) is float, name
+            assert struct.pack("<d", got) == struct.pack("<d", want), (name, got, want)
+
+    def test_overflow_and_nan_reach_the_caller(self):
+        with np.errstate(over="ignore"):
+            assert frobenius_norm(np.full((2, 2), 1e200)) == np.inf
+        assert np.isnan(frobenius_norm(np.array([[np.nan]], dtype=complex)))
 
 
 class TestNumericalRank:

@@ -1,5 +1,8 @@
 """Tests for the reverse-order-law condition catalog."""
 
+import operator
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,8 @@ from mpinv import (
     rol_intermediates,
     rol_negative_pair,
 )
+from mpinv import reverse_order as ro
+from mpinv.core import DEFAULT_TOL, distance, residual
 
 HOLDING_A = np.diag([1.0, 0.0]).astype(complex)
 HOLDING_B = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -209,3 +214,155 @@ class TestEquivalenceSweep:
             report = full_report(a, b)
             if report.verdicts[ConditionId.T31_II.value]:
                 assert report.residuals[ConditionId.T31_III.value] <= 10 * 1e-9
+
+
+def _reference_product(w, factors, norm=1.0):
+    """The catalog's tree-walking evaluator, kept as the reference: the
+    left-to-right product of ``factors`` and its running norm product."""
+    out = None
+    for f in factors:
+        if isinstance(f, ro._Comm):
+            x, y = w.mats[f.x], w.mats[f.y]
+            m, norm = x @ y - y @ x, norm * w.norms[f.x] * w.norms[f.y]
+        elif isinstance(f, tuple):
+            m, norm = _reference_product(w, f, norm)
+        else:
+            m, norm = w.mats[f], norm * w.norms[f]
+        out = m if out is None else out @ m
+    return out, norm
+
+
+def _reference_row(w, row):
+    if row is ro._DIRECT:
+        return distance(w.mats["ab_dag"], w.mats["b_dag"] @ w.mats["a_dag"])
+    worst = []
+    for lhs, rhs in row:
+        lm, ln = _reference_product(w, lhs)
+        if not rhs:
+            worst.append(residual(lm, ln))
+        else:
+            rm, rn = _reference_product(w, rhs)
+            worst.append(residual(lm - rm, ln, rn))
+    return max(worst)
+
+
+def _seeded_pairs(seed, count):
+    """Square, rectangular, rank-deficient and 2^k-scaled pairs."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        m, n, k = (int(v) for v in rng.integers(1, 7, size=3))
+        if i % 4 == 0:
+            m = n = k
+        factors = []
+        for shape in ((m, n), (n, k)):
+            rank = int(rng.integers(1, min(shape) + 1))
+            sv = np.geomspace(1.0, 1e-3, rank)
+            factors.append(2.0 ** int(rng.integers(-40, 41) if i % 2 else 0)
+                           * matrix_with_singular_values(sv, shape, rng))
+        yield factors
+
+
+def _bits(x):
+    return float(x).hex()
+
+
+class TestCompiledProgram:
+    def steps(self, program):
+        return [(op, x, y) for op, x, y, _, _ in program.code if op is not None]
+
+    def test_each_product_is_formed_once(self):
+        steps = self.steps(ro._PROGRAM)
+        assert len(set(steps)) == len(steps)
+        assert len({(x, y) for op, x, y in steps if op is operator.matmul}) == len(
+            [s for s in steps if s[0] is operator.matmul])
+
+    def test_matmul_count_is_the_distinct_prefix_count(self):
+        # Count products by their spelled-out expression, independently
+        # of the compiler: every left-to-right prefix of every side, and
+        # x y and y x of every commutator.
+        spelled = []
+
+        def side(factors):
+            out = None
+            for f in factors:
+                if isinstance(f, ro._Comm):
+                    spelled.extend([f"({f.x}@{f.y})", f"({f.y}@{f.x})"])
+                    f = f"[{f.x},{f.y}]"
+                elif not isinstance(f, str):
+                    f = side(f)
+                if out is not None:
+                    out = f"({out}@{f})"
+                    spelled.append(out)
+                else:
+                    out = f
+            return out
+
+        for row in {id(r): r for r in ro._CONDITIONS.values()}.values():
+            for lhs, rhs in row:
+                side(lhs)
+                side(rhs)
+        matmuls = [s for s in self.steps(ro._PROGRAM) if s[0] is operator.matmul]
+        # The table spells 104 matmuls: 103 in the equation rows and
+        # b^+ a^+ for ROL_DIRECT; 60 of them are distinct.
+        assert len(spelled) == 104
+        assert len(matmuls) == len(set(spelled)) == 60
+
+    def test_commutator_and_product_compile_to_different_steps(self):
+        # _Comm("s", "r") == ("s", "r") as tuples; the compiler must not
+        # confuse the commutator s r - r s with the product s r.
+        program = ro._Program({"comm": (((ro._Comm("s", "r"),), ()),),
+                               "prod": ((("s", "r"), ()),)})
+        (comm,), (prod,) = program.rows["comm"], program.rows["prod"]
+        assert comm != prod
+        base = len(program.leaves)
+        ops = {slot: program.code[slot - base][0] for slot in (comm, prod)}
+        lhs = {slot: program.code[slot - base][1] for slot in (comm, prod)}
+        assert ops[comm] is None and ops[prod] is None
+        assert program.code[lhs[comm] - base][0] is operator.sub
+        assert program.code[lhs[prod] - base][0] is operator.matmul
+        assert program.code[lhs[comm] - base][1] == lhs[prod]  # s r is shared
+
+    def test_program_matches_reference_evaluator(self):
+        for a, b in _seeded_pairs(151, 40):
+            ref = {c: _reference_row(ro._Workspace(a, b, DEFAULT_TOL), row)
+                   for c, row in ro._CONDITIONS.items()}
+            got = ro._PROGRAM.run(ro._Workspace(a, b, DEFAULT_TOL))
+            assert {c: _bits(r) for c, r in got.items()} == {
+                c: _bits(r) for c, r in ref.items()}
+
+    def test_evaluate_condition_matches_full_report(self):
+        for a, b in _seeded_pairs(157, 24):
+            report = full_report(a, b)
+            for cond in ConditionId:
+                verdict, res = evaluate_condition(a, b, cond)
+                assert _bits(res) == _bits(report.residuals[cond.value]), cond
+                assert verdict == report.verdicts[cond.value], cond
+
+    def test_each_slot_is_dropped_after_its_last_reader(self):
+        program = ro._PROGRAM
+        base = len(program.leaves)
+        dropped = [s for *_, dead in program.code for s in dead]
+        assert sorted(dropped) == sorted(
+            set(range(base + len(program.code))) - {i for r in program.rows.values() for i in r})
+
+
+# Peak traced allocation of one full_report on this 48x48 pair before the
+# catalog was compiled: 745,744-748,088 bytes over repeated calls (numpy
+# 2.4, Python 3.11).  Keeping every intermediate alive raised it by a
+# third; the compiled program frees each slot after its last reader.
+HEAD_PEAK_48 = 748_088
+
+
+def test_full_report_peak_memory_at_n48():
+    rng = np.random.default_rng(48)
+    a = generate_regular(48, 48, 48, seed=rng)
+    b = generate_regular(48, 48, 48, seed=rng)
+    full_report(b, a)  # first-call allocations are not the report's
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        full_report(a, b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.10 * HEAD_PEAK_48, peak
