@@ -40,10 +40,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tolerance(args) -> Tolerance:
-    return Tolerance(
-        rank_tol_factor=getattr(args, "rank_tol_factor", 1.0),
-        eq_tol=getattr(args, "tol", DEFAULT_TOL.eq_tol),
-    )
+    return Tolerance(rank_tol_factor=args.rank_tol_factor, eq_tol=args.tol)
 
 
 def _add_tol_flags(p):
@@ -183,20 +180,15 @@ def _build_parser() -> _Parser:
     _add_tol_flags(p)
     p.set_defaults(func=_cmd_rol)
 
-    p = sub.add_parser("classify", help="structural classification of one matrix")
-    p.add_argument("--in", dest="infile", required=True)
-    _add_tol_flags(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("decompose", help="null/range/involution split of an MPH matrix")
-    p.add_argument("--in", dest="infile", required=True)
-    _add_tol_flags(p)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("conorm", help="conorm, operator norm, and pseudoinverse norm")
-    p.add_argument("--in", dest="infile", required=True)
-    _add_tol_flags(p)
-    p.set_defaults(func=_cmd_conorm)
+    for name, help_text, func in (
+        ("classify", "structural classification of one matrix", _cmd_classify),
+        ("decompose", "null/range/involution split of an MPH matrix", _cmd_decompose),
+        ("conorm", "conorm, operator norm, and pseudoinverse norm", _cmd_conorm),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--in", dest="infile", required=True)
+        _add_tol_flags(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("fuzz", help="run a property-fuzzing campaign")
     p.add_argument("--suite", required=True, choices=[s.value for s in FuzzSuite])

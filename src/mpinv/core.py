@@ -25,12 +25,14 @@ __all__ = [
     "SvdConvergenceError",
     "ConditionReport",
     "as_matrix",
+    "as_square",
     "adjoint",
     "frobenius_norm",
     "svd",
     "numerical_rank",
     "operator_norm",
     "residual_scale",
+    "ratio",
     "residual",
     "distance",
     "approx_eq",
@@ -74,6 +76,14 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must have positive dimensions, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
+    return m
+
+
+def as_square(a, name: str = "a") -> np.ndarray:
+    """``as_matrix``, refusing a non-square shape."""
+    m = as_matrix(a, name)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {m.shape}")
     return m
 
 
@@ -181,6 +191,12 @@ def operator_norm(m) -> float:
 def residual_scale(*norms) -> float:
     """The one residual normalizer: the largest of ``norms``, at least 1."""
     return max((1.0, *norms))
+
+
+def ratio(d: float, scale: float) -> float:
+    """``d / scale``, or ``inf`` if either is not finite: an overflowed
+    norm would otherwise read as 0 or NaN, and either as a pass."""
+    return d / scale if math.isfinite(d) and math.isfinite(scale) else math.inf
 
 
 def _all_finite(*values) -> bool:

@@ -249,19 +249,6 @@ def _jsonable(v):
     return v
 
 
-def _fail(out, suite, seed, trial_index, pair, residuals, matrices):
-    out.append(
-        TrialFailure(
-            suite=suite,
-            seed=seed,
-            trial_index=trial_index,
-            condition_pair=pair,
-            residuals={k: _jsonable(v) for k, v in residuals.items()},
-            matrices={k: matrix_to_dict(v) for k, v in matrices.items()},
-        )
-    )
-
-
 def _trial_penrose(rng, max_dim, tol, fail):
     m = int(rng.integers(1, max_dim + 1))
     n = int(rng.integers(1, max_dim + 1))
@@ -348,25 +335,20 @@ def _trial_rol(rng, max_dim, tol, fail):
     report = full_report(a, b, tol)
     verdicts = report.verdicts
 
+    # Each family of conditions must agree with its anchor.
+    for family, anchor, conditions in (
+        ("rol_equivalence", ConditionId.ROL_DIRECT.value, MP_ROL_CONDITIONS),
+        ("mbekhta_equivalence", ConditionId.MBEKHTA_GI.value, MBEKHTA_CONDITIONS),
+    ):
+        disagree = [c.value for c in conditions if verdicts[c.value] != verdicts[anchor]]
+        if disagree:
+            fail(
+                f"{family}:" + ",".join(disagree),
+                {c: report.residuals[c] for c in disagree + [anchor]},
+                {"a": a, "b": b},
+            )
     rol = verdicts[ConditionId.ROL_DIRECT.value]
-    disagree = [
-        c.value for c in MP_ROL_CONDITIONS if verdicts[c.value] != rol
-    ]
-    if disagree:
-        fail(
-            "rol_equivalence:" + ",".join(disagree),
-            {c: report.residuals[c] for c in disagree + [ConditionId.ROL_DIRECT.value]},
-            {"a": a, "b": b},
-        )
-
     gi = verdicts[ConditionId.MBEKHTA_GI.value]
-    disagree = [c.value for c in MBEKHTA_CONDITIONS if verdicts[c.value] != gi]
-    if disagree:
-        fail(
-            "mbekhta_equivalence:" + ",".join(disagree),
-            {c: report.residuals[c] for c in disagree + [ConditionId.MBEKHTA_GI.value]},
-            {"a": a, "b": b},
-        )
 
     # One direction of the chain, on its own looser budget.
     if verdicts[ConditionId.T31_II.value]:
@@ -512,20 +494,9 @@ def _trial_isometry(rng, max_dim, tol, fail):
     pi = is_partial_isometry(a, tol)
     if pi != is_partial_isometry(adjoint(a), tol):
         fail("partial_isometry_adjoint_agreement", {}, {"a": a})
-    gram_flags = (
-        pi,
-        gram_projection_residual(a, "left") <= tol.eq_tol,
-        gram_projection_residual(a, "right") <= tol.eq_tol,
-    )
-    if len(set(gram_flags)) != 1:
-        fail(
-            "partial_isometry_gram_agreement",
-            {
-                "left": gram_projection_residual(a, "left"),
-                "right": gram_projection_residual(a, "right"),
-            },
-            {"a": a},
-        )
+    gram = {side: gram_projection_residual(a, side) for side in ("left", "right")}
+    if len({pi, gram["left"] <= tol.eq_tol, gram["right"] <= tol.eq_tol}) != 1:
+        fail("partial_isometry_gram_agreement", gram, {"a": a})
 
 
 _TRIAL_BODIES = {
@@ -557,23 +528,23 @@ def run_trial(suite, seed, trial_index, max_dim, tol: Tolerance = DEFAULT_TOL):
     failures = []
 
     def fail(pair, residuals, matrices):
-        _fail(failures, suite.value, int(seed), int(trial_index), pair, residuals, matrices)
+        failures.append(
+            TrialFailure(
+                suite=suite.value,
+                seed=int(seed),
+                trial_index=int(trial_index),
+                condition_pair=pair,
+                residuals={k: _jsonable(v) for k, v in residuals.items()},
+                matrices={k: matrix_to_dict(v) for k, v in matrices.items()},
+            )
+        )
 
     try:
         _TRIAL_BODIES[suite](rng, max_dim, tol, fail)
     except (ValueError, RuntimeError) as exc:
         # Failures are data, not errors: an exception inside a trial
         # becomes a replayable record like any other finding.
-        failures.append(
-            TrialFailure(
-                suite=suite.value,
-                seed=int(seed),
-                trial_index=int(trial_index),
-                condition_pair=f"trial_exception:{type(exc).__name__}:{exc}",
-                residuals={},
-                matrices={},
-            )
-        )
+        fail(f"trial_exception:{type(exc).__name__}:{exc}", {}, {})
     return failures
 
 

@@ -13,7 +13,7 @@ partial isometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,10 +25,12 @@ from .core import (
     approx_eq,
     as_matrix,
     as_rng,
+    as_square,
     frobenius_norm,
     haar_unitary,
     numerical_rank,
     operator_norm,
+    ratio,
     residual,
     svd,
 )
@@ -73,17 +75,7 @@ class ClassificationReport:
     rank: int
 
     def as_dict(self) -> dict:
-        return {
-            "regular": self.regular,
-            "hermitian": self.hermitian,
-            "normal": self.normal,
-            "partial_isometry": self.partial_isometry,
-            "mp_hermitian": self.mp_hermitian,
-            "op_norm": self.op_norm,
-            "pinv_norm": self.pinv_norm,
-            "conorm": self.conorm,
-            "rank": self.rank,
-        }
+        return asdict(self)
 
 
 def conorm(a, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -119,35 +111,25 @@ def gram_projection_residual(a, side: str = "left") -> float:
     return max(residual(g @ g - g, ng**2, ng), residual(adjoint(g) - g, ng))
 
 
-def _fail_closed(d: float, scale: float) -> float:
-    """``d / scale``, or ``inf`` if either is not finite (an overflowed
-    norm would otherwise read as 0 or NaN, and either as a pass)."""
-    return d / scale if math.isfinite(d) and math.isfinite(scale) else math.inf
-
-
 def hermitian_residual(a) -> float:
     """Relative distance from ``a`` to its adjoint (square input); ``inf``
     if a norm overflows."""
-    m = as_matrix(a, "a")
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("hermitian residual needs a square matrix")
+    m = as_square(a)
     na = frobenius_norm(m)
     if na == 0.0:
         return 0.0
-    return _fail_closed(frobenius_norm(m - adjoint(m)), na)
+    return ratio(frobenius_norm(m - adjoint(m)), na)
 
 
 def normality_residual(a) -> float:
     """``||a a* - a* a||_F / ||a||_F^2``; scale-stable normality measure,
     ``inf`` if a norm overflows."""
-    m = as_matrix(a, "a")
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("normality residual needs a square matrix")
+    m = as_square(a)
     na = frobenius_norm(m)
     if na == 0.0:
         return 0.0
     ah = adjoint(m)
-    return _fail_closed(frobenius_norm(m @ ah - ah @ m), na * na)
+    return ratio(frobenius_norm(m @ ah - ah @ m), na * na)
 
 
 def norm_conorm_check(a, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
@@ -187,9 +169,7 @@ def normal_mph_check(a, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
     pseudoinverse is computed once, and only for normal or hermitian
     input.
     """
-    m = as_matrix(a, "a")
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("check needs a square matrix")
+    m = as_square(a)
     report = ConditionReport(tolerance_used=tol)
 
     norm_res = normality_residual(m)

@@ -23,8 +23,8 @@ from .core import (
     Tolerance,
     adjoint,
     approx_eq,
-    as_matrix,
     as_rng,
+    as_square,
     distance,
     frobenius_norm,
     haar_unitary,
@@ -32,6 +32,7 @@ from .core import (
     residual,
     svd,
 )
+from .matrix_io import matrix_to_dict
 from .pinv import pinv
 
 __all__ = [
@@ -102,8 +103,6 @@ class MphDecomposition:
             )
 
     def as_dict(self) -> dict:
-        from .matrix_io import matrix_to_dict
-
         def maybe_empty(m):
             # Empty factors (rank 0 or full rank) still serialize.
             if m.size == 0:
@@ -120,22 +119,15 @@ class MphDecomposition:
         }
 
 
-def _require_square(a, name="a") -> np.ndarray:
-    m = as_matrix(a, name)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
-    return m
-
-
 def is_mp_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the pseudoinverse of ``a`` equals ``a`` itself."""
-    m = _require_square(a)
+    m = as_square(a)
     return approx_eq(pinv(m, tol).pinv, m, tol)
 
 
 def algebraic_mph_check(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Pseudoinverse-free MPH test: ``a = a^3`` and ``a^2`` hermitian."""
-    m = _require_square(a)
+    m = as_square(a)
     a2 = m @ m
     res_cube = distance(m, a2 @ m)
     res_herm = residual(adjoint(a2) - a2, frobenius_norm(a2))
@@ -148,7 +140,7 @@ def annihilator_spectrum_check(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     ``||a^3 - a|| = 0`` means x^3 - x annihilates ``a``, which confines
     the spectrum to the roots {0, -1, 1} without any eigensolve.
     """
-    m = _require_square(a)
+    m = as_square(a)
     return distance(m @ m @ m, m) <= tol.eq_tol
 
 
@@ -177,7 +169,7 @@ def mph_subspace_check(a, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
 
     The conjunction of all four is equivalent to ``is_mp_hermitian``.
     """
-    m = _require_square(a)
+    m = as_square(a)
     f = svd(m)
     bases = _split_bases(f, numerical_rank(f, tol))
     report = ConditionReport(tolerance_used=tol)
@@ -211,7 +203,7 @@ def mph_decompose(a, tol: Tolerance = DEFAULT_TOL) -> MphDecomposition:
     Raises NotMpHermitianError (carrying the pinv-vs-a residual) when
     the input is not MPH to tolerance.
     """
-    m = _require_square(a)
+    m = as_square(a)
     result = pinv(m, tol)
     gap = distance(result.pinv, m)
     if gap > tol.eq_tol:

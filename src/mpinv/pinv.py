@@ -29,10 +29,12 @@ from .core import (
     distance,
     frobenius_norm,
     numerical_rank,
+    ratio,
     residual,
     residual_scale,
     svd,
 )
+from .matrix_io import matrix_to_dict
 
 __all__ = [
     "PenroseResiduals",
@@ -99,13 +101,20 @@ class PinvResult:
     factorization: SvdFactorization
 
     def as_dict(self) -> dict:
-        from .matrix_io import matrix_to_dict
-
         return {
             "pinv": matrix_to_dict(self.pinv),
             "rank": self.rank,
             "residuals": self.residuals.as_dict(),
         }
+
+
+def _operands(a, x):
+    """``a`` and ``x`` as matrices, refusing an ``x`` not shaped like ``a*``."""
+    am = as_matrix(a, "a")
+    xm = as_matrix(x, "x")
+    if xm.shape != am.shape[::-1]:
+        raise ValueError(f"x must have shape {am.shape[::-1]}, got {xm.shape}")
+    return am, xm
 
 
 def penrose_residuals(a, x) -> PenroseResiduals:
@@ -114,12 +123,7 @@ def penrose_residuals(a, x) -> PenroseResiduals:
     ``x`` must be n-by-m for an m-by-n ``a``.  The caller decides
     pass/fail against its own tolerance.
     """
-    am = as_matrix(a, "a")
-    xm = as_matrix(x, "x")
-    if xm.shape != (am.shape[1], am.shape[0]):
-        raise ValueError(
-            f"x must have shape {(am.shape[1], am.shape[0])}, got {xm.shape}"
-        )
+    am, xm = _operands(a, x)
     ax = am @ xm
     xa = xm @ am
     abs_res = (
@@ -129,8 +133,7 @@ def penrose_residuals(a, x) -> PenroseResiduals:
         frobenius_norm(adjoint(xa) - xa),
     )
     scale = residual_scale(frobenius_norm(am), frobenius_norm(xm))
-    finite = math.isfinite(scale)
-    r = tuple(v / scale if finite and math.isfinite(v) else math.inf for v in abs_res)
+    r = tuple(ratio(v, scale) for v in abs_res)
     return PenroseResiduals(r[0], r[1], r[2], r[3], absolute=abs_res)
 
 
@@ -224,12 +227,7 @@ def formulation_residual(a, x, formulation: FormulationId) -> float:
 
     Scaled by ``residual_scale(||a||_F, ||x||_F)``, matching penrose_residuals.
     """
-    am = as_matrix(a, "a")
-    xm = as_matrix(x, "x")
-    if xm.shape != (am.shape[1], am.shape[0]):
-        raise ValueError(
-            f"x must have shape {(am.shape[1], am.shape[0])}, got {xm.shape}"
-        )
+    am, xm = _operands(a, x)
     ah = adjoint(am)
     xh = adjoint(xm)
     na, nx = frobenius_norm(am), frobenius_norm(xm)

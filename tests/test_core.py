@@ -1,5 +1,7 @@
 """Tests for the matrix substrate: adjoint, SVD, rank, norms, comparison."""
 
+import ast
+import math
 import re
 import struct
 from pathlib import Path
@@ -13,15 +15,25 @@ from mpinv import (
     SvdFactorization,
     Tolerance,
     adjoint,
+    algebraic_mph_check,
+    annihilator_spectrum_check,
     approx_eq,
     as_matrix,
     frobenius_norm,
     haar_unitary,
+    hermitian_residual,
+    is_mp_hermitian,
+    mph_decompose,
+    mph_subspace_check,
+    normal_mph_check,
+    normality_residual,
     numerical_rank,
     operator_norm,
     svd,
 )
-from mpinv.core import distance, residual, residual_scale
+from mpinv.core import distance, ratio, residual, residual_scale
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mpinv"
 
 
 def exact_rank_fractions(int_matrix):
@@ -364,10 +376,59 @@ class TestResidualRule:
 
     def test_floor_lives_only_in_core(self):
         floor = re.compile(r"max\(\(?1\.0\b")
-        src = Path(__file__).resolve().parents[1] / "src" / "mpinv"
-        counts = {p.name: len(floor.findall(p.read_text())) for p in src.glob("*.py")}
+        counts = {p.name: len(floor.findall(p.read_text())) for p in SRC.glob("*.py")}
         assert counts.pop("core.py") == 1  # residual_scale
         assert not any(counts.values()), counts
+
+    def test_ratio_is_plain_division_on_finite_values(self):
+        rng = np.random.default_rng(17)
+        pairs = [(0.0, 1.0), (5.0, 1.0), (1e-300, 1e300), (1e300, 1e-300)]
+        pairs += zip(rng.uniform(0, 1e3, 50).tolist(), rng.uniform(1, 1e3, 50).tolist())
+        for d, scale in pairs:
+            assert ratio(d, scale).hex() == (d / scale).hex()
+
+    @pytest.mark.parametrize(
+        "d, scale",
+        [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan),
+         (0.0, math.inf), (math.inf, math.inf)],
+    )
+    def test_ratio_fails_closed(self, d, scale):
+        assert ratio(d, scale) == math.inf
+
+
+SQUARE_ONLY = (
+    hermitian_residual,
+    normality_residual,
+    normal_mph_check,
+    is_mp_hermitian,
+    algebraic_mph_check,
+    annihilator_spectrum_check,
+    mph_subspace_check,
+    mph_decompose,
+)
+
+
+class TestSquareRule:
+    @pytest.mark.parametrize("check", SQUARE_ONLY, ids=lambda f: f.__name__)
+    def test_non_square_input_is_refused_in_one_wording(self, check):
+        with pytest.raises(ValueError) as info:
+            check(np.ones((2, 3)))
+        assert str(info.value) == "a must be square, got shape (2, 3)"
+
+    def test_square_rule_lives_only_in_core(self):
+        # core.as_square is the one place that refuses a non-square input.
+        raisers = {}
+        for path in SRC.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Raise)
+                    and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "ValueError"
+                    and "square" in ast.unparse(node.exc)
+                ):
+                    raisers.setdefault(path.name, []).append(node.lineno)
+        assert "core.py" in raisers
+        assert set(raisers) == {"core.py"}, raisers
 
 
 class TestTolerance:

@@ -1,5 +1,6 @@
 """Tests for generators, fuzz campaigns, and replay determinism."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -142,6 +143,29 @@ class TestReplayDeterminism:
     def test_run_trial_rejects_all(self):
         with pytest.raises(ValueError, match="concrete suite"):
             run_trial("all", 0, 0, 4)
+
+
+class TestFailureRecordDigest:
+    # Recorded at commit 5a1ccee. At these tolerances the reports hold
+    # trial-exception, rol_equivalence, mbekhta_equivalence and
+    # partial_isometry_gram_agreement records among others, so every path
+    # that builds a TrialFailure is pinned, residual floats and matrices
+    # included. A deliberate change updates the digest and says why in
+    # CHANGES.md.
+    DIGEST = "a683fd18432bfdc0c47477b920ce0f94a51897aa99d4f2cea8772f4886588edf"
+
+    def test_reports_are_bit_identical(self):
+        h = hashlib.sha256()
+        for suite in SUITES:
+            for eq_tol in (3e-16, 5e-16):
+                config = FuzzConfig(
+                    suite=suite, trials=150, max_dim=8, seed=3,
+                    tolerance=Tolerance(eq_tol=eq_tol),
+                )
+                report = fuzz(config).as_dict()
+                report.pop("elapsed")
+                h.update(json.dumps(report).encode())
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestFixtureGenerators:

@@ -204,6 +204,29 @@ class TestClassify:
         assert not report.hermitian and not report.normal and not report.mp_hermitian
         assert report.rank == 1
 
+    @pytest.mark.parametrize(
+        "a, record",
+        [
+            (
+                np.zeros((2, 2)),
+                {"regular": True, "hermitian": True, "normal": True,
+                 "partial_isometry": True, "mp_hermitian": True,
+                 "op_norm": 0.0, "pinv_norm": 0.0, "conorm": None, "rank": 0},
+            ),
+            (
+                np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]),
+                {"regular": True, "hermitian": False, "normal": False,
+                 "partial_isometry": False, "mp_hermitian": False,
+                 "op_norm": 2.0, "pinv_norm": 1.0, "conorm": 1.0, "rank": 2},
+            ),
+        ],
+        ids=["zero_2x2", "rectangular_2x3"],
+    )
+    def test_record_format(self, a, record):
+        out = classify(a).as_dict()
+        assert list(out.items()) == list(record.items())
+        assert [type(v) for v in out.values()] == [type(v) for v in record.values()]
+
     def test_conorm_pinv_norm_reciprocal(self):
         rng = np.random.default_rng(151)
         for _ in range(100):
