@@ -185,6 +185,8 @@ def generate_rol_pair(n, mode, seed):
 
 def _padded(base, n):
     """The 2-by-2 ``base`` in the top-left corner of an n-by-n zero matrix."""
+    if n < 2:
+        raise ValueError("need n >= 2")
     padded = np.zeros((n, n), dtype=np.complex128)
     padded[:2, :2] = base
     return padded
@@ -196,19 +198,17 @@ def _rotated_pair(a0, b0, n, seed):
     The shared v makes the product ``u a0 b0 w*`` a rotation of the base
     product, so every catalog residual of the base pair carries over.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    a0, b0 = _padded(a0, n), _padded(b0, n)
     rng = as_rng(seed)
     u, v, w = (haar_unitary(n, rng) for _ in range(3))
-    return u @ _padded(a0, n) @ adjoint(v), v @ _padded(b0, n) @ adjoint(w)
+    return u @ a0 @ adjoint(v), v @ b0 @ adjoint(w)
 
 
 def _rotated_similarity(base, n, seed):
     """``q base q*`` for a padded 2-by-2 base and a seeded Haar q."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    base = _padded(base, n)
     q = haar_unitary(n, as_rng(seed))
-    return q @ _padded(base, n) @ adjoint(q)
+    return q @ base @ adjoint(q)
 
 
 def rol_negative_pair(n, seed):
@@ -300,16 +300,16 @@ def _trial_formulations(rng, max_dim, tol, fail):
             )
 
 
-_ROL_SOURCES = (
-    "random",
-    "random",
-    "random",
-    "forced_unitary",
-    "forced_pinv",
-    "diagonal",
-    "negative",
-    "mbekhta_gap",
-)
+def _draw(rng, max_dim, sources):
+    """Draw n, then a ``(padded, draw, *fields)`` row of ``sources``, and
+    return ``draw(n, rng)`` with the fields; padded 2-by-2 rows fall back
+    to row 0 below n = 2.  Draws look public generators up at call time,
+    so a wrapper bound over one (the bench tracer's) sees the call."""
+    n = int(rng.integers(1, max_dim + 1))
+    padded, draw, *fields = sources[int(rng.integers(0, len(sources)))]
+    if padded and n < 2:
+        _, draw, *fields = sources[0]
+    return draw(n, rng), fields
 
 
 def _random_diagonal(n, rng):
@@ -318,20 +318,22 @@ def _random_diagonal(n, rng):
     return np.diag(entries)
 
 
-def _trial_rol(rng, max_dim, tol, fail):
-    n = int(rng.integers(1, max_dim + 1))
-    source = _ROL_SOURCES[int(rng.integers(0, len(_ROL_SOURCES)))]
-    if n < 2 and source in ("negative", "mbekhta_gap"):
-        source = "random"
-    if source == "diagonal":
-        a, b = _random_diagonal(n, rng), _random_diagonal(n, rng)
-    elif source == "negative":
-        a, b = rol_negative_pair(n, rng)
-    elif source == "mbekhta_gap":
-        a, b = mbekhta_gap_pair(n, rng)
-    else:
-        a, b = generate_rol_pair(n, source, rng)
+# (padded, draw(n, rng) -> (a, b), source, ROL_DIRECT verdict the
+# construction forces or None); "random" thrice weights the draw.
+_ROL_SOURCES = (
+    (False, lambda n, rng: generate_rol_pair(n, "random", rng), "random", None),
+    (False, lambda n, rng: generate_rol_pair(n, "random", rng), "random", None),
+    (False, lambda n, rng: generate_rol_pair(n, "random", rng), "random", None),
+    (False, lambda n, rng: generate_rol_pair(n, "forced_unitary", rng), "forced_unitary", True),
+    (False, lambda n, rng: generate_rol_pair(n, "forced_pinv", rng), "forced_pinv", True),
+    (False, lambda n, rng: (_random_diagonal(n, rng), _random_diagonal(n, rng)), "diagonal", True),
+    (True, lambda n, rng: rol_negative_pair(n, rng), "negative", False),
+    (True, lambda n, rng: mbekhta_gap_pair(n, rng), "mbekhta_gap", None),
+)
 
+
+def _trial_rol(rng, max_dim, tol, fail):
+    (a, b), (source, expected) = _draw(rng, max_dim, _ROL_SOURCES)
     report = full_report(a, b, tol)
     verdicts = report.verdicts
 
@@ -356,12 +358,6 @@ def _trial_rol(rng, max_dim, tol, fail):
         if res > 10 * tol.eq_tol:
             fail("t31_ii_implies_iii", {"residual": res}, {"a": a, "b": b})
 
-    expected = {
-        "forced_unitary": True,
-        "forced_pinv": True,
-        "diagonal": True,
-        "negative": False,
-    }.get(source)
     if expected is not None and rol != expected:
         fail(
             f"constructed_{source}_rol_{expected}",
@@ -426,46 +422,37 @@ def _trial_mph(rng, max_dim, tol, fail):
         )
 
 
+def _hermitian_pi(n, rng):
+    plus = int(rng.integers(1, n + 1))
+    minus = int(rng.integers(0, n - plus + 1))
+    return random_hermitian_partial_isometry(n, (plus, minus, n - plus - minus), rng)
+
+
+def _random_regular(n, rng):
+    return generate_regular(n, n, _mixed_rank(rng, n), sv_low=0.25, sv_high=4.0, seed=rng)
+
+
+def _prescribed(n, rng):
+    r = int(rng.integers(1, n + 1))
+    sv = rng.uniform(0.25, 4.0, size=r)
+    return matrix_with_singular_values(sv, (n, n), rng)
+
+
+# (padded, draw(n, rng) -> a, expected normal-MPH verdict or None);
+# the random row is listed twice to weight the draw.
 _ISOMETRY_SOURCES = (
-    "random",
-    "random",
-    "hermitian_pi",
-    "nonnormal_mph",
-    "nonhermitian_pi",
-    "random_pi",
-    "prescribed",
+    (False, _random_regular, None),
+    (False, _random_regular, None),
+    (False, _hermitian_pi, True),
+    (True, lambda n, rng: nonnormal_mph_fixture(n, rng), False),
+    (True, lambda n, rng: nonhermitian_partial_isometry_fixture(n, rng), False),
+    (False, lambda n, rng: random_partial_isometry(n, int(rng.integers(1, n + 1)), rng), None),
+    (False, _prescribed, None),
 )
 
 
 def _trial_isometry(rng, max_dim, tol, fail):
-    n = int(rng.integers(1, max_dim + 1))
-    source = _ISOMETRY_SOURCES[int(rng.integers(0, len(_ISOMETRY_SOURCES)))]
-    if n < 2 and source in ("nonnormal_mph", "nonhermitian_pi"):
-        source = "random"
-
-    expected_sides = None
-    if source == "hermitian_pi":
-        plus = int(rng.integers(1, n + 1))
-        minus = int(rng.integers(0, n - plus + 1))
-        a = random_hermitian_partial_isometry(n, (plus, minus, n - plus - minus), rng)
-        expected_sides = True
-    elif source == "nonnormal_mph":
-        a = nonnormal_mph_fixture(n, rng)
-        expected_sides = False
-    elif source == "nonhermitian_pi":
-        a = nonhermitian_partial_isometry_fixture(n, rng)
-        expected_sides = False
-    elif source == "random_pi":
-        a = random_partial_isometry(n, int(rng.integers(1, n + 1)), rng)
-    elif source == "prescribed":
-        r = int(rng.integers(1, n + 1))
-        sv = rng.uniform(0.25, 4.0, size=r)
-        a = matrix_with_singular_values(sv, (n, n), rng)
-    else:
-        a = generate_regular(
-            n, n, _mixed_rank(rng, n), sv_low=0.25, sv_high=4.0, seed=rng
-        )
-
+    a, (expected_sides,) = _draw(rng, max_dim, _ISOMETRY_SOURCES)
     result = pinv(a, tol)
     rank = result.rank
     if rank > 0:
@@ -522,7 +509,7 @@ def run_trial(suite, seed, trial_index, max_dim, tol: Tolerance = DEFAULT_TOL):
     arguments.
     """
     suite = FuzzSuite(suite)
-    if suite is FuzzSuite.ALL:
+    if suite not in _TRIAL_BODIES:
         raise ValueError("run_trial needs a concrete suite, not 'all'")
     rng = trial_rng(seed, trial_index)
     failures = []
@@ -552,7 +539,7 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
     """Run a fuzz campaign; failures are data in the report, not errors."""
     start = time.perf_counter()
     if config.suite is FuzzSuite.ALL:
-        suites = [s for s in FuzzSuite if s is not FuzzSuite.ALL]
+        suites = list(_TRIAL_BODIES)
     else:
         suites = [config.suite]
     failures = []

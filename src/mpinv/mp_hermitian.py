@@ -200,13 +200,13 @@ def mph_subspace_check(a, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
 def mph_decompose(a, tol: Tolerance = DEFAULT_TOL) -> MphDecomposition:
     """Split an MPH matrix into null space, column space, and involution.
 
-    Raises NotMpHermitianError (carrying the pinv-vs-a residual) when
-    the input is not MPH to tolerance.
+    Raises NotMpHermitianError (carrying the pinv-vs-a residual) exactly
+    when ``is_mp_hermitian`` is False for the same tolerance.
     """
     m = as_square(a)
     result = pinv(m, tol)
-    gap = distance(result.pinv, m)
-    if gap > tol.eq_tol:
+    if not approx_eq(result.pinv, m, tol):
+        gap = distance(result.pinv, m)
         raise NotMpHermitianError(
             f"matrix is not Moore-Penrose hermitian: ||a^+ - a|| residual {gap:.3e}",
             gap,

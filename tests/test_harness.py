@@ -16,7 +16,12 @@ from mpinv import (
     fuzz,
     generate_regular,
     generate_rol_pair,
+    harness,
+    mbekhta_gap_pair,
+    nonhermitian_partial_isometry_fixture,
+    nonnormal_mph_fixture,
     numerical_rank,
+    rol_negative_pair,
     run_trial,
     svd,
 )
@@ -168,6 +173,35 @@ class TestFailureRecordDigest:
         assert h.hexdigest() == self.DIGEST
 
 
+class TestTrialInputDigest:
+    # Recorded at commit 4653260. Every (a, b) that a `rol` trial hands to
+    # full_report and every a that an `isometry` trial hands to
+    # normal_mph_check, passing trials included. max_dim 1 and 2 reach
+    # the n < 2 fallbacks of both suites.
+    DIGEST = "bfffab6cbe24a971beefbcd17020a2552f717765f2a357b411cca138b0d8fe32"
+
+    def test_trial_inputs_are_bit_identical(self, monkeypatch):
+        h = hashlib.sha256()
+
+        def tapped(func):
+            def tap(*args, **kwargs):
+                for m in args:
+                    if isinstance(m, np.ndarray):
+                        m = np.ascontiguousarray(m)
+                        h.update(repr(m.shape).encode())
+                        h.update(m.tobytes())
+                return func(*args, **kwargs)
+            return tap
+
+        monkeypatch.setattr(harness, "full_report", tapped(harness.full_report))
+        monkeypatch.setattr(harness, "normal_mph_check", tapped(harness.normal_mph_check))
+        for suite in ("rol", "isometry"):
+            for max_dim in (1, 2, 8):
+                for trial_index in range(200):
+                    run_trial(suite, 5, trial_index, max_dim)
+        assert h.hexdigest() == self.DIGEST
+
+
 class TestFixtureGenerators:
     def test_regular_spectrum_cross_check(self):
         # Conorm of a generated matrix sits inside the requested window.
@@ -179,3 +213,17 @@ class TestFixtureGenerators:
         a1, b1 = generate_rol_pair(5, "random", 31)
         a2, b2 = generate_rol_pair(5, "random", 31)
         assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
+
+
+class TestPaddedSizeRule:
+    @pytest.mark.parametrize(
+        "fixture",
+        [rol_negative_pair, mbekhta_gap_pair, nonnormal_mph_fixture,
+         nonhermitian_partial_isometry_fixture],
+    )
+    def test_n1_refused_before_any_draw(self, fixture):
+        rng = np.random.default_rng(17)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"^need n >= 2$"):
+            fixture(1, rng)
+        assert rng.bit_generator.state == before

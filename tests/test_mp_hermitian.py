@@ -5,10 +5,12 @@ import pytest
 
 from mpinv import (
     NotMpHermitianError,
+    Tolerance,
     adjoint,
     algebraic_mph_check,
     annihilator_spectrum_check,
     approx_eq,
+    classify,
     frobenius_norm,
     generate_mp_hermitian,
     generate_regular,
@@ -17,8 +19,10 @@ from mpinv import (
     mph_decompose,
     mph_subspace_check,
     numerical_rank,
+    pinv,
     svd,
 )
+from mpinv.core import distance
 
 SIGNS_3 = np.diag([1.0, -1.0, 0.0]).astype(complex)
 INVOLUTION_2 = np.array([[1.0, 1.0], [0.0, -1.0]], dtype=complex)
@@ -147,6 +151,20 @@ class TestDecompose:
         with pytest.raises(NotMpHermitianError) as err:
             mph_decompose(np.diag([2.0, 0.0]))
         assert err.value.residual > 1e-3
+
+    def test_refusal_agrees_with_detection_at_the_boundary(self):
+        # eq_tol set to the exact ||a^+ - a|| residual of a slightly
+        # scaled MPH matrix: the residual and the approx_eq product form
+        # straddle the budget, so every caller must decide by one rule.
+        for seed in range(300):
+            a = generate_mp_hermitian(3, 2, seed) * (1 + (1 + seed % 7) * 1e-11)
+            tol = Tolerance(eq_tol=distance(pinv(a).pinv, a))
+            try:
+                mph_decompose(a, tol)
+                decomposed = True
+            except NotMpHermitianError:
+                decomposed = False
+            assert decomposed == is_mp_hermitian(a, tol) == classify(a, tol).mp_hermitian, seed
 
 
 class TestGenerator:
