@@ -15,7 +15,8 @@ import numpy as np
 
 from .core import DEFAULT_TOL, SvdConvergenceError, Tolerance
 from .harness import FuzzConfig, FuzzSuite, fuzz, generate_regular
-from .isometry import SPECIAL_KINDS, classify, generate_special, normal_mph_check
+from .isometry import (CONORM_UNDEFINED, SPECIAL_KINDS, classify, generate_special,
+                       normal_mph_check)
 from .matrix_io import dumps, load_matrix, matrix_to_dict, save_matrix
 from .mp_hermitian import (
     generate_mp_hermitian,
@@ -96,7 +97,7 @@ def _cmd_conorm(args):
     a = load_matrix(args.infile)
     report = classify(a, tol)
     if report.conorm is None:
-        raise ValueError("conorm undefined for the zero element")
+        raise ValueError(CONORM_UNDEFINED)
     _emit({"conorm": report.conorm, "op_norm": report.op_norm,
            "pinv_norm": report.pinv_norm})
     return 0

@@ -3,13 +3,15 @@
 Every higher-level identity in this package is evaluated on plain 2-D
 ``complex128`` arrays.  This module owns input validation, the SVD
 factorization (with its unitarity/ordering/reconstruction guarantees),
-the rank threshold, and the one residual-normalization rule behind
+which also factors an ``(N, m, n)`` stack in one LAPACK call, the rank
+threshold, and the one residual-normalization rule behind
 every verdict: a Frobenius residual divided by ``residual_scale`` of
 the norms it is measured against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -67,14 +69,15 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce input to a 2-D complex128 array with finite entries."""
+def as_matrix(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Coerce input to a 2-D complex128 array with finite entries, or,
+    with ``stack``, also to an ``(N, m, n)`` stack of them."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
+    if m.ndim != 2 and not (stack and m.ndim == 3):
+        raise ValueError(f"{name} must be 2-D{' or 3-D' if stack else ''}, got ndim={m.ndim}")
+    if 0 in m.shape:
         raise ValueError(f"{name} must have positive dimensions, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -88,8 +91,10 @@ def as_square(a, name: str = "a") -> np.ndarray:
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose.  Applying it twice restores the input bit-for-bit."""
-    return np.conj(np.asarray(m).T)
+    """Conjugate transpose, of each slice of a stack.  Applying it twice
+    restores the input bit-for-bit."""
+    m = np.asarray(m)
+    return np.conj(m.swapaxes(-1, -2) if m.ndim > 2 else m.T)
 
 
 def frobenius_norm(m: np.ndarray) -> float:
@@ -104,13 +109,34 @@ def frobenius_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
+def slicewise_errors(fn):
+    """Decorate ``fn(m, ...)``, which also takes an ``(N, m, n)`` array: when
+    a stack raises ``ValueError`` or ``SvdConvergenceError``, ``fn`` runs on
+    each slice in turn, so that the first failing slice raises the error and
+    message it raises alone (LAPACK does not say which slice failed)."""
+
+    @functools.wraps(fn)
+    def wrapper(m, *args, **kwargs):
+        try:
+            return fn(m, *args, **kwargs)
+        except (ValueError, SvdConvergenceError):
+            if getattr(m, "ndim", None) == 3:
+                for part in m:
+                    fn(part, *args, **kwargs)
+            raise
+
+    return wrapper
+
+
 @dataclass(frozen=True)
 class SvdFactorization:
     """Full SVD ``A = U @ diag(sigma) @ V*`` with descending singular values.
 
-    u is m-by-m unitary, v is n-by-n unitary, sigma has length min(m, n).
-    Construction re-checks unitarity and ordering so downstream rank,
-    norm and subspace logic can rely on them.
+    u is m-by-m unitary, v is n-by-n unitary, sigma has length min(m, n);
+    the factorization of an ``(N, m, n)`` stack gives each a leading axis,
+    and ``f[i]`` is the factorization of slice i.  Construction re-checks
+    unitarity and ordering, slice by slice, so downstream rank, norm and
+    subspace logic can rely on them; indexing does not check again.
     """
 
     u: np.ndarray
@@ -118,57 +144,80 @@ class SvdFactorization:
     v: np.ndarray
 
     def __post_init__(self):
-        m = self.u.shape[0]
-        n = self.v.shape[0]
+        lead = self.u.shape[:-2]  # (N,) for a stack
+        m = self.u.shape[-1]
+        n = self.v.shape[-1]
         k = min(m, n)
-        if self.u.shape != (m, m) or self.v.shape != (n, n):
+        if self.u.shape != (*lead, m, m) or self.v.shape != (*lead, n, n):
             raise ValueError("u and v must be square")
-        if self.sigma.shape != (k,):
+        if self.sigma.shape != (*lead, k):
             raise ValueError(f"sigma must have length min(m, n) = {k}")
-        s = self.sigma  # NaN passes both tests, as it passes ``np.diff(s) > 0``
-        if (s < 0).any() or (s[1:] > s[:-1]).any():
-            raise ValueError("sigma must be non-negative and non-increasing")
-        for w, name in ((self.u, "u"), (self.v, "v")):
-            g = adjoint(w) @ w
-            g.ravel()[:: len(g) + 1] -= 1  # g - I; g is fresh and C-ordered, ravel is a view
-            if frobenius_norm(g) > 1e-12 * len(g):
-                raise ValueError(f"{name} is not unitary to working precision")
+        for u, s, v in zip(self.u, self.sigma, self.v) if lead else [(self.u, self.sigma, self.v)]:
+            # NaN passes both tests, as it passes ``np.diff(s) > 0``
+            if (s < 0).any() or (s[1:] > s[:-1]).any():
+                raise ValueError("sigma must be non-negative and non-increasing")
+            for w, name in ((u, "u"), (v, "v")):
+                g = adjoint(w) @ w
+                g.ravel()[:: len(g) + 1] -= 1  # g - I; g is fresh and C-ordered, ravel is a view
+                if frobenius_norm(g) > 1e-12 * len(g):
+                    raise ValueError(f"{name} is not unitary to working precision")
+
+    def __getitem__(self, i) -> "SvdFactorization":
+        """The factorization of slice ``i`` of a stack, checked with the stack."""
+        if self.u.ndim != 3:
+            raise TypeError("only the factorization of a stack has slices")
+        f = object.__new__(SvdFactorization)
+        for name in ("u", "sigma", "v"):
+            object.__setattr__(f, name, getattr(self, name)[i])
+        return f
 
     @property
     def rows(self) -> int:
-        return self.u.shape[0]
+        return self.u.shape[-1]
 
     @property
     def cols(self) -> int:
-        return self.v.shape[0]
+        return self.v.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
         """Multiply the factors back together."""
-        k = len(self.sigma)
-        return (self.u[:, :k] * self.sigma) @ adjoint(self.v[:, :k])
+        return _reconstruct(self.u, self.sigma, self.v)
 
 
+def _reconstruct(u, sigma, v) -> np.ndarray:
+    """``u diag(sigma) v*`` from the leading columns, of each slice of a stack."""
+    k = sigma.shape[-1]
+    return (u[..., :k] * sigma[..., None, :]) @ adjoint(v[..., :k])
+
+
+@slicewise_errors
 def svd(m) -> SvdFactorization:
-    """Compute the full SVD of a complex matrix.
+    """Compute the full SVD of a complex matrix, or of each slice of an
+    ``(N, m, n)`` stack in one LAPACK call.
 
-    Deterministic for a fixed input bit pattern.  Raises
-    SvdConvergenceError if the underlying iteration fails, and
-    ValueError if the factorization does not reproduce the input to
-    ``1e-12 * max(1, ||A||_F)``.
+    Deterministic for a fixed input bit pattern; a slice of a stack
+    factors bit for bit as it does alone.  Raises SvdConvergenceError if
+    the underlying iteration fails or the factorization does not
+    reproduce the input to ``1e-12 * max(1, ||A||_F)``, and ValueError if
+    a factor fails its check; a failing stack raises the error of its
+    first failing slice.
     """
-    a = as_matrix(m)
+    a = as_matrix(m, stack=True)
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(
-            f"SVD did not converge for a {a.shape[0]}x{a.shape[1]} matrix: {exc}"
+            f"SVD did not converge for a {a.shape[-2]}x{a.shape[-1]} matrix: {exc}"
         ) from exc
-    f = SvdFactorization(u=u, sigma=s, v=adjoint(vh))
-    recon_err = frobenius_norm(f.reconstruct() - a)
-    if recon_err > 1e-12 * residual_scale(frobenius_norm(a)):
-        raise SvdConvergenceError(
-            f"SVD reconstruction residual {recon_err:.3e} exceeds tolerance"
-        )
+    v = adjoint(vh)
+    f = SvdFactorization(u=u, sigma=s, v=v)
+    # Slice by slice, so that no stack of temporaries is alive at once.
+    for ai, ui, si, vi in zip(a, u, s, v) if a.ndim == 3 else [(a, u, s, v)]:
+        recon_err = frobenius_norm(_reconstruct(ui, si, vi) - ai)
+        if recon_err > 1e-12 * residual_scale(frobenius_norm(ai)):
+            raise SvdConvergenceError(
+                f"SVD reconstruction residual {recon_err:.3e} exceeds tolerance"
+            )
     return f
 
 
@@ -185,7 +234,7 @@ def numerical_rank(f: SvdFactorization, tol: Tolerance = DEFAULT_TOL) -> int:
 
 def operator_norm(m) -> float:
     """Largest singular value; 0 for the zero matrix."""
-    return float(svd(m).sigma[0])
+    return float(svd(as_matrix(m)).sigma[0])
 
 
 def residual_scale(*norms) -> float:

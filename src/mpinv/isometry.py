@@ -37,6 +37,7 @@ from .core import (
 from .pinv import pinv
 
 __all__ = [
+    "CONORM_UNDEFINED",
     "ClassificationReport",
     "conorm",
     "is_partial_isometry",
@@ -78,6 +79,10 @@ class ClassificationReport:
         return asdict(self)
 
 
+# The refusal of ``conorm`` (and of ``mpinv conorm``) for the zero matrix.
+CONORM_UNDEFINED = "conorm undefined for the zero element"
+
+
 def conorm(a, tol: Tolerance = DEFAULT_TOL) -> float:
     """Smallest singular value above the rank cutoff (= 1 / ||a^+||).
 
@@ -87,7 +92,7 @@ def conorm(a, tol: Tolerance = DEFAULT_TOL) -> float:
     f = svd(as_matrix(a, "a"))
     r = numerical_rank(f, tol)
     if r == 0:
-        raise ValueError("conorm undefined for the zero element")
+        raise ValueError(CONORM_UNDEFINED)
     return float(f.sigma[r - 1])
 
 

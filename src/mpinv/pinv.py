@@ -32,6 +32,7 @@ from .core import (
     ratio,
     residual,
     residual_scale,
+    slicewise_errors,
     svd,
 )
 from .matrix_io import matrix_to_dict
@@ -64,7 +65,8 @@ class PenroseResiduals:
 
     r1..r4 are divided by ``residual_scale(||a||_F, ||x||_F)``, and are
     ``inf`` where a norm is not finite; ``absolute`` keeps the raw
-    Frobenius norms for diagnostics.
+    Frobenius norms for diagnostics, and ``norms`` is ``(||a||_F,
+    ||x||_F)``.
     """
 
     r1: float
@@ -72,6 +74,7 @@ class PenroseResiduals:
     r3: float
     r4: float
     absolute: tuple = ()
+    norms: tuple = ()
 
     def max(self) -> float:
         """The largest residual, or NaN if any is NaN, so that it fails ``within``."""
@@ -123,7 +126,11 @@ def penrose_residuals(a, x) -> PenroseResiduals:
     ``x`` must be n-by-m for an m-by-n ``a``.  The caller decides
     pass/fail against its own tolerance.
     """
-    am, xm = _operands(a, x)
+    return _penrose(*_operands(a, x))
+
+
+def _penrose(am, xm) -> PenroseResiduals:
+    """``penrose_residuals`` of two matrices that are already validated."""
     ax = am @ xm
     xa = xm @ am
     abs_res = (
@@ -132,21 +139,35 @@ def penrose_residuals(a, x) -> PenroseResiduals:
         frobenius_norm(adjoint(ax) - ax),
         frobenius_norm(adjoint(xa) - xa),
     )
-    scale = residual_scale(frobenius_norm(am), frobenius_norm(xm))
+    norms = (frobenius_norm(am), frobenius_norm(xm))
+    scale = residual_scale(*norms)
     r = tuple(ratio(v, scale) for v in abs_res)
-    return PenroseResiduals(r[0], r[1], r[2], r[3], absolute=abs_res)
+    return PenroseResiduals(r[0], r[1], r[2], r[3], absolute=abs_res, norms=norms)
 
 
-def pinv(a, tol: Tolerance = DEFAULT_TOL) -> PinvResult:
+@slicewise_errors
+def pinv(a, tol: Tolerance = DEFAULT_TOL):
     """Moore-Penrose inverse via the SVD: ``V Sigma^+ U*``.
 
     Singular values above the rank cutoff are reciprocated, the rest
     are zeroed; the zero matrix maps to the zero matrix of transposed
     shape.  Construction fails if any Penrose residual of the result
     exceeds ``tol.eq_tol``.
+
+    An ``(N, m, n)`` stack is factored in one SVD call and gives a list of
+    N results, each bit for bit the ``PinvResult`` of its slice alone; the
+    first slice that fails raises the error it raises alone.
     """
-    am = as_matrix(a, "a")
+    am = as_matrix(a, "a", stack=True)
     f = svd(am)
+    if am.ndim == 3:
+        return [_certified(am[i], f[i], tol) for i in range(len(am))]
+    return _certified(am, f, tol)
+
+
+def _certified(am, f: SvdFactorization, tol: Tolerance) -> PinvResult:
+    """The pseudoinverse of ``am`` from its factorization ``f``, if its
+    Penrose residuals are within ``tol.eq_tol``."""
     r = numerical_rank(f, tol)
     if r == 0:
         x = np.zeros((am.shape[1], am.shape[0]), dtype=np.complex128)
@@ -160,7 +181,7 @@ def pinv(a, tol: Tolerance = DEFAULT_TOL) -> PinvResult:
                 PenroseResiduals(math.inf, math.inf, math.inf, math.inf),
             )
         x = (f.v[:, :r] / f.sigma[:r]) @ adjoint(f.u[:, :r])
-    res = penrose_residuals(am, x)
+    res = _penrose(am, x)
     if not res.within(tol):
         raise PenroseResidualError(
             f"pseudoinverse residuals {res.as_dict()} exceed eq_tol={tol.eq_tol}",
@@ -170,8 +191,8 @@ def pinv(a, tol: Tolerance = DEFAULT_TOL) -> PinvResult:
 
 
 def pinv_matrix(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Shorthand for ``pinv(a, tol).pinv``."""
-    return pinv(a, tol).pinv
+    """Shorthand for ``pinv(a, tol).pinv``, for one matrix."""
+    return pinv(as_matrix(a, "a"), tol).pinv
 
 
 class FormulationId(str, Enum):

@@ -9,17 +9,19 @@ projection-flavored intermediates
 their pseudoinverses, taken in the closed forms ``q^+ = a* a`` and
 ``r^+ = (b b*)^+ = (b^+)* b^+``, and the weaker generalized-inverse
 criterion that uses ``p`` with ``s`` in place of ``q``.  A pair costs
-three SVD-backed ``pinv`` calls, for ``a``, ``b`` and ``ab``.
+three SVDs, of ``a``, ``b`` and ``ab``; a square pair stacks them and
+certifies all three with one ``pinv`` call.
 
 Each condition is one row of a table: a tuple of equations, each side a
 product of named workspace matrices, scored by ``core.residual`` against
 the product of each side's operand norms.  The table is compiled once
-into straight-line code that forms each distinct product once per pair.
+into one generated Python function of straight-line code that forms
+each distinct product once per pair.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -113,34 +115,55 @@ class _Comm(NamedTuple):
 class _Workspace:
     """Every matrix the catalog reads, with its norm, computed once per pair.
 
-    ``q^+`` and ``r^+`` take their closed forms ``a* a`` and
-    ``(b^+)* b^+``, so ``pinv`` runs only on ``a``, ``b`` and ``ab``.
+    ``pinv`` runs on ``a``, ``b`` and, unless ``with_ab`` is False, ``ab``,
+    in that order; each run of equal shapes in that order (all three for a
+    square pair) is one stack and one ``pinv`` call, so the first matrix
+    that fails still raises its own error.  ``ab`` is formed in its slot
+    of the stack, and the norms of the three and of their pseudoinverses
+    are the ones their certificates computed.  ``q^+`` and ``r^+`` take
+    their closed forms ``a* a`` and ``(b^+)* b^+``.
     """
 
-    def __init__(self, a, b, tol: Tolerance):
+    def __init__(self, a, b, tol: Tolerance, with_ab: bool = True):
         a = as_matrix(a, "a")
         b = as_matrix(b, "b")
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"product ab undefined: a is {a.shape}, b is {b.shape}")
-        ra = pinv(a, tol)
-        rb = pinv(b, tol)
-        ab = a @ b
-        rab = pinv(ab, tol)
-        self.ranks = {"a": ra.rank, "b": rb.rank, "ab": rab.rank}
-        a_dag, b_dag = ra.pinv, rb.pinv
+        shapes = {"a": a.shape, "b": b.shape, "ab": (a.shape[0], b.shape[1])}
+        self.mats, self.norms, self.ranks = {}, {}, {}
+        for shape, run in itertools.groupby(("a", "b", "ab")[: 3 if with_ab else 2],
+                                            shapes.__getitem__):
+            self._certify(a, b, tuple(run), shape, tol)
+        a, b, a_dag, b_dag = (self.mats[n] for n in ("a", "b", "a_dag", "b_dag"))
         ah, bh, adh, bdh = adjoint(a), adjoint(b), adjoint(a_dag), adjoint(b_dag)
         aa = ah @ a
-        self.mats = {
-            "a": a, "b": b, "ab": ab, "a_dag": a_dag, "b_dag": b_dag, "ab_dag": rab.pinv,
-            "p": b @ b_dag, "q": a_dag @ adh, "r": b @ bh, "s": a_dag @ a,
-            "aa": aa, "r_dag": bdh @ b_dag,
-        }
-        self.norms = {name: frobenius_norm(m) for name, m in self.mats.items()}
+        derived = {"p": b @ b_dag, "q": a_dag @ adh, "r": b @ bh, "s": a_dag @ a,
+                   "aa": aa, "r_dag": bdh @ b_dag}
+        self.mats.update(derived)
+        self.norms.update((name, frobenius_norm(m)) for name, m in derived.items())
         # An adjoint has the norm of its matrix, and q^+ is a* a itself.
         for name, m, of in (("ah", ah, "a"), ("bh", bh, "b"), ("adh", adh, "a_dag"),
                             ("bdh", bdh, "b_dag"), ("q_dag", aa, "aa")):
             self.mats[name] = m
             self.norms[name] = self.norms[of]
+
+    def _certify(self, a, b, names: tuple, shape: tuple, tol: Tolerance):
+        """Stack the matrices ``names`` (of ``a``, ``b``, ``ab``) of one shape and
+        certify them with one ``pinv`` call; keep each matrix, its pseudoinverse,
+        their norms and its rank, and drop the factorizations on return."""
+        stack = np.empty((len(names), *shape), dtype=np.complex128)
+        for name, slot in zip(names, stack):
+            if name == "ab":
+                # ab is formed before a and b certify; if it overflows, the
+                # refusal of a, b or ab says so, without a numpy warning first.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.matmul(a, b, out=slot)
+            else:
+                slot[...] = a if name == "a" else b
+        for name, slot, result in zip(names, stack, pinv(stack, tol)):
+            self.mats[name], self.mats[name + "_dag"] = slot, result.pinv
+            self.norms[name], self.norms[name + "_dag"] = result.residuals.norms
+            self.ranks[name] = result.rank
 
     def intermediates(self) -> RolIntermediates:
         return RolIntermediates(**{
@@ -154,7 +177,7 @@ def _flat(factors) -> tuple:
 
 
 class _Program:
-    """Catalog rows compiled to straight-line code over the workspace matrices.
+    """Catalog rows compiled to one generated function of straight-line code.
 
     Slots ``0 .. len(leaves) - 1`` hold workspace matrices; instruction
     ``i`` of ``code``, ``(op, x, y, factors, dead)``, fills the next slot
@@ -164,6 +187,12 @@ class _Program:
     to right with nested factors first, as the table writes it.  An
     equation (``op`` None) holds its residual; ``factors`` are the operand
     names of each side, whose norm products scale it.
+
+    ``code`` is turned once into the Python function whose text is
+    ``source``: one statement per instruction on local ``v<slot>``, each
+    slot deleted after its last reader, and each norm product multiplied
+    inline, left to right.  It looks ``residual`` and ``distance`` up in
+    this module's globals at every call, as any function here does.
     """
 
     def __init__(self, rows: dict):
@@ -196,26 +225,43 @@ class _Program:
         last = {s: i for i, (_, x, y, _) in enumerate(code) for s in (x, y)}
         self.code = [(*c, tuple(s for s in {c[1], c[2]} - {None} if last[s] == i))
                      for i, c in enumerate(code)]
+        self.source = self._generate(slot)
+        namespace = {}
+        exec(compile(self.source, "<reverse_order._Program>", "exec"), globals(), namespace)
+        self._run = namespace["run"]
+
+    def _generate(self, slot: dict) -> str:
+        """The text of ``run(mats, norms)``, which returns each row's worst
+        residual, in row order."""
+        def norm(names):
+            return " * ".join(f"n{slot[name]}" for name in names)
+
+        lines = ["def run(mats, norms):"]
+        lines += [f"    v{i} = mats.pop({name!r})" for i, name in enumerate(self.leaves)]
+        read = {slot[n] for *_, factors, _ in self.code if factors for f in factors for n in f}
+        lines += [f"    n{i} = norms[{self.leaves[i]!r}]" for i in sorted(read)]
+        for i, (op, x, y, factors, dead) in enumerate(self.code, len(self.leaves)):
+            if op is operator.matmul:
+                value = f"v{x} @ v{y}"
+            elif op is operator.sub:
+                value = f"v{x} - v{y}"
+            elif factors is None:
+                value = f"distance(v{x}, v{y})"
+            elif y is None:
+                value = f"residual(v{x}, {norm(factors[0])})"
+            else:
+                value = f"residual(v{x} - v{y}, {norm(factors[0])}, {norm(factors[1])})"
+            lines.append(f"    v{i} = {value}")
+            if dead:
+                lines.append("    del " + ", ".join(f"v{s}" for s in sorted(dead)))
+        worst = (f"max({', '.join(f'v{i}' for i in eqs)})" if len(eqs) > 1 else f"v{eqs[0]}"
+                 for eqs in self.rows.values())
+        lines.append(f"    return ({', '.join(worst)},)")
+        return "\n".join(lines) + "\n"
 
     def run(self, w: _Workspace) -> dict:
         """Each row's worst residual; takes ``w.mats``, to free each after its last reader."""
-        v = [w.mats.pop(name) for name in self.leaves]
-        for op, x, y, factors, dead in self.code:
-            v.append(op(v[x], v[y]) if op else
-                     _score(w.norms, v[x], None if y is None else v[y], factors))
-            for s in dead:
-                v[s] = None
-        return {cond: max(v[i] for i in eqs) for cond, eqs in self.rows.items()}
-
-
-def _score(norms, lhs, rhs, factors) -> float:
-    """The residual of ``lhs = rhs`` (``lhs = 0`` for ``rhs`` None); see ``_CONDITIONS``."""
-    if factors is None:
-        return distance(lhs, rhs)
-    ln = math.prod(map(norms.__getitem__, factors[0]))
-    if rhs is None:
-        return residual(lhs, ln)
-    return residual(lhs - rhs, ln, math.prod(map(norms.__getitem__, factors[1])))
+        return dict(zip(self.rows, self._run(w.mats, w.norms)))
 
 
 # ROL_DIRECT is the law itself, scored by ``distance``: by its sides' own norms.
@@ -268,8 +314,11 @@ _ROW_PROGRAMS = {cond: _Program({cond: row}) for cond, row in _CONDITIONS.items(
 
 
 def rol_intermediates(a, b, tol: Tolerance = DEFAULT_TOL) -> RolIntermediates:
-    """Compute p, q, r, s and the pseudoinverses of q and r for (a, b)."""
-    return _Workspace(a, b, tol).intermediates()
+    """Compute p, q, r, s and the pseudoinverses of q and r for (a, b).
+
+    None of them reads ``ab``, so only ``a`` and ``b`` are certified.
+    """
+    return _Workspace(a, b, tol, with_ab=False).intermediates()
 
 
 def evaluate_condition(a, b, condition: ConditionId, tol: Tolerance = DEFAULT_TOL):
@@ -277,10 +326,14 @@ def evaluate_condition(a, b, condition: ConditionId, tol: Tolerance = DEFAULT_TO
 
     Returns ``(verdict, residual)`` where the verdict is
     ``residual <= tol.eq_tol``.  For two-equation conditions the
-    residual is the max over the pair.
+    residual is the max over the pair.  ``ab`` is certified only for the
+    conditions that read ``ab`` or its pseudoinverse (G1, G5, MBEKHTA_GI
+    and ROL_DIRECT), so a refusal of ``pinv(ab)`` refuses only those.
     """
     condition = ConditionId(condition)
-    res = _ROW_PROGRAMS[condition].run(_Workspace(a, b, tol))[condition]
+    program = _ROW_PROGRAMS[condition]
+    with_ab = not {"ab", "ab_dag"}.isdisjoint(program.leaves)
+    res = program.run(_Workspace(a, b, tol, with_ab))[condition]
     return (res <= tol.eq_tol, float(res))
 
 

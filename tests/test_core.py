@@ -115,6 +115,13 @@ class TestAsMatrix:
         with pytest.raises(ValueError, match="positive"):
             as_matrix(np.zeros((0, 3)))
 
+    def test_stack_only_when_asked(self):
+        with pytest.raises(ValueError, match="must be 2-D, got ndim=3"):
+            as_matrix(np.zeros((2, 2, 2)))
+        assert as_matrix(np.ones((2, 2, 2)), stack=True).shape == (2, 2, 2)
+        with pytest.raises(ValueError, match="non-finite"):
+            as_matrix(np.full((2, 2, 2), np.inf), stack=True)
+
 
 class TestSvd:
     def test_diagonal(self):
@@ -212,6 +219,48 @@ class TestSvd:
             except ValueError:
                 raised = True
             assert raised == expect, m
+
+
+class TestStackedSvd:
+    def test_slices_factor_bit_for_bit_as_alone(self):
+        rng = np.random.default_rng(241)
+        for _ in range(200):
+            m, n = (int(v) for v in rng.integers(1, 9, size=2))
+            ms = [rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+                  for _ in range(int(rng.integers(1, 5)))]
+            f = svd(np.stack(ms))
+            for i, a in enumerate(ms):
+                alone = svd(a)
+                for name in ("u", "sigma", "v"):
+                    x, y = getattr(f[i], name), getattr(alone, name)
+                    assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+                assert f[i].reconstruct().tobytes() == alone.reconstruct().tobytes()
+
+    def test_construction_checks_every_slice_in_order(self):
+        eye = np.stack([np.eye(2, dtype=complex)] * 3)
+        sigma = np.array([[1.0, 0.5], [1.0, 0.5], [0.5, 1.0]])
+        v = eye.copy()
+        v[1, 0, 1] = 1e-6
+        # Slice 1 fails unitarity before slice 2 fails the ordering.
+        with pytest.raises(ValueError, match="v is not unitary"):
+            SvdFactorization(u=eye, sigma=sigma, v=v)
+        with pytest.raises(ValueError, match="non-increasing"):
+            SvdFactorization(u=eye, sigma=sigma, v=eye)
+        with pytest.raises(ValueError, match="length"):
+            SvdFactorization(u=eye, sigma=sigma[:2], v=eye)
+
+    def test_slicing_a_checked_stack_does_not_check_again(self, monkeypatch):
+        from mpinv import core
+
+        f = svd(np.stack([np.eye(2), np.diag([2.0, 1.0])]))
+        checks = []  # the unitarity check forms u* u and v* v
+        monkeypatch.setattr(core, "adjoint", lambda w: checks.append(w) or adjoint(w))
+        part = f[1]
+        assert checks == [] and np.array_equal(part.sigma, [2.0, 1.0])
+        SvdFactorization(u=part.u, sigma=part.sigma, v=part.v)
+        assert len(checks) == 2  # built directly, u and v are checked
+        with pytest.raises(TypeError, match="stack"):
+            part[0]
 
 
 class TestFrobeniusNorm:

@@ -7,6 +7,7 @@ from mpinv import (
     FormulationId,
     PenroseResidualError,
     PenroseResiduals,
+    SvdConvergenceError,
     Tolerance,
     adjoint,
     approx_eq,
@@ -15,7 +16,9 @@ from mpinv import (
     frobenius_norm,
     generate_regular,
     involution_laws_check,
+    matrix_with_singular_values,
     numerical_rank,
+    operator_norm,
     penrose_residuals,
     pinv,
     pinv_matrix,
@@ -210,3 +213,118 @@ class TestInvolutionLaws:
             # a a^+ and a^+ a are their own pseudoinverses.
             for proj in (a @ x, x @ a):
                 assert approx_eq(pinv_matrix(proj), proj)
+
+
+def _stack_inputs(rng, count):
+    """Equal-shape matrices: zero, 1x1, rank-deficient, 2^k-scaled, and
+    condition numbers up to 1e12 (which pinv may refuse)."""
+    m, n = (int(v) for v in rng.integers(1, 9, size=2))
+    if count % 5 == 0:
+        m = n = 1
+    ms = []
+    for _ in range(int(rng.integers(1, 5))):
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            ms.append(np.zeros((m, n), dtype=complex))
+        elif kind == 1:
+            ms.append(generate_regular(m, n, int(rng.integers(0, min(m, n) + 1)), seed=rng))
+        else:
+            rank = int(rng.integers(1, min(m, n) + 1))
+            sv = np.geomspace(1.0, 10.0 ** -rng.uniform(0, 12), rank)
+            scale = 2.0 ** int(rng.integers(-60, 61)) if kind == 3 else 1.0
+            ms.append(scale * matrix_with_singular_values(sv, (m, n), rng))
+    return ms
+
+
+def _outcome(call):
+    try:
+        return call()
+    except PenroseResidualError as exc:
+        return exc
+
+
+def _assert_same_result(got, want):
+    assert got.rank == want.rank
+    for x, y in ((got.pinv, want.pinv), (got.factorization.u, want.factorization.u),
+                 (got.factorization.sigma, want.factorization.sigma),
+                 (got.factorization.v, want.factorization.v)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert got.residuals == want.residuals
+    assert got.residuals.norms == want.residuals.norms
+
+
+class TestStackedPinv:
+    def test_each_slice_is_bit_identical_to_its_scalar_call(self):
+        rng = np.random.default_rng(211)
+        refused = certified = 0
+        for count in range(300):
+            ms = _stack_inputs(rng, count)
+            got = _outcome(lambda: pinv(np.stack(ms)))
+            want = []
+            for m in ms:
+                want.append(_outcome(lambda: pinv(m)))
+                if isinstance(want[-1], Exception):
+                    break
+            if isinstance(want[-1], Exception):
+                # The first refused slice raises its own error and message.
+                assert isinstance(got, PenroseResidualError), got
+                assert str(got) == str(want[-1])
+                refused += 1
+                continue
+            assert isinstance(got, list) and len(got) == len(ms)
+            for g, w in zip(got, want):
+                _assert_same_result(g, w)
+            certified += len(ms)
+        assert refused > 10 and certified > 300
+
+    def test_first_failing_slice_raises_its_scalar_error(self):
+        rng = np.random.default_rng(223)
+        good = generate_regular(3, 3, 3, seed=rng)
+        bad = np.full((3, 3), np.nan, dtype=complex)
+        refused = matrix_with_singular_values([1.0, 1e-12, 1e-12], (3, 3), rng)
+        with pytest.raises(PenroseResidualError) as alone:
+            pinv(refused)
+        with pytest.raises(PenroseResidualError) as stacked:
+            pinv(np.stack([good, refused, bad]))
+        assert str(stacked.value) == str(alone.value)
+        with pytest.raises(ValueError, match="^a contains non-finite entries$"):
+            pinv(np.stack([good, bad, refused]))
+
+    def test_linalg_error_is_attributed_to_its_slice(self, monkeypatch):
+        # LAPACK names no slice; a stack that fails is factored slice by
+        # slice, so the refusal of an earlier slice still comes first.
+        rng = np.random.default_rng(227)
+        good = generate_regular(3, 3, 3, seed=rng)
+        diverges = generate_regular(3, 3, 3, seed=rng)
+        refused = matrix_with_singular_values([1.0, 1e-12, 1e-12], (3, 3), rng)
+        real_svd = np.linalg.svd
+
+        def flaky_svd(m, *args, **kwargs):
+            if any(np.array_equal(part, diverges) for part in np.reshape(m, (-1, 3, 3))):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", flaky_svd)
+        with pytest.raises(SvdConvergenceError, match="^SVD did not converge for a 3x3"):
+            pinv(np.stack([good, diverges, refused]))
+        with pytest.raises(PenroseResidualError):
+            pinv(np.stack([good, refused, diverges]))
+        with pytest.raises(SvdConvergenceError):
+            svd(np.stack([good, diverges]))
+
+    def test_two_dimensional_input_stays_one_result(self):
+        a = generate_regular(3, 2, 2, seed=229)
+        result = pinv(a)
+        assert not isinstance(result, list) and result.pinv.shape == (2, 3)
+        assert result.residuals.norms == (frobenius_norm(a), frobenius_norm(result.pinv))
+
+    def test_one_matrix_shorthands_refuse_a_stack(self):
+        for shorthand in (pinv_matrix, operator_norm):
+            with pytest.raises(ValueError, match="must be 2-D, got ndim=3"):
+                shorthand(np.ones((2, 2, 2)))
+
+    def test_stack_shapes_are_validated(self):
+        with pytest.raises(ValueError, match="2-D or 3-D"):
+            pinv(np.zeros((1, 2, 2, 2)))
+        with pytest.raises(ValueError, match="positive dimensions"):
+            pinv(np.zeros((0, 2, 2)))

@@ -1,6 +1,10 @@
 """Tests for the reverse-order-law condition catalog."""
 
+import hashlib
 import operator
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +15,7 @@ from mpinv import (
     MBEKHTA_CONDITIONS,
     MP_ROL_CONDITIONS,
     ConditionId,
+    PenroseResidualError,
     adjoint,
     evaluate_condition,
     frobenius_norm,
@@ -20,6 +25,7 @@ from mpinv import (
     haar_unitary,
     matrix_with_singular_values,
     mbekhta_gap_pair,
+    pinv,
     pinv_matrix,
     rol_intermediates,
     rol_negative_pair,
@@ -366,3 +372,103 @@ def test_full_report_peak_memory_at_n48():
     finally:
         tracemalloc.stop()
     assert peak <= 1.10 * HEAD_PEAK_48, peak
+
+
+class TestStackedWorkspace:
+    def test_overflowing_ab_raises_the_refusal_of_a_or_b_first(self):
+        # pinv certifies a, b and ab in that order, as one stack: when ab
+        # is not finite, a or b has a norm that overflows, and its own
+        # refusal is raised, not the non-finite entries of ab.
+        # Forming ab early adds no numpy warning to those of the refusal.
+        huge = np.diag([1e250, 1.0]).astype(complex)
+        large = np.diag([1e100, 1.0]).astype(complex)
+        for a, b in ((huge, large), (large, huge)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert not np.isfinite(a @ b).all()
+            with pytest.warns(RuntimeWarning) as alone_warnings:
+                with pytest.raises(PenroseResidualError) as alone:
+                    pinv(huge)
+            with pytest.warns(RuntimeWarning) as report_warnings:
+                with pytest.raises(PenroseResidualError) as report:
+                    full_report(a, b)
+            assert str(report.value) == str(alone.value)
+            assert ({str(w.message) for w in report_warnings}
+                    == {str(w.message) for w in alone_warnings})
+
+    def test_refused_ab_refuses_only_the_conditions_that_read_it(self):
+        rng = np.random.default_rng(0)
+        a = matrix_with_singular_values([1.0, 1e-6, 1e-6], (3, 3), rng)
+        b = matrix_with_singular_values([1.0, 1e-6, 1e-6], (3, 3), rng)
+        with pytest.raises(PenroseResidualError):
+            pinv(a @ b)
+        reads_ab = {ConditionId.G1, ConditionId.G5, ConditionId.MBEKHTA_GI,
+                    ConditionId.ROL_DIRECT}
+        assert reads_ab == {c for c, p in ro._ROW_PROGRAMS.items()
+                            if {"ab", "ab_dag"} & set(p.leaves)}
+        for cond in ConditionId:
+            if cond in reads_ab:
+                with pytest.raises(PenroseResidualError):
+                    evaluate_condition(a, b, cond)
+            else:
+                verdict, res = evaluate_condition(a, b, cond)
+                assert np.isfinite(res)
+        with pytest.raises(PenroseResidualError):
+            full_report(a, b)
+        rol_intermediates(a, b)  # p, q, r, s read no ab either
+
+    def test_rectangular_pairs_stack_equal_shapes(self, monkeypatch):
+        calls = []
+        real_pinv = ro.pinv
+        monkeypatch.setattr(ro, "pinv", lambda m, tol: calls.append(m.shape) or real_pinv(m, tol))
+        rng = np.random.default_rng(233)
+        for (m, n, k), shapes in (((3, 3, 3), [(3, 3, 3)]),
+                                  ((2, 3, 4), [(1, 2, 3), (1, 3, 4), (1, 2, 4)]),
+                                  ((3, 3, 2), [(1, 3, 3), (2, 3, 2)]),
+                                  ((2, 3, 3), [(1, 2, 3), (1, 3, 3), (1, 2, 3)])):
+            calls.clear()
+            a = generate_regular(m, n, min(m, n), seed=rng)
+            b = generate_regular(n, k, min(n, k), seed=rng)
+            report = full_report(a, b)
+            assert calls == shapes
+            assert report.ranks == {"a": min(m, n), "b": min(n, k), "ab": min(m, n, k)}
+
+
+class TestGeneratedProgram:
+    def test_source_is_deterministic(self):
+        # The same table gives the same text in this process and in fresh
+        # ones with other string hash seeds.
+        again = ro._Program(ro._CONDITIONS)
+        assert again.source == ro._PROGRAM.source
+        digest = hashlib.sha256(ro._PROGRAM.source.encode()).hexdigest()
+        script = ("import hashlib; from mpinv import reverse_order as ro; "
+                  "print(hashlib.sha256(ro._PROGRAM.source.encode()).hexdigest())")
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True).stdout.strip()
+            assert out == digest
+
+    def test_one_statement_per_instruction(self):
+        program = ro._PROGRAM
+        lines = program.source.splitlines()
+        base = len(program.leaves)
+        assigned = [line.split(" = ")[0].strip() for line in lines
+                    if line.startswith("    v") and " = " in line]
+        assert assigned == [f"v{i}" for i in range(base + len(program.code))]
+        deleted = [v for line in lines if line.startswith("    del ")
+                   for v in line[len("    del "):].split(", ")]
+        assert sorted(deleted) == sorted(
+            f"v{s}" for *_, dead in program.code for s in dead)
+
+    def test_residuals_are_looked_up_at_call_time(self, monkeypatch):
+        # The generated function reads residual and distance from this
+        # module's globals, so a wrapper bound there sees every call.
+        seen = []
+        for name in ("residual", "distance"):
+            real = getattr(ro, name)
+            monkeypatch.setattr(ro, name, lambda *args, real=real, name=name:
+                                seen.append(name) or real(*args))
+        full_report(np.eye(2), np.eye(2))
+        equations = [c for c in ro._PROGRAM.code if c[0] is None]
+        assert seen.count("distance") == 1
+        assert seen.count("residual") == len(equations) - 1

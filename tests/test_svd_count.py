@@ -1,17 +1,20 @@
 """Each public call factors its input matrix at most once.
 
-``numpy.linalg.svd`` is wrapped to count the calls whose argument is
-bit-for-bit the input matrix; SVDs of derived matrices (the
+``numpy.linalg.svd`` is wrapped to count the factorizations whose
+argument is bit-for-bit the input matrix; each slice of a stacked call
+counts as one factorization.  SVDs of derived matrices (the
 pseudoinverse behind ``classify``'s ``pinv_norm`` cross-check, the
 stacked bases of ``mph_subspace_check``) are not counted.  For
-``full_report`` every SVD is counted.
+``full_report`` every factorization is counted.
 """
 
 import numpy as np
 import pytest
 
 from mpinv import (
+    ConditionId,
     classify,
+    evaluate_condition,
     full_report,
     generate_mp_hermitian,
     generate_regular,
@@ -20,6 +23,7 @@ from mpinv import (
     save_matrix,
 )
 from mpinv.cli import main
+from mpinv.isometry import CONORM_UNDEFINED
 
 REGULAR = generate_regular(5, 5, 3, seed=2)
 MPH = generate_mp_hermitian(5, 3, 2)
@@ -27,13 +31,15 @@ MPH = generate_mp_hermitian(5, 3, 2)
 
 @pytest.fixture
 def svd_calls_on(monkeypatch):
-    """``count(a)`` is the number of SVDs of ``a`` since the fixture started,
-    ``count()`` the number of all SVDs."""
+    """``count(a)`` is the number of factorizations of ``a`` since the fixture
+    started, ``count()`` the number of all factorizations; an ``(N, m, n)``
+    stack is N of them."""
     seen = []
     real_svd = np.linalg.svd
 
     def counting_svd(m, *args, **kwargs):
-        seen.append(np.array(m, copy=True))
+        m = np.array(m, copy=True)
+        seen.extend(m if m.ndim == 3 else [m])
         return real_svd(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
@@ -69,4 +75,25 @@ def test_cli_command_factors_input_once(svd_calls_on, tmp_path, capsys, command,
     save_matrix(a, path)
     assert main([command, "--in", str(path)]) == 0
     capsys.readouterr()
+    assert svd_calls_on(a) == 1
+
+
+@pytest.mark.parametrize("condition, factorizations", [
+    (ConditionId.G3, 2),  # reads neither ab nor ab^+: a and b only
+    (ConditionId.G1, 3),  # (ab)^+ = b^+ a^+ needs ab too
+])
+def test_evaluate_condition_factors_only_what_its_row_reads(svd_calls_on, condition,
+                                                            factorizations):
+    evaluate_condition(REGULAR, MPH, condition)
+    assert svd_calls_on() == factorizations
+
+
+def test_cli_conorm_of_zero_refuses_in_one_line_after_one_svd(svd_calls_on, tmp_path,
+                                                              capsys):
+    a = np.zeros((2, 3), dtype=complex)
+    path = tmp_path / "a.json"
+    save_matrix(a, path)
+    assert main(["conorm", "--in", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {CONORM_UNDEFINED}\n"
     assert svd_calls_on(a) == 1
