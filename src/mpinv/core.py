@@ -2,11 +2,12 @@
 
 Every higher-level identity in this package is evaluated on plain 2-D
 ``complex128`` arrays.  This module owns input validation, the SVD
-factorization (with its unitarity/ordering/reconstruction guarantees),
-which also factors an ``(N, m, n)`` stack in one LAPACK call, the rank
-threshold, and the one residual-normalization rule behind
-every verdict: a Frobenius residual divided by ``residual_scale`` of
-the norms it is measured against.
+factorization, which also factors an ``(N, m, n)`` stack in one LAPACK
+call, the rank threshold, and the one residual-normalization rule
+behind every verdict: a Frobenius residual divided by
+``residual_scale`` of the norms it is measured against.  Each answer
+has one certificate: ``svd`` checks the factors it answers with, while
+``pinv`` factors through ``_factor`` and its Penrose residuals certify it.
 """
 
 from __future__ import annotations
@@ -134,9 +135,10 @@ class SvdFactorization:
 
     u is m-by-m unitary, v is n-by-n unitary, sigma has length min(m, n);
     the factorization of an ``(N, m, n)`` stack gives each a leading axis,
-    and ``f[i]`` is the factorization of slice i.  Construction re-checks
-    unitarity and ordering, slice by slice, so downstream rank, norm and
-    subspace logic can rely on them; indexing does not check again.
+    and ``f[i]`` is the factorization of slice i.  Construction checks
+    ordering and unitarity, slice by slice; ``svd`` also checks the
+    reconstruction, while ``_factor`` (behind ``pinv``, whose Penrose
+    residuals certify it) and indexing check only the ordering.
     """
 
     u: np.ndarray
@@ -153,23 +155,14 @@ class SvdFactorization:
         if self.sigma.shape != (*lead, k):
             raise ValueError(f"sigma must have length min(m, n) = {k}")
         for u, s, v in zip(self.u, self.sigma, self.v) if lead else [(self.u, self.sigma, self.v)]:
-            # NaN passes both tests, as it passes ``np.diff(s) > 0``
-            if (s < 0).any() or (s[1:] > s[:-1]).any():
-                raise ValueError("sigma must be non-negative and non-increasing")
-            for w, name in ((u, "u"), (v, "v")):
-                g = adjoint(w) @ w
-                g.ravel()[:: len(g) + 1] -= 1  # g - I; g is fresh and C-ordered, ravel is a view
-                if frobenius_norm(g) > 1e-12 * len(g):
-                    raise ValueError(f"{name} is not unitary to working precision")
+            _check_order(s)
+            _check_unitary(u, v)
 
     def __getitem__(self, i) -> "SvdFactorization":
         """The factorization of slice ``i`` of a stack, checked with the stack."""
         if self.u.ndim != 3:
             raise TypeError("only the factorization of a stack has slices")
-        f = object.__new__(SvdFactorization)
-        for name in ("u", "sigma", "v"):
-            object.__setattr__(f, name, getattr(self, name)[i])
-        return f
+        return _unchecked(self.u[i], self.sigma[i], self.v[i])
 
     @property
     def rows(self) -> int:
@@ -184,10 +177,62 @@ class SvdFactorization:
         return _reconstruct(self.u, self.sigma, self.v)
 
 
+def _unchecked(u, sigma, v) -> SvdFactorization:
+    """An ``SvdFactorization`` of factors whose checks are done or not owed."""
+    f = object.__new__(SvdFactorization)
+    f.__dict__.update(u=u, sigma=sigma, v=v)
+    return f
+
+
+def _check_order(sigma):
+    # NaN passes both tests, as it passes ``np.diff(s) > 0``
+    if (sigma < 0).any() or (sigma[..., 1:] > sigma[..., :-1]).any():
+        raise ValueError("sigma must be non-negative and non-increasing")
+
+
+def _check_unitary(u, v):
+    for w, name in ((u, "u"), (v, "v")):
+        g = adjoint(w) @ w
+        g.ravel()[:: len(g) + 1] -= 1  # g - I; g is fresh and C-ordered, ravel is a view
+        if frobenius_norm(g) > 1e-12 * len(g):
+            raise ValueError(f"{name} is not unitary to working precision")
+
+
 def _reconstruct(u, sigma, v) -> np.ndarray:
     """``u diag(sigma) v*`` from the leading columns, of each slice of a stack."""
     k = sigma.shape[-1]
     return (u[..., :k] * sigma[..., None, :]) @ adjoint(v[..., :k])
+
+
+def _factor(a) -> SvdFactorization:
+    """The full SVD of a validated matrix or stack in one LAPACK call, with
+    sigma's ordering checked but not ``_verify``'s unitarity and reconstruction."""
+    try:
+        u, s, vh = np.linalg.svd(a, full_matrices=True)
+    except np.linalg.LinAlgError as exc:
+        raise SvdConvergenceError(
+            f"SVD did not converge for a {a.shape[-2]}x{a.shape[-1]} matrix: {exc}"
+        ) from exc
+    _check_order(s)
+    return _unchecked(u, s, adjoint(vh))
+
+
+def _verify(a, f: SvdFactorization) -> SvdFactorization:
+    """``f`` once each slice's factors are unitary and reproduce ``a``."""
+    # Slice by slice, so that no stack of temporaries is alive at once.
+    for ai, ui, si, vi in zip(a, f.u, f.sigma, f.v) if a.ndim == 3 else [(a, f.u, f.sigma, f.v)]:
+        _check_unitary(ui, vi)
+        recon_err = frobenius_norm(_reconstruct(ui, si, vi) - ai)
+        if recon_err > 1e-12 * residual_scale(frobenius_norm(ai)):
+            raise SvdConvergenceError(
+                f"SVD reconstruction residual {recon_err:.3e} exceeds tolerance"
+            )
+    return f
+
+
+def _svd(a) -> SvdFactorization:
+    """``svd`` of a validated matrix or stack."""
+    return _verify(a, _factor(a))
 
 
 @slicewise_errors
@@ -202,23 +247,7 @@ def svd(m) -> SvdFactorization:
     a factor fails its check; a failing stack raises the error of its
     first failing slice.
     """
-    a = as_matrix(m, stack=True)
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise SvdConvergenceError(
-            f"SVD did not converge for a {a.shape[-2]}x{a.shape[-1]} matrix: {exc}"
-        ) from exc
-    v = adjoint(vh)
-    f = SvdFactorization(u=u, sigma=s, v=v)
-    # Slice by slice, so that no stack of temporaries is alive at once.
-    for ai, ui, si, vi in zip(a, u, s, v) if a.ndim == 3 else [(a, u, s, v)]:
-        recon_err = frobenius_norm(_reconstruct(ui, si, vi) - ai)
-        if recon_err > 1e-12 * residual_scale(frobenius_norm(ai)):
-            raise SvdConvergenceError(
-                f"SVD reconstruction residual {recon_err:.3e} exceeds tolerance"
-            )
-    return f
+    return _svd(as_matrix(m, stack=True))
 
 
 def rank_threshold(f: SvdFactorization, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -234,7 +263,7 @@ def numerical_rank(f: SvdFactorization, tol: Tolerance = DEFAULT_TOL) -> int:
 
 def operator_norm(m) -> float:
     """Largest singular value; 0 for the zero matrix."""
-    return float(svd(as_matrix(m)).sigma[0])
+    return float(_svd(as_matrix(m)).sigma[0])
 
 
 def residual_scale(*norms) -> float:

@@ -32,7 +32,7 @@ from .core import (
     operator_norm,
     ratio,
     residual,
-    svd,
+    _svd,
 )
 from .pinv import pinv
 
@@ -89,7 +89,7 @@ def conorm(a, tol: Tolerance = DEFAULT_TOL) -> float:
     Undefined for the zero matrix: the infimum defining it runs over an
     empty set, so that case raises instead of returning 0 or inf.
     """
-    f = svd(as_matrix(a, "a"))
+    f = _svd(as_matrix(a, "a"))
     r = numerical_rank(f, tol)
     if r == 0:
         raise ValueError(CONORM_UNDEFINED)

@@ -33,7 +33,7 @@ from .core import (
     residual,
     residual_scale,
     slicewise_errors,
-    svd,
+    _factor,
 )
 from .matrix_io import matrix_to_dict
 
@@ -96,7 +96,9 @@ class PenroseResiduals:
 
 @dataclass(frozen=True)
 class PinvResult:
-    """``factorization`` is the SVD of ``a``, kept so callers need not redo it."""
+    """``pinv``, certified by its Penrose ``residuals``, and the SVD of ``a`` it was
+    built from, kept so callers need not redo it: sigma is ordered, but u and v are
+    not checked as ``svd`` checks them, so a caller reading them as bases checks them."""
 
     pinv: np.ndarray
     rank: int
@@ -152,14 +154,15 @@ def pinv(a, tol: Tolerance = DEFAULT_TOL):
     Singular values above the rank cutoff are reciprocated, the rest
     are zeroed; the zero matrix maps to the zero matrix of transposed
     shape.  Construction fails if any Penrose residual of the result
-    exceeds ``tol.eq_tol``.
+    exceeds ``tol.eq_tol``.  As ``a^+`` is the only solution of the four
+    equations, that is its one certificate: the SVD is not checked again.
 
     An ``(N, m, n)`` stack is factored in one SVD call and gives a list of
     N results, each bit for bit the ``PinvResult`` of its slice alone; the
     first slice that fails raises the error it raises alone.
     """
     am = as_matrix(a, "a", stack=True)
-    f = svd(am)
+    f = _factor(am)
     if am.ndim == 3:
         return [_certified(am[i], f[i], tol) for i in range(len(am))]
     return _certified(am, f, tol)
@@ -192,7 +195,8 @@ def _certified(am, f: SvdFactorization, tol: Tolerance) -> PinvResult:
 
 def pinv_matrix(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Shorthand for ``pinv(a, tol).pinv``, for one matrix."""
-    return pinv(as_matrix(a, "a"), tol).pinv
+    am = as_matrix(a, "a")
+    return _certified(am, _factor(am), tol).pinv
 
 
 class FormulationId(str, Enum):
