@@ -13,16 +13,11 @@ import sys
 
 import numpy as np
 
-from .core import DEFAULT_TOL, SvdConvergenceError, Tolerance
+from .core import DEFAULT_TOL, SvdConvergenceError, Tolerance, _verify
 from .harness import FuzzConfig, FuzzSuite, fuzz, generate_regular
-from .isometry import (CONORM_UNDEFINED, SPECIAL_KINDS, classify, generate_special,
-                       normal_mph_check)
+from .isometry import CONORM_UNDEFINED, SPECIAL_KINDS, _Analysis, classify, generate_special
 from .matrix_io import dumps, load_matrix, matrix_to_dict, save_matrix
-from .mp_hermitian import (
-    generate_mp_hermitian,
-    mph_decompose,
-    mph_subspace_check,
-)
+from .mp_hermitian import _subspace_report, generate_mp_hermitian, mph_decompose
 from .pinv import PenroseResidualError, pinv
 from .reverse_order import full_report
 
@@ -74,11 +69,14 @@ def _cmd_rol(args):
 
 def _cmd_classify(args):
     tol = _tolerance(args)
-    a = load_matrix(args.infile)
-    out = classify(a, tol).as_dict()
-    if a.shape[0] == a.shape[1]:
-        out["subspace_check"] = mph_subspace_check(a, tol).as_dict()
-        out["normal_mph_check"] = normal_mph_check(a, tol).as_dict()
+    analysis = _Analysis(load_matrix(args.infile), tol)
+    out = analysis.classification().as_dict()
+    m = analysis.m
+    if m.shape[0] == m.shape[1]:
+        # The factors pinv(m) was built from are those svd(m) checks, bit for bit.
+        f = _verify(m, analysis.result.factorization)
+        out["subspace_check"] = _subspace_report(m, f, tol).as_dict()
+        out["normal_mph_check"] = analysis.normal_mph().as_dict()
     else:
         out["subspace_check"] = None
         out["normal_mph_check"] = None

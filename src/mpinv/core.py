@@ -8,6 +8,7 @@ behind every verdict: a Frobenius residual divided by
 ``residual_scale`` of the norms it is measured against.  Each answer
 has one certificate: ``svd`` checks the factors it answers with, while
 ``pinv`` factors through ``_factor`` and its Penrose residuals certify it.
+``SvdFactorization`` checks nothing when built; ``_factor`` and ``_verify`` do.
 """
 
 from __future__ import annotations
@@ -136,33 +137,20 @@ class SvdFactorization:
     u is m-by-m unitary, v is n-by-n unitary, sigma has length min(m, n);
     the factorization of an ``(N, m, n)`` stack gives each a leading axis,
     and ``f[i]`` is the factorization of slice i.  Construction checks
-    ordering and unitarity, slice by slice; ``svd`` also checks the
-    reconstruction, while ``_factor`` (behind ``pinv``, whose Penrose
-    residuals certify it) and indexing check only the ordering.
+    nothing: ``svd`` returns checked factors (ordering, unitarity and
+    reconstruction), while ``_factor`` (behind ``pinv``, whose Penrose
+    residuals certify it) checks only the ordering.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
 
-    def __post_init__(self):
-        lead = self.u.shape[:-2]  # (N,) for a stack
-        m = self.u.shape[-1]
-        n = self.v.shape[-1]
-        k = min(m, n)
-        if self.u.shape != (*lead, m, m) or self.v.shape != (*lead, n, n):
-            raise ValueError("u and v must be square")
-        if self.sigma.shape != (*lead, k):
-            raise ValueError(f"sigma must have length min(m, n) = {k}")
-        for u, s, v in zip(self.u, self.sigma, self.v) if lead else [(self.u, self.sigma, self.v)]:
-            _check_order(s)
-            _check_unitary(u, v)
-
     def __getitem__(self, i) -> "SvdFactorization":
         """The factorization of slice ``i`` of a stack, checked with the stack."""
         if self.u.ndim != 3:
             raise TypeError("only the factorization of a stack has slices")
-        return _unchecked(self.u[i], self.sigma[i], self.v[i])
+        return SvdFactorization(self.u[i], self.sigma[i], self.v[i])
 
     @property
     def rows(self) -> int:
@@ -175,13 +163,6 @@ class SvdFactorization:
     def reconstruct(self) -> np.ndarray:
         """Multiply the factors back together."""
         return _reconstruct(self.u, self.sigma, self.v)
-
-
-def _unchecked(u, sigma, v) -> SvdFactorization:
-    """An ``SvdFactorization`` of factors whose checks are done or not owed."""
-    f = object.__new__(SvdFactorization)
-    f.__dict__.update(u=u, sigma=sigma, v=v)
-    return f
 
 
 def _check_order(sigma):
@@ -214,7 +195,7 @@ def _factor(a) -> SvdFactorization:
             f"SVD did not converge for a {a.shape[-2]}x{a.shape[-1]} matrix: {exc}"
         ) from exc
     _check_order(s)
-    return _unchecked(u, s, adjoint(vh))
+    return SvdFactorization(u, s, adjoint(vh))
 
 
 def _verify(a, f: SvdFactorization) -> SvdFactorization:
@@ -251,7 +232,9 @@ def svd(m) -> SvdFactorization:
 
 
 def rank_threshold(f: SvdFactorization, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Cutoff below which singular values count as zero."""
+    """Cutoff below which singular values count as zero, for one matrix."""
+    if f.sigma.ndim != 1:
+        raise ValueError("a stack's factorization f has one rank per slice; index it as f[i]")
     sigma_max = float(f.sigma[0]) if len(f.sigma) else 0.0
     return sigma_max * max(f.rows, f.cols) * EPS * tol.rank_tol_factor
 

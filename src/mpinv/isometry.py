@@ -12,6 +12,7 @@ partial isometry.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -174,22 +175,7 @@ def normal_mph_check(a, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
     pseudoinverse is computed once, and only for normal or hermitian
     input.
     """
-    m = as_square(a)
-    report = ConditionReport(tolerance_used=tol)
-
-    norm_res = normality_residual(m)
-    herm_res = hermitian_residual(m)
-    normal = norm_res <= tol.eq_tol
-    hermitian = herm_res <= tol.eq_tol
-    x = pinv(m, tol).pinv if normal or hermitian else None
-
-    lhs = normal and approx_eq(x, m, tol)
-    report.add("normal_mp_hermitian", norm_res, verdict=lhs)
-    rhs = hermitian and approx_eq(x, adjoint(m), tol)
-    report.add("hermitian_partial_isometry", herm_res, verdict=rhs)
-
-    report.add("consistent", 0.0 if lhs == rhs else 1.0, verdict=lhs == rhs)
-    return report
+    return _Analysis(as_square(a), tol).normal_mph()
 
 
 def classify(a, tol: Tolerance = DEFAULT_TOL) -> ClassificationReport:
@@ -200,23 +186,52 @@ def classify(a, tol: Tolerance = DEFAULT_TOL) -> ClassificationReport:
     reciprocal identity between them is a genuine cross-check rather
     than one number echoed twice.
     """
-    m = as_matrix(a, "a")
-    result = pinv(m, tol)
-    f, rank, x = result.factorization, result.rank, result.pinv
-    op = float(f.sigma[0])
-    pinv_norm = operator_norm(x)
-    square = m.shape[0] == m.shape[1]
-    return ClassificationReport(
-        regular=True,
-        hermitian=bool(square and hermitian_residual(m) <= tol.eq_tol),
-        normal=bool(square and normality_residual(m) <= tol.eq_tol),
-        partial_isometry=approx_eq(x, adjoint(m), tol),
-        mp_hermitian=bool(square and approx_eq(x, m, tol)),
-        op_norm=op,
-        pinv_norm=pinv_norm,
-        conorm=float(f.sigma[rank - 1]) if rank > 0 else None,
-        rank=rank,
-    )
+    return _Analysis(as_matrix(a, "a"), tol).classification()
+
+
+@dataclass
+class _Analysis:
+    """What ``classify`` and ``normal_mph_check`` share on a validated ``m``: its
+    ``pinv`` result and its hermitian and normality residuals, each computed once."""
+
+    m: np.ndarray
+    tol: Tolerance
+    result = functools.cached_property(lambda self: pinv(self.m, self.tol))
+    hermitian = functools.cached_property(lambda self: hermitian_residual(self.m))
+    normality = functools.cached_property(lambda self: normality_residual(self.m))
+
+    def normal_mph(self) -> ConditionReport:
+        report = ConditionReport(tolerance_used=self.tol)
+
+        norm_res = self.normality
+        herm_res = self.hermitian
+        normal = norm_res <= self.tol.eq_tol
+        hermitian = herm_res <= self.tol.eq_tol
+        x = self.result.pinv if normal or hermitian else None
+
+        lhs = normal and approx_eq(x, self.m, self.tol)
+        report.add("normal_mp_hermitian", norm_res, verdict=lhs)
+        rhs = hermitian and approx_eq(x, adjoint(self.m), self.tol)
+        report.add("hermitian_partial_isometry", herm_res, verdict=rhs)
+
+        report.add("consistent", 0.0 if lhs == rhs else 1.0, verdict=lhs == rhs)
+        return report
+
+    def classification(self) -> ClassificationReport:
+        f, rank, x = self.result.factorization, self.result.rank, self.result.pinv
+        pinv_norm = operator_norm(x)
+        square = self.m.shape[0] == self.m.shape[1]
+        return ClassificationReport(
+            regular=True,
+            hermitian=bool(square and self.hermitian <= self.tol.eq_tol),
+            normal=bool(square and self.normality <= self.tol.eq_tol),
+            partial_isometry=approx_eq(x, adjoint(self.m), self.tol),
+            mp_hermitian=bool(square and approx_eq(x, self.m, self.tol)),
+            op_norm=float(f.sigma[0]),
+            pinv_norm=pinv_norm,
+            conorm=float(f.sigma[rank - 1]) if rank > 0 else None,
+            rank=rank,
+        )
 
 
 def random_partial_isometry(n: int, rank: int, seed) -> np.ndarray:

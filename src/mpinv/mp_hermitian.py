@@ -170,7 +170,11 @@ def mph_subspace_check(a, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
     The conjunction of all four is equivalent to ``is_mp_hermitian``.
     """
     m = as_square(a)
-    f = svd(m)
+    return _subspace_report(m, svd(m), tol)
+
+
+def _subspace_report(m, f, tol: Tolerance) -> ConditionReport:
+    """``mph_subspace_check`` of a square ``m`` from its SVD ``f``, checked as ``svd`` checks."""
     bases = _split_bases(f, numerical_rank(f, tol))
     report = ConditionReport(tolerance_used=tol)
 

@@ -97,8 +97,8 @@ class PenroseResiduals:
 @dataclass(frozen=True)
 class PinvResult:
     """``pinv``, certified by its Penrose ``residuals``, and the SVD of ``a`` it was
-    built from, kept so callers need not redo it: sigma is ordered, but u and v are
-    not checked as ``svd`` checks them, so a caller reading them as bases checks them."""
+    built from, kept so callers need not redo it.  Construction checks nothing; sigma
+    is ordered, but a caller reading u and v as bases checks them as ``svd`` does."""
 
     pinv: np.ndarray
     rank: int

@@ -28,8 +28,10 @@ from mpinv import (
     operator_norm,
     pinv,
     pinv_matrix,
+    save_matrix,
     svd,
 )
+from mpinv import cli
 
 RNG = np.random.default_rng(307)
 # Well separated singular values, so that a corrupted sigma stays ordered.
@@ -107,7 +109,8 @@ def verified(monkeypatch):
         seen.extend(a if a.ndim == 3 else [a])
         return real_verify(a, f)
 
-    monkeypatch.setattr(core, "_verify", recording_verify)
+    for module in (core, cli):  # the modules that call it
+        monkeypatch.setattr(module, "_verify", recording_verify)
 
     def count(a=None):
         if a is None:
@@ -152,3 +155,13 @@ class TestOneCertificatePerAnswer:
     def test_factor_answers_check_the_factors_once(self, verified, call, a):
         call(a)
         assert verified(a) == 1 and verified() == 1
+
+    def test_cli_classify_checks_the_input_and_the_pseudoinverse_once(self, verified,
+                                                                      tmp_path, capsys):
+        # The subspace check reads the factors of pinv(a) as bases, so they are
+        # checked once; operator_norm(a^+) checks the factors of a^+.
+        path = tmp_path / "a.json"
+        save_matrix(MPH, path)
+        assert cli.main(["classify", "--in", str(path)]) == 0
+        capsys.readouterr()
+        assert verified(MPH) == 1 and verified(pinv(MPH).pinv) == 1 and verified() == 2

@@ -31,7 +31,8 @@ from mpinv import (
     operator_norm,
     svd,
 )
-from mpinv.core import distance, ratio, residual, residual_scale
+from mpinv.core import (SvdConvergenceError, _check_order, _check_unitary, _verify,
+                        distance, ratio, residual, residual_scale)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mpinv"
 
@@ -160,31 +161,24 @@ class TestSvd:
 
     def test_factorization_validation(self):
         with pytest.raises(ValueError, match="unitary"):
-            SvdFactorization(
-                u=np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex),
-                sigma=np.array([1.0, 0.5]),
-                v=np.eye(2, dtype=complex),
-            )
+            _check_unitary(np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex),
+                           np.eye(2, dtype=complex))
         with pytest.raises(ValueError, match="non-increasing"):
-            SvdFactorization(
-                u=np.eye(2, dtype=complex),
-                sigma=np.array([0.5, 1.0]),
-                v=np.eye(2, dtype=complex),
-            )
+            _check_order(np.array([0.5, 1.0]))
 
+    # Explicit ids, so that each case keeps the name test records know it by.
     @pytest.mark.parametrize("u, sigma, v, match", [
-        (np.ones((2, 3)), [1.0, 0.5], np.eye(3), "square"),
-        (np.eye(2), [1.0, 0.5], np.ones((3, 2)), "square"),
-        (np.eye(2), [1.0], np.eye(3), "length"),
-        (np.eye(2), [1.0, 0.5, 0.25], np.eye(3), "length"),
-        (np.eye(2), [1.0, -0.5], np.eye(2), "non-negative"),
-        (np.eye(2), [1.0, 0.5], np.array([[1.0, 1e-6], [0.0, 1.0]]), "v is not unitary"),
+        pytest.param(np.eye(2), [1.0, -0.5], np.eye(2), "non-negative",
+                     id="u4-sigma4-v4-non-negative"),
+        pytest.param(np.eye(2), [1.0, 0.5], np.array([[1.0, 1e-6], [0.0, 1.0]]),
+                     "v is not unitary", id="u5-sigma5-v5-v is not unitary"),
     ])
     def test_each_validation_branch_fires(self, u, sigma, v, match):
-        # With test_factorization_validation, every ValueError branch of the constructor.
+        # With test_factorization_validation, every ValueError branch of the
+        # factor checks, run in the order _factor and _verify run them.
         with pytest.raises(ValueError, match=match):
-            SvdFactorization(u=np.asarray(u, dtype=complex), sigma=np.array(sigma),
-                             v=np.asarray(v, dtype=complex))
+            _check_order(np.array(sigma))
+            _check_unitary(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
 
     def test_sigma_predicates_match_diff_reference(self):
         # The ordering test reads sigma[1:] > sigma[:-1] in place of
@@ -197,8 +191,7 @@ class TestSvd:
             with np.errstate(invalid="ignore"):  # inf - inf in the reference
                 expect = bool(np.any(sigma < 0) or np.any(np.diff(sigma) > 0))
             try:
-                SvdFactorization(u=np.eye(3, dtype=complex), sigma=sigma,
-                                 v=np.eye(3, dtype=complex))
+                _check_order(sigma)
                 raised = False
             except ValueError:
                 raised = True
@@ -214,7 +207,7 @@ class TestSvd:
             u = u + 10.0 ** rng.uniform(-14, -10) * rng.standard_normal((m, m))
             expect = frobenius_norm(adjoint(u) @ u - np.eye(m)) > 1e-12 * m
             try:
-                SvdFactorization(u=u, sigma=np.ones(m), v=np.eye(m, dtype=complex))
+                _check_unitary(u, np.eye(m, dtype=complex))
                 raised = False
             except ValueError:
                 raised = True
@@ -237,17 +230,21 @@ class TestStackedSvd:
                 assert f[i].reconstruct().tobytes() == alone.reconstruct().tobytes()
 
     def test_construction_checks_every_slice_in_order(self):
+        # svd's checks: the ordering of the whole stack, then each slice's
+        # unitarity and reconstruction in turn.
         eye = np.stack([np.eye(2, dtype=complex)] * 3)
         sigma = np.array([[1.0, 0.5], [1.0, 0.5], [0.5, 1.0]])
+        a = SvdFactorization(eye, sigma, eye).reconstruct()
         v = eye.copy()
         v[1, 0, 1] = 1e-6
-        # Slice 1 fails unitarity before slice 2 fails the ordering.
+        a[2, 0, 0] += 1.0
+        # Slice 1 fails unitarity before slice 2 fails the reconstruction.
         with pytest.raises(ValueError, match="v is not unitary"):
-            SvdFactorization(u=eye, sigma=sigma, v=v)
+            _verify(a, SvdFactorization(eye, sigma, v))
+        with pytest.raises(SvdConvergenceError, match="reconstruction"):
+            _verify(a, SvdFactorization(eye, sigma, eye))
         with pytest.raises(ValueError, match="non-increasing"):
-            SvdFactorization(u=eye, sigma=sigma, v=eye)
-        with pytest.raises(ValueError, match="length"):
-            SvdFactorization(u=eye, sigma=sigma[:2], v=eye)
+            _check_order(sigma)
 
     def test_slicing_a_checked_stack_does_not_check_again(self, monkeypatch):
         from mpinv import core
@@ -257,10 +254,23 @@ class TestStackedSvd:
         monkeypatch.setattr(core, "adjoint", lambda w: checks.append(w) or adjoint(w))
         part = f[1]
         assert checks == [] and np.array_equal(part.sigma, [2.0, 1.0])
-        SvdFactorization(u=part.u, sigma=part.sigma, v=part.v)
-        assert len(checks) == 2  # built directly, u and v are checked
         with pytest.raises(TypeError, match="stack"):
             part[0]
+
+    def test_one_checking_path(self):
+        # A factorization is built by its constructor alone, and the unitarity
+        # check runs only inside _verify, the check behind svd.
+        callers = set()
+        for path in SRC.glob("*.py"):
+            source = path.read_text()
+            assert "object.__new__" not in source, path.name
+            for fn in ast.walk(ast.parse(source)):
+                if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call) and ast.unparse(node.func) == "_check_unitary"
+                    for node in ast.walk(fn)
+                ):
+                    callers.add((path.name, fn.name))
+        assert callers == {("core.py", "_verify")}, callers
 
 
 class TestFrobeniusNorm:
@@ -304,6 +314,14 @@ class TestFrobeniusNorm:
 class TestNumericalRank:
     def test_exact_zero_tail(self):
         assert numerical_rank(svd(np.diag([3.0, 2.0, 0.0]))) == 2
+
+    @pytest.mark.parametrize("shape", [(3, 1, 1), (2, 3, 3)])
+    def test_stack_factorization_is_refused_in_one_line(self, shape):
+        f = svd(np.ones(shape))
+        with pytest.raises(ValueError, match=r"^a stack's factorization f has one rank per "
+                                             r"slice; index it as f\[i\]$"):
+            numerical_rank(f)
+        assert [numerical_rank(f[i]) for i in range(shape[0])] == [1] * shape[0]
 
     def test_zero_matrix(self):
         assert numerical_rank(svd(np.zeros((2, 2)))) == 0

@@ -4,9 +4,12 @@
 argument is bit-for-bit the input matrix; each slice of a stacked call
 counts as one factorization.  SVDs of derived matrices (the
 pseudoinverse behind ``classify``'s ``pinv_norm`` cross-check, the
-stacked bases of ``mph_subspace_check``) are not counted.  For
-``full_report`` every factorization is counted.
+stacked bases of ``mph_subspace_check``) are not counted, except where
+a test counts every factorization: ``full_report``, ``evaluate_condition``
+and ``mpinv classify``.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,11 +25,13 @@ from mpinv import (
     norm_conorm_check,
     save_matrix,
 )
+from mpinv import isometry
 from mpinv.cli import main
 from mpinv.isometry import CONORM_UNDEFINED
 
 REGULAR = generate_regular(5, 5, 3, seed=2)
 MPH = generate_mp_hermitian(5, 3, 2)
+HERMITIAN = np.diag([1.0, -1.0, 0.0, 2.0]).astype(complex)
 
 
 @pytest.fixture
@@ -69,13 +74,41 @@ def test_full_report_runs_three_svds(svd_calls_on):
     assert svd_calls_on() == 3
 
 
-@pytest.mark.parametrize("command, a", [("conorm", REGULAR), ("decompose", MPH)])
+@pytest.mark.parametrize("command, a", [
+    ("conorm", REGULAR),
+    ("decompose", MPH),
+    ("classify", REGULAR),
+    ("classify", HERMITIAN),  # hermitian, so normal_mph_check reads a^+ too
+])
 def test_cli_command_factors_input_once(svd_calls_on, tmp_path, capsys, command, a):
     path = tmp_path / "a.json"
     save_matrix(a, path)
     assert main([command, "--in", str(path)]) == 0
     capsys.readouterr()
     assert svd_calls_on(a) == 1
+
+
+@pytest.fixture
+def residual_calls(monkeypatch):
+    """The number of calls of each structure residual since the fixture started."""
+    calls = Counter()
+    for name in ("hermitian_residual", "normality_residual"):
+        real = getattr(isometry, name)
+        monkeypatch.setattr(isometry, name,
+                            lambda a, name=name, real=real: calls.update([name]) or real(a))
+    return calls
+
+
+@pytest.mark.parametrize("a", [REGULAR, MPH, HERMITIAN], ids=["regular", "mph", "hermitian"])
+def test_cli_classify_runs_three_svds_and_each_residual_once(svd_calls_on, residual_calls,
+                                                             tmp_path, capsys, a):
+    # pinv(a), operator_norm(a^+) and the sigma of [col | null] for direct_sum.
+    path = tmp_path / "a.json"
+    save_matrix(a, path)
+    assert main(["classify", "--in", str(path)]) == 0
+    capsys.readouterr()
+    assert svd_calls_on() == 3
+    assert residual_calls == {"hermitian_residual": 1, "normality_residual": 1}
 
 
 @pytest.mark.parametrize("condition, factorizations", [
