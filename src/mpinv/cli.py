@@ -13,9 +13,9 @@ import sys
 
 import numpy as np
 
-from .core import DEFAULT_TOL, SvdConvergenceError, Tolerance, _verify
+from .core import DEFAULT_TOL, SvdConvergenceError, Tolerance
 from .harness import FuzzConfig, FuzzSuite, fuzz, generate_regular
-from .isometry import CONORM_UNDEFINED, SPECIAL_KINDS, _Analysis, classify, generate_special
+from .isometry import CONORM_UNDEFINED, SPECIAL_KINDS, _Analysis, generate_special
 from .matrix_io import dumps, load_matrix, matrix_to_dict, save_matrix
 from .mp_hermitian import _subspace_report, generate_mp_hermitian, mph_decompose
 from .pinv import PenroseResidualError, pinv
@@ -71,15 +71,9 @@ def _cmd_classify(args):
     tol = _tolerance(args)
     analysis = _Analysis(load_matrix(args.infile), tol)
     out = analysis.classification().as_dict()
-    m = analysis.m
-    if m.shape[0] == m.shape[1]:
-        # The factors pinv(m) was built from are those svd(m) checks, bit for bit.
-        f = _verify(m, analysis.result.factorization)
-        out["subspace_check"] = _subspace_report(m, f, tol).as_dict()
-        out["normal_mph_check"] = analysis.normal_mph().as_dict()
-    else:
-        out["subspace_check"] = None
-        out["normal_mph_check"] = None
+    square = analysis.m.shape[0] == analysis.m.shape[1]
+    out["subspace_check"] = _subspace_report(analysis).as_dict() if square else None
+    out["normal_mph_check"] = analysis.normal_mph().as_dict() if square else None
     _emit(out)
     return 0
 
@@ -92,12 +86,11 @@ def _cmd_decompose(args):
 
 def _cmd_conorm(args):
     tol = _tolerance(args)
-    a = load_matrix(args.infile)
-    report = classify(a, tol)
-    if report.conorm is None:
+    analysis = _Analysis(load_matrix(args.infile), tol)
+    if analysis.conorm is None:
         raise ValueError(CONORM_UNDEFINED)
-    _emit({"conorm": report.conorm, "op_norm": report.op_norm,
-           "pinv_norm": report.pinv_norm})
+    _emit({"conorm": analysis.conorm, "op_norm": analysis.op_norm,
+           "pinv_norm": analysis.pinv_norm})
     return 0
 
 

@@ -22,28 +22,27 @@ from .core import (
     Tolerance,
     adjoint,
     as_rng,
+    as_square,
     frobenius_norm,
     haar_unitary,
     residual,
 )
 from .isometry import (
+    _Analysis,
     gram_projection_residual,
     is_partial_isometry,
     matrix_with_singular_values,
-    norm_conorm_check,
-    normal_mph_check,
-    operator_norm,
     random_hermitian_partial_isometry,
     random_partial_isometry,
 )
 from .matrix_io import matrix_to_dict
 from .mp_hermitian import (
+    _decomposition,
+    _subspace_report,
     algebraic_mph_check,
     annihilator_spectrum_check,
     generate_mp_hermitian,
     is_mp_hermitian,
-    mph_decompose,
-    mph_subspace_check,
 )
 from .pinv import FormulationId, PenroseResidualError, formulation_residual, pinv
 from .reverse_order import (
@@ -379,8 +378,9 @@ def _trial_mph(rng, max_dim, tol, fail):
     n = int(rng.integers(1, max_dim + 1))
     k = int(rng.integers(0, n + 1))
     a = generate_mp_hermitian(n, k, rng)
+    analysis = _Analysis(as_square(a), tol)
 
-    if not is_mp_hermitian(a, tol):
+    if not analysis.mp_hermitian:
         fail("generated_mph_detected", {}, {"a": a})
         return
     if not algebraic_mph_check(a, tol):
@@ -394,10 +394,10 @@ def _trial_mph(rng, max_dim, tol, fail):
         power = power @ a
         if not is_mp_hermitian(power, tol):
             fail(f"mph_power_closure:{exponent}", {}, {"a": a})
-    sub = mph_subspace_check(a, tol)
+    sub = _subspace_report(analysis)
     if not sub.all_true():
         fail("mph_subspace_conjunction", sub.residuals, {"a": a})
-    dec = mph_decompose(a, tol)
+    dec = _decomposition(analysis)
     if dec.reconstruction_residual > tol.eq_tol:
         fail(
             "mph_decompose_roundtrip",
@@ -409,10 +409,11 @@ def _trial_mph(rng, max_dim, tol, fail):
     # must agree with each other.
     m = int(rng.integers(1, max_dim + 1))
     b = generate_regular(m, m, _mixed_rank(rng, m), sv_low=0.5, sv_high=2.0, seed=rng)
+    analysis = _Analysis(as_square(b), tol)
     flags = (
-        is_mp_hermitian(b, tol),
+        analysis.mp_hermitian,
         algebraic_mph_check(b, tol),
-        mph_subspace_check(b, tol).all_true(),
+        _subspace_report(analysis).all_true(),
     )
     if len(set(flags)) != 1:
         fail(
@@ -453,22 +454,19 @@ _ISOMETRY_SOURCES = (
 
 def _trial_isometry(rng, max_dim, tol, fail):
     a, (expected_sides,) = _draw(rng, max_dim, _ISOMETRY_SOURCES)
-    result = pinv(a, tol)
-    rank = result.rank
-    if rank > 0:
-        c = float(result.factorization.sigma[rank - 1])
-        pinv_norm = operator_norm(result.pinv)
-        if abs(c * pinv_norm - 1.0) > tol.eq_tol:
+    analysis = _Analysis(as_square(a), tol)
+    if analysis.rank > 0:
+        if abs(analysis.conorm * analysis.pinv_norm - 1.0) > tol.eq_tol:
             fail(
                 "conorm_pinv_norm_reciprocal",
-                {"conorm": c, "pinv_norm": pinv_norm},
+                {"conorm": analysis.conorm, "pinv_norm": analysis.pinv_norm},
                 {"a": a},
             )
-        prop = norm_conorm_check(a, tol)
+        prop = analysis.norm_conorm()
         if not prop.verdicts["consistent"]:
             fail("norm_conorm_consistency", prop.residuals, {"a": a})
 
-    theo = normal_mph_check(a, tol)
+    theo = analysis.normal_mph()
     if not theo.verdicts["consistent"]:
         fail("normal_mph_consistency", theo.residuals, {"a": a})
     if expected_sides is not None and theo.verdicts["normal_mp_hermitian"] != expected_sides:
@@ -478,7 +476,7 @@ def _trial_isometry(rng, max_dim, tol, fail):
             {"a": a},
         )
 
-    pi = is_partial_isometry(a, tol)
+    pi = analysis.partial_isometry
     if pi != is_partial_isometry(adjoint(a), tol):
         fail("partial_isometry_adjoint_agreement", {}, {"a": a})
     gram = {side: gram_projection_residual(a, side) for side in ("left", "right")}

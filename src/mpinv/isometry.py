@@ -33,9 +33,10 @@ from .core import (
     operator_norm,
     ratio,
     residual,
-    _svd,
+    _factor,
+    _verify,
 )
-from .pinv import pinv
+from .pinv import _certified
 
 __all__ = [
     "CONORM_UNDEFINED",
@@ -90,17 +91,16 @@ def conorm(a, tol: Tolerance = DEFAULT_TOL) -> float:
     Undefined for the zero matrix: the infimum defining it runs over an
     empty set, so that case raises instead of returning 0 or inf.
     """
-    f = _svd(as_matrix(a, "a"))
-    r = numerical_rank(f, tol)
-    if r == 0:
+    analysis = _Analysis(as_matrix(a, "a"), tol)
+    analysis.checked  # the answer is a singular value, so the factors are checked
+    if analysis.conorm is None:
         raise ValueError(CONORM_UNDEFINED)
-    return float(f.sigma[r - 1])
+    return analysis.conorm
 
 
 def is_partial_isometry(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the pseudoinverse of ``a`` equals its adjoint."""
-    m = as_matrix(a, "a")
-    return approx_eq(pinv(m, tol).pinv, adjoint(m), tol)
+    return _Analysis(as_matrix(a, "a"), tol).partial_isometry
 
 
 def gram_projection_residual(a, side: str = "left") -> float:
@@ -145,25 +145,7 @@ def norm_conorm_check(a, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
     ``unit_norm_and_conorm`` (the metric side), and ``consistent``
     (the two agree, which is the point being checked).
     """
-    m = as_matrix(a, "a")
-    result = pinv(m, tol)
-    f, r, x = result.factorization, result.rank, result.pinv
-    if r == 0:
-        raise ValueError("check undefined for the zero element")
-    report = ConditionReport(tolerance_used=tol)
-
-    lhs = approx_eq(x, adjoint(m), tol)
-    pi_res = residual(x - adjoint(m), frobenius_norm(m))
-    report.add("partial_isometry", pi_res, verdict=lhs)
-
-    c = float(f.sigma[r - 1])
-    nrm = float(f.sigma[0])
-    metric_res = max(abs(c - 1.0), abs(nrm - 1.0))
-    rhs = metric_res <= tol.eq_tol
-    report.add("unit_norm_and_conorm", metric_res, verdict=rhs)
-
-    report.add("consistent", 0.0 if lhs == rhs else 1.0, verdict=lhs == rhs)
-    return report
+    return _Analysis(as_matrix(a, "a"), tol).norm_conorm()
 
 
 def normal_mph_check(a, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
@@ -191,46 +173,72 @@ def classify(a, tol: Tolerance = DEFAULT_TOL) -> ClassificationReport:
 
 @dataclass
 class _Analysis:
-    """What ``classify`` and ``normal_mph_check`` share on a validated ``m``: its
-    ``pinv`` result and its hermitian and normality residuals, each computed once."""
+    """A validated ``m`` and all that this module and ``mp_hermitian`` read off it, each
+    computed on first read: its SVD, the ``pinv`` result built from it, those factors
+    checked as ``svd`` checks them, and the predicates and norms below.  ``checked``
+    and ``rank`` read the SVD, not the result, so they answer where ``pinv`` refuses."""
 
     m: np.ndarray
     tol: Tolerance
-    result = functools.cached_property(lambda self: pinv(self.m, self.tol))
+    factorization = functools.cached_property(lambda self: _factor(self.m))
+    result = functools.cached_property(
+        lambda self: _certified(self.m, self.factorization, self.tol))
+    checked = functools.cached_property(lambda self: _verify(self.m, self.factorization))
+    rank = functools.cached_property(lambda self: numerical_rank(self.factorization, self.tol))
     hermitian = functools.cached_property(lambda self: hermitian_residual(self.m))
     normality = functools.cached_property(lambda self: normality_residual(self.m))
+    partial_isometry = functools.cached_property(  # a^+ = a*
+        lambda self: approx_eq(self.result.pinv, adjoint(self.m), self.tol))
+    mp_hermitian = functools.cached_property(  # a^+ = a
+        lambda self: approx_eq(self.result.pinv, self.m, self.tol))
+    pinv_norm = functools.cached_property(lambda self: operator_norm(self.result.pinv))
+    op_norm = functools.cached_property(lambda self: float(self.factorization.sigma[0]))
+    # The smallest singular value above the rank cutoff; None for the zero matrix.
+    conorm = functools.cached_property(
+        lambda self: float(self.factorization.sigma[self.rank - 1]) if self.rank else None)
+
+    def norm_conorm(self) -> ConditionReport:
+        if self.rank == 0:
+            raise ValueError("check undefined for the zero element")
+        report = ConditionReport(tolerance_used=self.tol)
+
+        lhs = self.partial_isometry
+        pi_res = residual(self.result.pinv - adjoint(self.m), frobenius_norm(self.m))
+        report.add("partial_isometry", pi_res, verdict=lhs)
+
+        metric_res = max(abs(self.conorm - 1.0), abs(self.op_norm - 1.0))
+        rhs = metric_res <= self.tol.eq_tol
+        report.add("unit_norm_and_conorm", metric_res, verdict=rhs)
+
+        report.add("consistent", 0.0 if lhs == rhs else 1.0, verdict=lhs == rhs)
+        return report
 
     def normal_mph(self) -> ConditionReport:
         report = ConditionReport(tolerance_used=self.tol)
 
-        norm_res = self.normality
-        herm_res = self.hermitian
-        normal = norm_res <= self.tol.eq_tol
-        hermitian = herm_res <= self.tol.eq_tol
-        x = self.result.pinv if normal or hermitian else None
+        normal = self.normality <= self.tol.eq_tol
+        hermitian = self.hermitian <= self.tol.eq_tol
 
-        lhs = normal and approx_eq(x, self.m, self.tol)
-        report.add("normal_mp_hermitian", norm_res, verdict=lhs)
-        rhs = hermitian and approx_eq(x, adjoint(self.m), self.tol)
-        report.add("hermitian_partial_isometry", herm_res, verdict=rhs)
+        lhs = normal and self.mp_hermitian
+        report.add("normal_mp_hermitian", self.normality, verdict=lhs)
+        rhs = hermitian and self.partial_isometry
+        report.add("hermitian_partial_isometry", self.hermitian, verdict=rhs)
 
         report.add("consistent", 0.0 if lhs == rhs else 1.0, verdict=lhs == rhs)
         return report
 
     def classification(self) -> ClassificationReport:
-        f, rank, x = self.result.factorization, self.result.rank, self.result.pinv
-        pinv_norm = operator_norm(x)
         square = self.m.shape[0] == self.m.shape[1]
         return ClassificationReport(
-            regular=True,
+            pinv_norm=self.pinv_norm,  # first, so that a refusal by pinv comes first
             hermitian=bool(square and self.hermitian <= self.tol.eq_tol),
             normal=bool(square and self.normality <= self.tol.eq_tol),
-            partial_isometry=approx_eq(x, adjoint(self.m), self.tol),
-            mp_hermitian=bool(square and approx_eq(x, self.m, self.tol)),
-            op_norm=float(f.sigma[0]),
-            pinv_norm=pinv_norm,
-            conorm=float(f.sigma[rank - 1]) if rank > 0 else None,
-            rank=rank,
+            partial_isometry=self.partial_isometry,
+            mp_hermitian=bool(square and self.mp_hermitian),
+            regular=True,
+            op_norm=self.op_norm,
+            conorm=self.conorm,
+            rank=self.rank,
         )
 
 

@@ -22,18 +22,15 @@ from .core import (
     ConditionReport,
     Tolerance,
     adjoint,
-    approx_eq,
     as_rng,
     as_square,
     distance,
     frobenius_norm,
     haar_unitary,
-    numerical_rank,
     residual,
-    svd,
 )
+from .isometry import _Analysis
 from .matrix_io import matrix_to_dict
-from .pinv import pinv
 
 __all__ = [
     "SubspaceBasis",
@@ -121,8 +118,7 @@ class MphDecomposition:
 
 def is_mp_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the pseudoinverse of ``a`` equals ``a`` itself."""
-    m = as_square(a)
-    return approx_eq(pinv(m, tol).pinv, m, tol)
+    return _Analysis(as_square(a), tol).mp_hermitian
 
 
 def algebraic_mph_check(a, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -169,14 +165,14 @@ def mph_subspace_check(a, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
 
     The conjunction of all four is equivalent to ``is_mp_hermitian``.
     """
-    m = as_square(a)
-    return _subspace_report(m, svd(m), tol)
+    return _subspace_report(_Analysis(as_square(a), tol))
 
 
-def _subspace_report(m, f, tol: Tolerance) -> ConditionReport:
-    """``mph_subspace_check`` of a square ``m`` from its SVD ``f``, checked as ``svd`` checks."""
-    bases = _split_bases(f, numerical_rank(f, tol))
-    report = ConditionReport(tolerance_used=tol)
+def _subspace_report(analysis: _Analysis) -> ConditionReport:
+    """``mph_subspace_check`` of the square matrix of ``analysis``, from its checked SVD."""
+    m = analysis.m
+    bases = _split_bases(analysis.checked, analysis.rank)
+    report = ConditionReport(tolerance_used=analysis.tol)
 
     p_range = bases["range"] @ adjoint(bases["range"])
     p_corange = bases["corange"] @ adjoint(bases["corange"])
@@ -207,21 +203,24 @@ def mph_decompose(a, tol: Tolerance = DEFAULT_TOL) -> MphDecomposition:
     Raises NotMpHermitianError (carrying the pinv-vs-a residual) exactly
     when ``is_mp_hermitian`` is False for the same tolerance.
     """
-    m = as_square(a)
-    result = pinv(m, tol)
-    if not approx_eq(result.pinv, m, tol):
-        gap = distance(result.pinv, m)
+    return _decomposition(_Analysis(as_square(a), tol))
+
+
+def _decomposition(analysis: _Analysis) -> MphDecomposition:
+    """``mph_decompose`` of the square matrix of ``analysis``."""
+    m = analysis.m
+    if not analysis.mp_hermitian:
+        gap = distance(analysis.result.pinv, m)
         raise NotMpHermitianError(
             f"matrix is not Moore-Penrose hermitian: ||a^+ - a|| residual {gap:.3e}",
             gap,
         )
-    bases = _split_bases(result.factorization, result.rank)
+    bases = _split_bases(analysis.factorization, analysis.rank)
     h2_cols = bases["range"]
     h1_cols = bases["null"]
-    r = result.rank
     t2 = adjoint(h2_cols) @ m @ h2_cols
     orth = frobenius_norm(adjoint(h1_cols) @ h2_cols)
-    invol = frobenius_norm(t2 @ t2 - np.eye(r))
+    invol = frobenius_norm(t2 @ t2 - np.eye(analysis.rank))
     recon = residual(h2_cols @ t2 @ adjoint(h2_cols) - m, frobenius_norm(m))
     return MphDecomposition(
         h1=SubspaceBasis(h1_cols),

@@ -272,6 +272,21 @@ class TestStackedSvd:
                     callers.add((path.name, fn.name))
         assert callers == {("core.py", "_verify")}, callers
 
+    def test_one_analysis_per_matrix(self):
+        # Outside core and pinv, a matrix is factored, certified and checked
+        # only by the analysis that every isometry and MPH check reads.
+        callers = set()
+        for path in SRC.glob("*.py"):
+            if path.name in ("core.py", "pinv.py"):
+                continue
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                        "_factor", "_certified", "_verify"
+                    ):
+                        callers.add((path.name, getattr(top, "name", "<module>")))
+        assert callers == {("isometry.py", "_Analysis")}, callers
+
 
 class TestFrobeniusNorm:
     @staticmethod

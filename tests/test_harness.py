@@ -175,9 +175,9 @@ class TestFailureRecordDigest:
 
 class TestTrialInputDigest:
     # Recorded at commit 4653260. Every (a, b) that a `rol` trial hands to
-    # full_report and every a that an `isometry` trial hands to
-    # normal_mph_check, passing trials included. max_dim 1 and 2 reach
-    # the n < 2 fallbacks of both suites.
+    # full_report and every a that an `isometry` trial analyses, passing
+    # trials included. max_dim 1 and 2 reach the n < 2 fallbacks of both
+    # suites.
     DIGEST = "bfffab6cbe24a971beefbcd17020a2552f717765f2a357b411cca138b0d8fe32"
 
     def test_trial_inputs_are_bit_identical(self, monkeypatch):
@@ -194,7 +194,7 @@ class TestTrialInputDigest:
             return tap
 
         monkeypatch.setattr(harness, "full_report", tapped(harness.full_report))
-        monkeypatch.setattr(harness, "normal_mph_check", tapped(harness.normal_mph_check))
+        monkeypatch.setattr(harness, "_Analysis", tapped(harness._Analysis))
         for suite in ("rol", "isometry"):
             for max_dim in (1, 2, 8):
                 for trial_index in range(200):

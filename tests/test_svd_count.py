@@ -1,4 +1,4 @@
-"""Each public call factors its input matrix at most once.
+"""Each public call, CLI command and fuzz trial factors each input matrix once.
 
 ``numpy.linalg.svd`` is wrapped to count the factorizations whose
 argument is bit-for-bit the input matrix; each slice of a stacked call
@@ -6,7 +6,11 @@ counts as one factorization.  SVDs of derived matrices (the
 pseudoinverse behind ``classify``'s ``pinv_norm`` cross-check, the
 stacked bases of ``mph_subspace_check``) are not counted, except where
 a test counts every factorization: ``full_report``, ``evaluate_condition``
-and ``mpinv classify``.
+and ``mpinv classify``.  An ``isometry`` or ``mph`` fuzz trial factors
+each matrix it draws once, through one ``isometry._Analysis``; a draw
+bit-equal to its adjoint or to a power is skipped, as the trial checks
+those as matrices of their own.  ``mpinv classify`` computes each
+structure residual once, and ``mpinv conorm`` computes neither.
 """
 
 from collections import Counter
@@ -16,16 +20,22 @@ import pytest
 
 from mpinv import (
     ConditionId,
+    adjoint,
     classify,
+    conorm,
     evaluate_condition,
     full_report,
     generate_mp_hermitian,
     generate_regular,
+    is_mp_hermitian,
+    is_partial_isometry,
     mph_decompose,
+    mph_subspace_check,
     norm_conorm_check,
+    run_trial,
     save_matrix,
 )
-from mpinv import isometry
+from mpinv import harness, isometry
 from mpinv.cli import main
 from mpinv.isometry import CONORM_UNDEFINED
 
@@ -60,8 +70,11 @@ def svd_calls_on(monkeypatch):
 
 @pytest.mark.parametrize(
     "func, a",
-    [(classify, REGULAR), (norm_conorm_check, REGULAR), (mph_decompose, MPH)],
-    ids=["classify", "norm_conorm_check", "mph_decompose"],
+    [(classify, REGULAR), (norm_conorm_check, REGULAR), (mph_decompose, MPH),
+     (is_mp_hermitian, MPH), (mph_subspace_check, MPH), (is_partial_isometry, REGULAR),
+     (conorm, REGULAR)],
+    ids=["classify", "norm_conorm_check", "mph_decompose", "is_mp_hermitian",
+         "mph_subspace_check", "is_partial_isometry", "conorm"],
 )
 def test_library_call_factors_input_once(svd_calls_on, func, a):
     func(a)
@@ -109,6 +122,52 @@ def test_cli_classify_runs_three_svds_and_each_residual_once(svd_calls_on, resid
     capsys.readouterr()
     assert svd_calls_on() == 3
     assert residual_calls == {"hermitian_residual": 1, "normality_residual": 1}
+
+
+def test_cli_conorm_runs_neither_residual(residual_calls, tmp_path, capsys):
+    # It reports the conorm, sigma[0] and ||a^+|| only.
+    path = tmp_path / "a.json"
+    save_matrix(HERMITIAN, path)
+    assert main(["conorm", "--in", str(path)]) == 0
+    capsys.readouterr()
+    assert residual_calls == {}
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The matrices each fuzz trial draws, in draw order: the isometry input
+    and the mph suite's MPH ``a`` and regular ``b``."""
+    seen = []
+
+    def recording(real, pick):
+        def record(*args, **kwargs):
+            out = real(*args, **kwargs)
+            seen.append(pick(out))
+            return out
+        return record
+
+    monkeypatch.setattr(harness, "_draw", recording(harness._draw, lambda out: out[0]))
+    for name in ("generate_mp_hermitian", "generate_regular"):
+        monkeypatch.setattr(harness, name, recording(getattr(harness, name), lambda m: m))
+    return seen
+
+
+def _repeated_by_the_trial(m):
+    """True if ``m`` is bit-equal to its adjoint or to a power up to m^5 (the
+    zero matrix, say)."""
+    power, others = m, [adjoint(m)]
+    for _ in range(4):
+        power = power @ m
+        others.append(power)
+    return any(np.array_equal(m, other) for other in others)
+
+
+@pytest.mark.parametrize("suite", ["isometry", "mph"])
+def test_fuzz_trial_factors_each_drawn_matrix_once(svd_calls_on, drawn, suite):
+    for i in range(100):
+        assert run_trial(suite, 3, i, 8) == []
+    counts = [svd_calls_on(m) for m in drawn if not _repeated_by_the_trial(m)]
+    assert len(counts) >= 100 and set(counts) == {1}
 
 
 @pytest.mark.parametrize("condition, factorizations", [
