@@ -44,7 +44,7 @@ from .mp_hermitian import (
     generate_mp_hermitian,
     is_mp_hermitian,
 )
-from .pinv import FormulationId, PenroseResidualError, formulation_residual, pinv
+from .pinv import FormulationId, PenroseResidualError, _formulation_residuals, _operands, pinv
 from .reverse_order import (
     MBEKHTA_CONDITIONS,
     MP_ROL_CONDITIONS,
@@ -286,11 +286,10 @@ def _trial_formulations(rng, max_dim, tol, fail):
     # multiplicative perturbation of relative size 1e-3 breaks every
     # equation in each of them.
     x_bad = (1.0 + 1e-3) * x
-    for fid in FormulationId:
-        res = formulation_residual(a, x, fid)
+    for fid, res, res_bad in zip(FormulationId, _formulation_residuals(*_operands(a, x)),
+                                 _formulation_residuals(*_operands(a, x_bad))):
         if res > tol.eq_tol:
             fail(f"formulation_true:{fid.value}", {"residual": res}, {"a": a, "x": x})
-        res_bad = formulation_residual(a, x_bad, fid)
         if res_bad <= tol.eq_tol:
             fail(
                 f"formulation_perturbed:{fid.value}",

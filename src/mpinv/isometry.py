@@ -120,22 +120,13 @@ def gram_projection_residual(a, side: str = "left") -> float:
 def hermitian_residual(a) -> float:
     """Relative distance from ``a`` to its adjoint (square input); ``inf``
     if a norm overflows."""
-    m = as_square(a)
-    na = frobenius_norm(m)
-    if na == 0.0:
-        return 0.0
-    return ratio(frobenius_norm(m - adjoint(m)), na)
+    return _Analysis(as_square(a), DEFAULT_TOL).hermitian
 
 
 def normality_residual(a) -> float:
     """``||a a* - a* a||_F / ||a||_F^2``; scale-stable normality measure,
     ``inf`` if a norm overflows."""
-    m = as_square(a)
-    na = frobenius_norm(m)
-    if na == 0.0:
-        return 0.0
-    ah = adjoint(m)
-    return ratio(frobenius_norm(m @ ah - ah @ m), na * na)
+    return _Analysis(as_square(a), DEFAULT_TOL).normality
 
 
 def norm_conorm_check(a, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
@@ -185,10 +176,15 @@ class _Analysis:
         lambda self: _certified(self.m, self.factorization, self.tol))
     checked = functools.cached_property(lambda self: _verify(self.m, self.factorization))
     rank = functools.cached_property(lambda self: numerical_rank(self.factorization, self.tol))
-    hermitian = functools.cached_property(lambda self: hermitian_residual(self.m))
-    normality = functools.cached_property(lambda self: normality_residual(self.m))
+    mh = functools.cached_property(lambda self: adjoint(self.m))
+    norm = functools.cached_property(lambda self: frobenius_norm(self.m))
+    # The structure residuals; both are 0.0 for the zero matrix.
+    hermitian = functools.cached_property(lambda self: ratio(
+        frobenius_norm(self.m - self.mh), self.norm) if self.norm else 0.0)
+    normality = functools.cached_property(lambda self: ratio(frobenius_norm(
+        self.m @ self.mh - self.mh @ self.m), self.norm * self.norm) if self.norm else 0.0)
     partial_isometry = functools.cached_property(  # a^+ = a*
-        lambda self: approx_eq(self.result.pinv, adjoint(self.m), self.tol))
+        lambda self: approx_eq(self.result.pinv, self.mh, self.tol))
     mp_hermitian = functools.cached_property(  # a^+ = a
         lambda self: approx_eq(self.result.pinv, self.m, self.tol))
     pinv_norm = functools.cached_property(lambda self: operator_norm(self.result.pinv))
@@ -203,7 +199,7 @@ class _Analysis:
         report = ConditionReport(tolerance_used=self.tol)
 
         lhs = self.partial_isometry
-        pi_res = residual(self.result.pinv - adjoint(self.m), frobenius_norm(self.m))
+        pi_res = residual(self.result.pinv - self.mh, self.norm)
         report.add("partial_isometry", pi_res, verdict=lhs)
 
         metric_res = max(abs(self.conorm - 1.0), abs(self.op_norm - 1.0))

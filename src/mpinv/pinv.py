@@ -253,14 +253,19 @@ def formulation_residual(a, x, formulation: FormulationId) -> float:
     Scaled by ``residual_scale(||a||_F, ||x||_F)``, matching penrose_residuals.
     """
     am, xm = _operands(a, x)
-    ah = adjoint(am)
-    xh = adjoint(xm)
+    return _formulation_residuals(am, xm, (FormulationId(formulation),))[0]
+
+
+def _formulation_residuals(am, xm, formulations=tuple(FormulationId)) -> list:
+    """``formulation_residual`` of each of ``formulations`` (all twelve by default) for
+    validated matrices; ``a*``, ``x*``, the norms and each equation read are formed once."""
+    ah, xh = adjoint(am), adjoint(xm)
     na, nx = frobenius_norm(am), frobenius_norm(xm)
-    worst = 0.0
-    for index in _FORMULATION_EQUATIONS[FormulationId(formulation)]:
+    res = {}
+    for index in sorted({i for f in formulations for i in _FORMULATION_EQUATIONS[f]}):
         lhs, rhs = _EQUATIONS[index](am, xm, ah, xh)
-        worst = max(worst, residual(lhs - rhs, na, nx))
-    return worst
+        res[index] = residual(lhs - rhs, na, nx)
+    return [max((0.0, *map(res.get, _FORMULATION_EQUATIONS[f]))) for f in formulations]
 
 
 def formulation_holds(a, x, formulation: FormulationId, tol: Tolerance = DEFAULT_TOL) -> bool:

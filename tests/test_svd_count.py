@@ -13,6 +13,7 @@ those as matrices of their own.  ``mpinv classify`` computes each
 structure residual once, and ``mpinv conorm`` computes neither.
 """
 
+import functools
 from collections import Counter
 
 import numpy as np
@@ -103,13 +104,28 @@ def test_cli_command_factors_input_once(svd_calls_on, tmp_path, capsys, command,
 
 @pytest.fixture
 def residual_calls(monkeypatch):
-    """The number of calls of each structure residual since the fixture started."""
+    """The number of times each structure residual was computed since the fixture
+    started.  ``isometry._Analysis`` computes both, so the tap replaces its two
+    cached properties; the counts keep the public functions' names."""
     calls = Counter()
-    for name in ("hermitian_residual", "normality_residual"):
-        real = getattr(isometry, name)
-        monkeypatch.setattr(isometry, name,
-                            lambda a, name=name, real=real: calls.update([name]) or real(a))
+    for attr, name in (("hermitian", "hermitian_residual"),
+                       ("normality", "normality_residual")):
+        real = getattr(isometry._Analysis, attr).func
+        tap = functools.cached_property(
+            lambda self, name=name, real=real: calls.update([name]) or real(self))
+        tap.__set_name__(isometry._Analysis, attr)
+        monkeypatch.setattr(isometry._Analysis, attr, tap)
     return calls
+
+
+def test_residual_tap_sees_each_computation(residual_calls):
+    # A public call computes its residual once; an analysis read twice, once.
+    isometry.hermitian_residual(HERMITIAN)
+    isometry.normality_residual(REGULAR)
+    assert residual_calls == {"hermitian_residual": 1, "normality_residual": 1}
+    analysis = isometry._Analysis(HERMITIAN, isometry.DEFAULT_TOL)
+    analysis.normal_mph(), analysis.classification()  # each reads both residuals
+    assert residual_calls == {"hermitian_residual": 2, "normality_residual": 2}
 
 
 @pytest.mark.parametrize("a", [REGULAR, MPH, HERMITIAN], ids=["regular", "mph", "hermitian"])
