@@ -109,10 +109,10 @@ def _cmd_fuzz(args):
 
 
 def _parse_inertia(text):
-    parts = [int(v) for v in text.split(",")]
-    if len(parts) != 3:
+    parts = text.split(",")
+    if len(parts) != 3 or not all(v.strip().lstrip("+-").isdecimal() for v in parts):
         raise _CliError("inertia must be three comma-separated integers")
-    return tuple(parts)
+    return tuple(int(v) for v in parts)
 
 
 def _cmd_gen(args):
@@ -135,7 +135,7 @@ def _cmd_gen(args):
         m = generate_special(
             args.kind, args.dim, args.seed,
             rank=args.rank,
-            inertia=_parse_inertia(args.inertia) if args.inertia else None,
+            inertia=None if args.inertia is None else _parse_inertia(args.inertia),
             singular_values=(
                 [float(v) for v in args.singular_values.split(",")]
                 if args.singular_values else None

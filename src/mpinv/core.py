@@ -288,8 +288,11 @@ def approx_eq(x, y, tol: Tolerance = DEFAULT_TOL) -> bool:
     ym = as_matrix(y, "y")
     if xm.shape != ym.shape:
         raise ValueError(f"shape mismatch: {xm.shape} vs {ym.shape}")
-    norms = (frobenius_norm(xm), frobenius_norm(ym))
-    d = frobenius_norm(xm - ym)
+    return _close(frobenius_norm(xm - ym), (frobenius_norm(xm), frobenius_norm(ym)), tol)
+
+
+def _close(d: float, norms, tol: Tolerance) -> bool:
+    """``approx_eq``'s rule, given ``d = ||x - y||_F`` and ``norms = (||x||_F, ||y||_F)``."""
     return _all_finite(d, *norms) and bool(d <= tol.eq_tol * residual_scale(*norms))
 
 

@@ -23,17 +23,17 @@ from .core import (
     ConditionReport,
     Tolerance,
     adjoint,
-    approx_eq,
     as_matrix,
     as_rng,
     as_square,
     frobenius_norm,
     haar_unitary,
     numerical_rank,
-    operator_norm,
     ratio,
     residual,
+    _close,
     _factor,
+    _svd,
     _verify,
 )
 from .pinv import _certified
@@ -183,11 +183,14 @@ class _Analysis:
         frobenius_norm(self.m - self.mh), self.norm) if self.norm else 0.0)
     normality = functools.cached_property(lambda self: ratio(frobenius_norm(
         self.m @ self.mh - self.mh @ self.m), self.norm * self.norm) if self.norm else 0.0)
-    partial_isometry = functools.cached_property(  # a^+ = a*
-        lambda self: approx_eq(self.result.pinv, self.mh, self.tol))
-    mp_hermitian = functools.cached_property(  # a^+ = a
-        lambda self: approx_eq(self.result.pinv, self.m, self.tol))
-    pinv_norm = functools.cached_property(lambda self: operator_norm(self.result.pinv))
+    # a^+ = a* and a^+ = a, as approx_eq decides them, on the certificate's norms
+    # (||a||_F, ||a^+||_F): ||a*||_F is ||a||_F bit for bit.
+    partial_isometry = functools.cached_property(lambda self: _close(
+        frobenius_norm(self.result.pinv - self.mh), self.result.residuals.norms, self.tol))
+    mp_hermitian = functools.cached_property(lambda self: _close(
+        frobenius_norm(self.result.pinv - self.m), self.result.residuals.norms, self.tol))
+    pinv_norm = functools.cached_property(  # operator_norm(a^+), on checked factors
+        lambda self: float(_svd(self.result.pinv).sigma[0]))
     op_norm = functools.cached_property(lambda self: float(self.factorization.sigma[0]))
     # The smallest singular value above the rank cutoff; None for the zero matrix.
     conorm = functools.cached_property(

@@ -183,14 +183,14 @@ def _subspace_report(analysis: _Analysis) -> ConditionReport:
     report.add("null_equal", distance(p_null, p_conull))
 
     stacked = np.hstack([bases["range"], bases["null"]])
-    smin = float(np.linalg.svd(stacked, compute_uv=False)[-1]) if stacked.size else 0.0
+    smin = float(np.linalg.svd(stacked, compute_uv=False)[-1])
     report.add("direct_sum", smin, verdict=smin > 1e-6)
 
     b = bases["range"]
     if b.shape[1] == 0:
         report.add("restriction_involutive", 0.0)
     else:
-        ah = adjoint(m)
+        ah = analysis.mh
         e1 = distance(m @ (m @ b), b)
         e2 = distance(ah @ (ah @ b), b)
         report.add("restriction_involutive", max(e1, e2))
@@ -221,7 +221,7 @@ def _decomposition(analysis: _Analysis) -> MphDecomposition:
     t2 = adjoint(h2_cols) @ m @ h2_cols
     orth = frobenius_norm(adjoint(h1_cols) @ h2_cols)
     invol = frobenius_norm(t2 @ t2 - np.eye(analysis.rank))
-    recon = residual(h2_cols @ t2 @ adjoint(h2_cols) - m, frobenius_norm(m))
+    recon = residual(h2_cols @ t2 @ adjoint(h2_cols) - m, analysis.norm)
     return MphDecomposition(
         h1=SubspaceBasis(h1_cols),
         h2=SubspaceBasis(h2_cols),

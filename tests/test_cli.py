@@ -18,6 +18,7 @@ from mpinv import (
     normal_mph_check,
     penrose_residuals,
     pinv,
+    random_hermitian_partial_isometry,
     save_matrix,
 )
 from mpinv.cli import main
@@ -212,6 +213,27 @@ class TestGenCommand:
     def test_missing_params_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "gen", "--kind", "mph", "--dim", "4")
         assert code == 1 and "rank" in err
+
+    @pytest.mark.parametrize("n, inertia", [(5, (2, 1, 2)), (3, (0, 3, 0)), (1, (0, 0, 1))])
+    def test_hermitian_partial_isometry_stdout(self, capsys, n, inertia):
+        code, out, err = run_cli(capsys, "gen", "--kind", "hermitian_partial_isometry",
+                                 "--dim", str(n), "--inertia", ",".join(map(str, inertia)),
+                                 "--seed", "7")
+        assert code == 0 and err == ""
+        assert json.loads(out) == matrix_to_dict(random_hermitian_partial_isometry(n, inertia, 7))
+
+    @pytest.mark.parametrize("inertia", ["1,1", "1,x,1", "1,2,3,4", ""])
+    def test_malformed_inertia_exit_1(self, capsys, inertia):
+        code, out, err = run_cli(capsys, "gen", "--kind", "hermitian_partial_isometry",
+                                 "--dim", "3", "--inertia", inertia)
+        assert code == 1 and out == ""
+        assert err == "error: inertia must be three comma-separated integers\n"
+
+    def test_missing_inertia_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--kind", "hermitian_partial_isometry",
+                                 "--dim", "3")
+        assert code == 1 and out == ""
+        assert err == "error: hermitian_partial_isometry needs inertia\n"
 
     def test_round_trip_gen_pinv(self, capsys, tmp_path):
         fixture = tmp_path / "a.json"

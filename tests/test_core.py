@@ -320,6 +320,16 @@ class TestFrobeniusNorm:
             assert type(got) is float, name
             assert struct.pack("<d", got) == struct.pack("<d", want), (name, got, want)
 
+    def test_adjoint_has_the_same_norm_bit_for_bit(self):
+        # isometry._Analysis decides a^+ = a* on ||a||_F, for any layout of a.
+        rng = np.random.default_rng(137)
+        for _ in range(200):
+            rows, cols = (int(v) for v in rng.integers(1, 10, size=2))
+            z = rng.standard_normal((2 * rows, 2 * cols)) + 1j * rng.standard_normal(
+                (2 * rows, 2 * cols))
+            for m in (z, np.asfortranarray(z), z[::2, 1::2], z.T, z[1::2, ::2].T):
+                assert frobenius_norm(adjoint(m)) == frobenius_norm(m)
+
     def test_overflow_and_nan_reach_the_caller(self):
         with np.errstate(over="ignore"):
             assert frobenius_norm(np.full((2, 2), 1e200)) == np.inf

@@ -9,16 +9,27 @@ calls from ``pinv`` per trial (one for ``pinv(a)``, two per candidate).  A
 single ``formulation_residual`` pays for its own one or two equations only.
 ``isometry._Analysis`` computes the structure residuals from the matrix it
 validated, so an ``isometry`` trial validates no matrix again through
-``isometry.as_square``.
+``isometry.as_square``.  It decides ``a^+ = a*`` and ``a^+ = a`` by
+``approx_eq``'s rule on the norms its Penrose certificate holds, and reads
+``||a^+||`` off checked factors of ``a^+``, so no ``isometry`` or ``mph`` trial
+and no ``mpinv classify`` or ``mpinv conorm`` request calls ``approx_eq`` or
+``operator_norm`` or validates a matrix the analysis built.
 """
 
+import contextlib
 import importlib
+import io
+import pkgutil
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from mpinv import FormulationId, formulation_residual, generate_regular, pinv_matrix, run_trial
-from mpinv import isometry
+from mpinv import (FormulationId, formulation_residual, generate_regular, pinv_matrix, run_trial,
+                   save_matrix)
+import mpinv
+from mpinv import core, isometry
+from mpinv.cli import main
 
 pinv_module = importlib.import_module("mpinv.pinv")
 
@@ -96,3 +107,63 @@ def test_isometry_trial_validates_no_matrix_twice(square_validations):
     # The tap does see a call where one happens.
     isometry.normality_residual(np.eye(3))
     assert square_validations == [1]
+
+
+MODULES = [importlib.import_module(f"mpinv.{info.name}")
+           for info in pkgutil.iter_modules(mpinv.__path__)]
+
+
+@pytest.fixture
+def core_calls(monkeypatch):
+    """The number of calls of each of four ``core`` functions since the fixture
+    started, from every module, ``core`` included, that binds the function."""
+    calls = Counter()
+    for name in ("as_matrix", "frobenius_norm", "approx_eq", "operator_norm"):
+        real = getattr(core, name)
+
+        def tap(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        for module in MODULES:
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, tap)
+    return calls
+
+
+@pytest.mark.parametrize("suite, per_trial", [
+    # At 300 trials each: as_matrix 24.0 and 9.60, approx_eq 7.0 and 2.36,
+    # operator_norm 0 and 0.88 per trial before the analysis decided its own
+    # equalities, and frobenius_norm 111.02 per mph trial.
+    ("mph", {"as_matrix": 10.0, "frobenius_norm": 97.02}),
+    ("isometry", {"as_matrix": 4.0, "frobenius_norm": 27.5}),
+])
+def test_analysis_trials_validate_no_matrix_the_analysis_built(core_calls, suite, per_trial):
+    for i in range(300):
+        assert run_trial(suite, 3, i, 8) == []
+    assert {name: count / 300 for name, count in core_calls.items()} == per_trial
+
+
+@pytest.mark.parametrize("command, counts", [
+    # Before: as_matrix 5, frobenius_norm 35, approx_eq 2 and operator_norm 1
+    # (classify); as_matrix 1 and operator_norm 1 (conorm).
+    ("classify", {"frobenius_norm": 31}),
+    ("conorm", {"frobenius_norm": 10}),
+])
+def test_cli_request_validates_no_matrix(core_calls, tmp_path, command, counts):
+    # load_matrix builds its matrix without as_matrix.
+    path = tmp_path / "a.json"
+    save_matrix(generate_regular(5, 5, 3, seed=2), path)
+    core_calls.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, "--in", str(path)]) == 0
+    assert core_calls == counts
+
+
+def test_core_call_tap_sees_each_call(core_calls):
+    core.approx_eq(np.eye(2), np.eye(2))
+    core.operator_norm(np.eye(2))
+    # approx_eq takes three norms, and operator_norm's factor checks four.
+    assert core_calls == {"approx_eq": 1, "operator_norm": 1, "as_matrix": 3,
+                          "frobenius_norm": 3 + 4}

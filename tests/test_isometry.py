@@ -105,6 +105,10 @@ class TestPartialIsometry:
             assert (gram_projection_residual(a, "left") <= 1e-9) == flag
             assert (gram_projection_residual(a, "right") <= 1e-9) == flag
 
+    def test_gram_rejects_an_unknown_side(self):
+        with pytest.raises(ValueError, match="^side must be 'left' or 'right'$"):
+            gram_projection_residual(np.eye(2), "both")
+
 
 class TestNormConormCheck:
     def test_shift_both_sides_true(self):
@@ -290,3 +294,14 @@ class TestGenerators:
             random_hermitian_partial_isometry(3, (1, 1, 2), seed=0)
         with pytest.raises(ValueError, match="non-negative"):
             matrix_with_singular_values([-1.0], (2, 2), seed=0)
+        with pytest.raises(ValueError,
+                           match=r"^need at most min\(2, 3\) singular values, got \(3,\)$"):
+            matrix_with_singular_values([3.0, 2.0, 1.0], (2, 3), seed=0)
+        for rank in (-1, 5):
+            with pytest.raises(ValueError, match=rf"^rank={rank} must be in \[0, 4\]$"):
+                random_partial_isometry(4, rank, seed=0)
+        with pytest.raises(ValueError, match="^hermitian_partial_isometry needs inertia$"):
+            generate_special("hermitian_partial_isometry", 4, 1)
+        with pytest.raises(ValueError,
+                           match="^prescribed_singular_values needs singular_values$"):
+            generate_special("prescribed_singular_values", 4, 1)

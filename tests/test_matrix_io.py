@@ -20,7 +20,7 @@ def test_known_encoding():
     assert d == {"rows": 2, "cols": 2, "data": [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     rows=st.integers(1, 5),
     cols=st.integers(1, 5),

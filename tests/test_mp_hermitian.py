@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from mpinv import (
+    MphDecomposition,
     NotMpHermitianError,
+    SubspaceBasis,
     Tolerance,
     adjoint,
     algebraic_mph_check,
@@ -152,6 +154,24 @@ class TestDecompose:
             mph_decompose(np.diag([2.0, 0.0]))
         assert err.value.residual > 1e-3
 
+    def test_bases_must_be_orthonormal(self):
+        with pytest.raises(ValueError,
+                           match=r"^basis columns are not orthonormal \(1\.000e\+00\)$"):
+            SubspaceBasis(np.array([[1.0], [1.0]]))  # a column of length sqrt(2)
+        assert SubspaceBasis(np.eye(3)[:, :2]).dim == 2
+
+    @pytest.mark.parametrize("field, message", [
+        ("orthogonality_residual", r"^null/range bases not orthogonal \(2\.000e-09\)$"),
+        ("involution_residual", r"^restriction is not an involution \(2\.000e-09\)$"),
+    ])
+    def test_decomposition_refuses_a_failed_certificate(self, field, message):
+        fields = dict(h1=SubspaceBasis(np.eye(2)[:, 1:]), h2=SubspaceBasis(np.eye(2)[:, :1]),
+                      t2=np.eye(1), orthogonality_residual=0.0, involution_residual=0.0,
+                      reconstruction_residual=0.0)
+        MphDecomposition(**fields)
+        with pytest.raises(ValueError, match=message):
+            MphDecomposition(**{**fields, field: 2e-9})
+
     def test_refusal_agrees_with_detection_at_the_boundary(self):
         # eq_tol set to the exact ||a^+ - a|| residual of a slightly
         # scaled MPH matrix: the residual and the approx_eq product form
@@ -186,6 +206,15 @@ class TestGenerator:
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError):
             generate_mp_hermitian(3, 4, 0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"cond_cap": 0.5}, "^cond_cap must be at least 1$"),
+        ({"plus_count": 4}, r"^plus_count=4 must be in \[0, 3\]$"),
+        ({"plus_count": -1}, r"^plus_count=-1 must be in \[0, 3\]$"),
+    ])
+    def test_rejects_bad_cond_cap_and_plus_count(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            generate_mp_hermitian(4, 3, 0, **kwargs)
 
     def test_power_and_adjoint_closure(self):
         rng = np.random.default_rng(127)

@@ -16,6 +16,7 @@ from mpinv import (
     MP_ROL_CONDITIONS,
     ConditionId,
     PenroseResidualError,
+    RolIntermediates,
     adjoint,
     evaluate_condition,
     frobenius_norm,
@@ -100,6 +101,13 @@ class TestIntermediates:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="undefined"):
             rol_intermediates(np.eye(2), np.eye(3))
+
+    def test_intermediates_must_be_hermitian(self):
+        inter = rol_intermediates(np.eye(2), np.eye(2))
+        shift = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        fields = {name: getattr(inter, name) for name in ("p", "q", "r", "s", "q_dag", "r_dag")}
+        with pytest.raises(ValueError, match=r"^intermediate r is not hermitian \(1\.414e\+00\)$"):
+            RolIntermediates(**{**fields, "r": shift})
 
 
 class TestEvaluateCondition:

@@ -1,16 +1,21 @@
-"""``classify`` and the Penrose and formulation checks respect the
-symmetries of the theorems they decide.
+"""``classify``, the Penrose and formulation checks and the reverse-order
+catalog respect the symmetries of the theorems they decide.
 
 Being hermitian, normal, a partial isometry or Moore-Penrose hermitian,
 and the rank, are each preserved by taking the adjoint and by a unitary
 similarity ``q a q*``.  ``x = a^+`` exactly when ``x* = (a*)^+``, and
 exactly when ``v x u* = (u a v*)^+`` for unitary ``u`` and ``v``, so the
 four Penrose equations and the twelve formulations give one verdict for
-the three pairs.  Hypothesis draws the parameters of a seeded generator
+the three pairs.  Each of the nineteen reverse-order conditions on
+``(a, b)`` is a statement about ``(ab)^+``, ``a^+``, ``b^+`` and their
+products, so it holds exactly when it holds on ``(b*, a*)``, whose
+product is ``(ab)*``, and on ``(u a v*, v b w*)``, whose product is
+``u ab w*``.  Hypothesis draws the parameters of a seeded generator
 (kind, n, rank, seed), not raw entries, so a failing example names a
 matrix that ``mpinv gen`` can rebuild.  Verdicts are compared only on
 kinds whose singular values sit at 0, at 1 or in [0.25, 4], far from
-every threshold, and candidates ``x`` at ``a^+`` or ``(1 + 1e-3) a^+``.
+every threshold, candidates ``x`` at ``a^+`` or ``(1 + 1e-3) a^+``, and
+pairs from the five sources of the ``rol`` fuzz suite.
 """
 
 import numpy as np
@@ -22,15 +27,19 @@ from mpinv import (
     adjoint,
     classify,
     formulation_holds,
+    full_report,
     generate_mp_hermitian,
     generate_regular,
+    generate_rol_pair,
     haar_unitary,
+    mbekhta_gap_pair,
     nonhermitian_partial_isometry_fixture,
     nonnormal_mph_fixture,
     penrose_residuals,
     pinv_matrix,
     random_hermitian_partial_isometry,
     random_partial_isometry,
+    rol_negative_pair,
 )
 
 # kind -> builder(n, rank, seed)
@@ -60,7 +69,7 @@ def _flags(a):
     return {name: report[name] for name in FLAGS}
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(params=generator_parameters())
 def test_classify_is_invariant_under_adjoint_and_unitary_similarity(params):
     kind, n, rank, seed = params
@@ -83,7 +92,7 @@ def _verdicts(a, x):
                                                  for fid in FormulationId]
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(params=regular_parameters())
 def test_penrose_and_formulations_are_invariant_under_adjoint_and_unitary_equivalence(params):
     m, n, rank, seed = params
@@ -94,3 +103,26 @@ def test_penrose_and_formulations_are_invariant_under_adjoint_and_unitary_equiva
         x = scale * pinv_matrix(a)
         for pair in ((a, x), (adjoint(a), adjoint(x)), (u @ a @ adjoint(v), v @ x @ adjoint(u))):
             assert _verdicts(*pair) == [holds] * 13
+
+
+# source -> pair builder(n, seed), the sources the rol fuzz suite draws from
+ROL_SOURCES = {
+    "random": lambda n, seed: generate_rol_pair(n, "random", seed),
+    "forced_unitary": lambda n, seed: generate_rol_pair(n, "forced_unitary", seed),
+    "forced_pinv": lambda n, seed: generate_rol_pair(n, "forced_pinv", seed),
+    "negative": rol_negative_pair,
+    "mbekhta_gap": mbekhta_gap_pair,
+}
+
+
+@settings(max_examples=300)
+@given(params=st.tuples(st.sampled_from(sorted(ROL_SOURCES)), st.integers(2, 8),
+                        st.integers(0, 2**32 - 1)))
+def test_reverse_order_catalog_is_invariant_under_adjoint_swap_and_unitary_equivalence(params):
+    source, n, seed = params
+    a, b = ROL_SOURCES[source](n, seed)
+    u, v, w = (haar_unitary(n, np.random.default_rng([seed, i])) for i in (1, 2, 3))
+    verdicts = full_report(a, b).verdicts
+    assert len(verdicts) == 19
+    assert full_report(adjoint(b), adjoint(a)).verdicts == verdicts
+    assert full_report(u @ a @ adjoint(v), v @ b @ adjoint(w)).verdicts == verdicts
