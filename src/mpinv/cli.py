@@ -35,10 +35,6 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-def _tolerance(args) -> Tolerance:
-    return Tolerance(rank_tol_factor=args.rank_tol_factor, eq_tol=args.tol)
-
-
 def _add_tol_flags(p):
     p.add_argument("--tol", type=float, default=DEFAULT_TOL.eq_tol,
                    help="relative equality threshold (default 1e-9)")
@@ -46,66 +42,43 @@ def _add_tol_flags(p):
                    help="scale factor on the rank cutoff (default 1.0)")
 
 
-def _emit(obj):
-    print(dumps(obj))
-
-
-def _cmd_pinv(args):
-    tol = _tolerance(args)
+# Each command returns its JSON-ready report, or None when it prints nothing.
+def _cmd_pinv(args, tol):
     result = pinv(load_matrix(args.infile), tol)
     if args.out:
         save_matrix(result.pinv, args.out)
-    _emit(result.as_dict())
-    return 0
+    return result.as_dict()
 
 
-def _cmd_rol(args):
-    tol = _tolerance(args)
-    a = load_matrix(args.a)
-    b = load_matrix(args.b)
-    _emit(full_report(a, b, tol).as_dict())
-    return 0
+def _cmd_rol(args, tol):
+    return full_report(load_matrix(args.a), load_matrix(args.b), tol).as_dict()
 
 
-def _cmd_classify(args):
-    tol = _tolerance(args)
+def _cmd_classify(args, tol):
     analysis = _Analysis(load_matrix(args.infile), tol)
     out = analysis.classification().as_dict()
     square = analysis.m.shape[0] == analysis.m.shape[1]
     out["subspace_check"] = _subspace_report(analysis).as_dict() if square else None
     out["normal_mph_check"] = analysis.normal_mph().as_dict() if square else None
-    _emit(out)
-    return 0
+    return out
 
 
-def _cmd_decompose(args):
-    tol = _tolerance(args)
-    _emit(mph_decompose(load_matrix(args.infile), tol).as_dict())
-    return 0
+def _cmd_decompose(args, tol):
+    return mph_decompose(load_matrix(args.infile), tol).as_dict()
 
 
-def _cmd_conorm(args):
-    tol = _tolerance(args)
+def _cmd_conorm(args, tol):
     analysis = _Analysis(load_matrix(args.infile), tol)
     if analysis.conorm is None:
         raise ValueError(CONORM_UNDEFINED)
-    _emit({"conorm": analysis.conorm, "op_norm": analysis.op_norm,
-           "pinv_norm": analysis.pinv_norm})
-    return 0
+    return {"conorm": analysis.conorm, "op_norm": analysis.op_norm,
+            "pinv_norm": analysis.pinv_norm}
 
 
-def _cmd_fuzz(args):
-    tol = _tolerance(args)
-    config = FuzzConfig(
-        suite=args.suite,
-        trials=args.trials,
-        max_dim=args.max_dim,
-        seed=args.seed,
-        tolerance=tol,
-    )
-    report = fuzz(config)
-    _emit(report.as_dict())
-    return 2 if report.failures else 0
+def _cmd_fuzz(args, tol):
+    config = FuzzConfig(suite=args.suite, trials=args.trials, max_dim=args.max_dim,
+                        seed=args.seed, tolerance=tol)
+    return fuzz(config).as_dict()
 
 
 def _parse_inertia(text):
@@ -115,18 +88,20 @@ def _parse_inertia(text):
     return tuple(int(v) for v in parts)
 
 
-def _cmd_gen(args):
+def _parse_singular_values(text):
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise _CliError("singular values must be comma-separated numbers") from None
+
+
+def _cmd_gen(args, tol):
     if args.kind == "regular":
         rows = args.dim if args.rows is None else args.rows
         cols = args.dim if args.cols is None else args.cols
-        m = generate_regular(
-            rows,
-            cols,
-            args.rank if args.rank is not None else min(rows, cols),
-            sv_low=args.sv_low,
-            sv_high=args.sv_high,
-            seed=args.seed,
-        )
+        rank = min(rows, cols) if args.rank is None else args.rank
+        m = generate_regular(rows, cols, rank, sv_low=args.sv_low, sv_high=args.sv_high,
+                             seed=args.seed)
     elif args.kind == "mph":
         if args.rank is None:
             raise _CliError("gen --kind mph needs --rank")
@@ -136,17 +111,14 @@ def _cmd_gen(args):
             args.kind, args.dim, args.seed,
             rank=args.rank,
             inertia=None if args.inertia is None else _parse_inertia(args.inertia),
-            singular_values=(
-                [float(v) for v in args.singular_values.split(",")]
-                if args.singular_values else None
-            ),
+            singular_values=(None if args.singular_values is None
+                             else _parse_singular_values(args.singular_values)),
             rows=args.rows,
         )
     if args.out:
         save_matrix(m, args.out)
-    else:
-        _emit(matrix_to_dict(m))
-    return 0
+        return None
+    return matrix_to_dict(m)
 
 
 # Parsing leaves no state in the parser (each call gets a fresh
@@ -220,11 +192,16 @@ def main(argv=None) -> int:
         # Overflow and underflow make residuals fail closed, so numpy's
         # warnings would only add lines to a one-line refusal.
         with np.errstate(all="ignore"):
-            return args.func(args)
+            tol = (Tolerance(rank_tol_factor=args.rank_tol_factor, eq_tol=args.tol)
+                   if "tol" in args else None)
+            report = args.func(args, tol)
+            if report is not None:
+                print(dumps(report))
     except (_CliError, ValueError, OSError,
             PenroseResidualError, SvdConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 2 if args.command == "fuzz" and report["failures"] else 0
 
 
 def entry():  # console-script hook

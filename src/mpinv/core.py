@@ -41,7 +41,6 @@ __all__ = [
     "distance",
     "approx_eq",
     "haar_unitary",
-    "as_rng",
 ]
 
 
@@ -326,18 +325,13 @@ class ConditionReport:
         return out
 
 
-def as_rng(seed) -> np.random.Generator:
-    """Accept an int seed, a SeedSequence, or an existing Generator."""
-    return np.random.default_rng(seed)
-
-
 def haar_unitary(n: int, rng) -> np.ndarray:
     """Haar-distributed n-by-n unitary via QR of a complex Gaussian matrix.
 
     The R-diagonal phase correction makes the distribution exactly
     Haar and the output a pure function of the generator state.
     """
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r).copy()

@@ -21,7 +21,6 @@ from .core import (
     DEFAULT_TOL,
     Tolerance,
     adjoint,
-    as_rng,
     as_square,
     frobenius_norm,
     haar_unitary,
@@ -142,7 +141,7 @@ def generate_regular(m, n, r, sv_low=0.5, sv_high=2.0, seed=0) -> np.ndarray:
         raise ValueError(f"rank r={r} must be in [0, {min(m, n)}]")
     if r > 0 and not (0 < sv_low <= sv_high < math.inf):
         raise ValueError("need 0 < sv_low <= sv_high < inf")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     sv = rng.uniform(sv_low, sv_high, size=r) if r else ()
     return matrix_with_singular_values(sv, (m, n), rng)
 
@@ -169,7 +168,7 @@ def generate_rol_pair(n, mode, seed):
     mixed ranks.
     """
     mode = RolPairMode(mode)
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     if mode is RolPairMode.FORCED_UNITARY:
         a = haar_unitary(n, rng)
         b = generate_regular(n, n, _mixed_rank(rng, n), seed=rng)
@@ -198,7 +197,7 @@ def _rotated_pair(a0, b0, n, seed):
     product, so every catalog residual of the base pair carries over.
     """
     a0, b0 = _padded(a0, n), _padded(b0, n)
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     u, v, w = (haar_unitary(n, rng) for _ in range(3))
     return u @ a0 @ adjoint(v), v @ b0 @ adjoint(w)
 
@@ -206,7 +205,7 @@ def _rotated_pair(a0, b0, n, seed):
 def _rotated_similarity(base, n, seed):
     """``q base q*`` for a padded 2-by-2 base and a seeded Haar q."""
     base = _padded(base, n)
-    q = haar_unitary(n, as_rng(seed))
+    q = haar_unitary(n, seed)
     return q @ base @ adjoint(q)
 
 

@@ -24,13 +24,13 @@ from .core import (
     Tolerance,
     adjoint,
     as_matrix,
-    as_rng,
     as_square,
     frobenius_norm,
     haar_unitary,
     numerical_rank,
     ratio,
     residual,
+    residual_scale,
     _close,
     _factor,
     _svd,
@@ -183,12 +183,14 @@ class _Analysis:
         frobenius_norm(self.m - self.mh), self.norm) if self.norm else 0.0)
     normality = functools.cached_property(lambda self: ratio(frobenius_norm(
         self.m @ self.mh - self.mh @ self.m), self.norm * self.norm) if self.norm else 0.0)
-    # a^+ = a* and a^+ = a, as approx_eq decides them, on the certificate's norms
-    # (||a||_F, ||a^+||_F): ||a*||_F is ||a||_F bit for bit.
-    partial_isometry = functools.cached_property(lambda self: _close(
-        frobenius_norm(self.result.pinv - self.mh), self.result.residuals.norms, self.tol))
-    mp_hermitian = functools.cached_property(lambda self: _close(
-        frobenius_norm(self.result.pinv - self.m), self.result.residuals.norms, self.tol))
+    # ||a^+ - a*||_F and ||a^+ - a||_F, and a^+ = a* and a^+ = a as approx_eq decides
+    # them, on the certificate's norms (||a||_F, ||a^+||_F): ||a*||_F is ||a||_F bit for bit.
+    pi_gap = functools.cached_property(lambda self: frobenius_norm(self.result.pinv - self.mh))
+    mph_gap = functools.cached_property(lambda self: frobenius_norm(self.result.pinv - self.m))
+    partial_isometry = functools.cached_property(
+        lambda self: _close(self.pi_gap, self.result.residuals.norms, self.tol))
+    mp_hermitian = functools.cached_property(
+        lambda self: _close(self.mph_gap, self.result.residuals.norms, self.tol))
     pinv_norm = functools.cached_property(  # operator_norm(a^+), on checked factors
         lambda self: float(_svd(self.result.pinv).sigma[0]))
     op_norm = functools.cached_property(lambda self: float(self.factorization.sigma[0]))
@@ -202,8 +204,7 @@ class _Analysis:
         report = ConditionReport(tolerance_used=self.tol)
 
         lhs = self.partial_isometry
-        pi_res = residual(self.result.pinv - self.mh, self.norm)
-        report.add("partial_isometry", pi_res, verdict=lhs)
+        report.add("partial_isometry", ratio(self.pi_gap, residual_scale(self.norm)), verdict=lhs)
 
         metric_res = max(abs(self.conorm - 1.0), abs(self.op_norm - 1.0))
         rhs = metric_res <= self.tol.eq_tol
@@ -257,7 +258,7 @@ def random_hermitian_partial_isometry(n: int, inertia, seed) -> np.ndarray:
     if min(plus, minus, zero) < 0 or plus + minus + zero != n:
         raise ValueError(f"inertia {inertia} must be non-negative and sum to {n}")
     d = np.concatenate([np.ones(plus), -np.ones(minus), np.zeros(zero)])
-    q = haar_unitary(n, as_rng(seed))
+    q = haar_unitary(n, seed)
     return (q * d) @ adjoint(q)
 
 
@@ -280,7 +281,7 @@ def matrix_with_singular_values(singular_values, shape, seed) -> np.ndarray:
     if not all(0.0 <= v < math.inf for v in sv.tolist()):
         raise ValueError("singular values must be finite and non-negative")
     sv = np.sort(sv)[::-1]
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     if len(sv) == 0:
         return np.zeros((m, n), dtype=np.complex128)
     u = haar_unitary(m, rng)[:, : len(sv)]

@@ -22,12 +22,13 @@ from .core import (
     ConditionReport,
     Tolerance,
     adjoint,
-    as_rng,
     as_square,
     distance,
     frobenius_norm,
     haar_unitary,
+    ratio,
     residual,
+    residual_scale,
 )
 from .isometry import _Analysis
 from .matrix_io import matrix_to_dict
@@ -210,7 +211,7 @@ def _decomposition(analysis: _Analysis) -> MphDecomposition:
     """``mph_decompose`` of the square matrix of ``analysis``."""
     m = analysis.m
     if not analysis.mp_hermitian:
-        gap = distance(analysis.result.pinv, m)
+        gap = ratio(analysis.mph_gap, residual_scale(*analysis.result.residuals.norms))
         raise NotMpHermitianError(
             f"matrix is not Moore-Penrose hermitian: ||a^+ - a|| residual {gap:.3e}",
             gap,
@@ -252,7 +253,7 @@ def generate_mp_hermitian(
         raise ValueError(f"rank k={k} must satisfy 0 <= k <= n={n}")
     if cond_cap < 1.0:
         raise ValueError("cond_cap must be at least 1")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     if k == 0:
         return np.zeros((n, n), dtype=np.complex128)
 

@@ -229,6 +229,13 @@ class TestGenCommand:
         assert code == 1 and out == ""
         assert err == "error: inertia must be three comma-separated integers\n"
 
+    @pytest.mark.parametrize("values", ["", "1,x"])
+    def test_malformed_singular_values_exit_1(self, capsys, values):
+        code, out, err = run_cli(capsys, "gen", "--kind", "prescribed_singular_values",
+                                 "--dim", "3", "--singular-values", values)
+        assert code == 1 and out == ""
+        assert err == "error: singular values must be comma-separated numbers\n"
+
     def test_missing_inertia_exit_1(self, capsys):
         code, out, err = run_cli(capsys, "gen", "--kind", "hermitian_partial_isometry",
                                  "--dim", "3")
@@ -361,6 +368,24 @@ class TestErrorPaths:
         code, out, err = run_cli(capsys, "gen", *argv)
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_pinv_out_directory_exit_1(self, capsys, write_json, tmp_path):
+        path = write_json("a.json", A)
+        code, out, err = run_cli(capsys, "pinv", "--in", path, "--out", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_broken_stdout_exit_1(self, capsys, write_json, monkeypatch):
+        class BrokenPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        path = write_json("a.json", A)
+        monkeypatch.setattr("sys.stdout", BrokenPipe())
+        code = main(["pinv", "--in", path])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: [Errno 32] Broken pipe\n"
 
     def test_help_exit_0(self, capsys):
         code, out, _ = run_cli(capsys, "--help")

@@ -450,8 +450,10 @@ class TestGeneratedProgram:
         digest = hashlib.sha256(ro._PROGRAM.source.encode()).hexdigest()
         script = ("import hashlib; from mpinv import reverse_order as ro; "
                   "print(hashlib.sha256(ro._PROGRAM.source.encode()).hexdigest())")
+        # The subprocesses import mpinv from the same src directory as this one.
+        src = os.path.dirname(os.path.dirname(ro.__file__))
         for seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
             out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                                  capture_output=True, text=True).stdout.strip()
             assert out == digest
