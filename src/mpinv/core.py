@@ -5,10 +5,13 @@ Every higher-level identity in this package is evaluated on plain 2-D
 factorization, which also factors an ``(N, m, n)`` stack in one LAPACK
 call, the rank threshold, and the one residual-normalization rule
 behind every verdict: a Frobenius residual divided by
-``residual_scale`` of the norms it is measured against.  Each answer
-has one certificate: ``svd`` checks the factors it answers with, while
-``pinv`` factors through ``_factor`` and its Penrose residuals certify it.
-``SvdFactorization`` checks nothing when built; ``_factor`` and ``_verify`` do.
+``residual_scale`` of the norms it is measured against.
+``frobenius_norms`` takes the norm of each slice of a stack, bit for bit
+the norm of that slice alone, and a stacked call holds at most
+``_STACK_BYTES`` of slices.  Each answer has one certificate: ``svd``
+checks the factors it answers with, while ``pinv`` factors through
+``_factor`` and its Penrose residuals certify it.  ``SvdFactorization``
+checks nothing when built; ``_factor`` and ``_verify`` do.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "as_square",
     "adjoint",
     "frobenius_norm",
+    "frobenius_norms",
     "svd",
     "numerical_rank",
     "operator_norm",
@@ -108,6 +112,39 @@ def frobenius_norm(m: np.ndarray) -> float:
         re, im = x.real, x.imag
         return math.sqrt(re.dot(re) + im.dot(im))
     return float(np.linalg.norm(m))
+
+
+def frobenius_norms(stack: np.ndarray) -> list:
+    """``frobenius_norm`` of each slice of an ``(N, m, n)`` stack, or of a matrix as a
+    batch of one, bit for bit: a C- or F-ordered slice is read in its memory order and
+    summed by the same BLAS dot, one per slice of a stacked ``matmul``; others alone."""
+    if stack.ndim == 2:
+        return [frobenius_norm(stack)]
+    first = stack[0].flags
+    if len(stack) == 1 or not (first.c_contiguous or first.f_contiguous):
+        return [frobenius_norm(m) for m in stack]
+    if stack.strides[-1] > stack.strides[-2]:
+        stack = stack.swapaxes(-1, -2)
+    x = stack.reshape(len(stack), 1, -1)
+    re, im = x.real, x.imag
+    sq = np.matmul(re, re.swapaxes(1, 2))
+    sq += np.matmul(im, im.swapaxes(1, 2))
+    return np.sqrt(sq, out=sq).ravel().tolist()
+
+
+# A stacked call holds at most this many bytes of n-by-n complex128 slices,
+# so that its copies stay small next to the matrices themselves.
+_STACK_BYTES = 64 * 1024
+
+
+def _width(n: int) -> int:
+    """Slices of n-by-n complex128 per stacked call: 28 at n = 12, one from n = 46."""
+    return max(1, _STACK_BYTES // (16 * n * n))
+
+
+def _stack(ms) -> np.ndarray:
+    """Matrices of one shape as an ``(N, m, n)`` stack; a single one is read in place."""
+    return ms[0][None] if len(ms) == 1 else np.array(ms)
 
 
 def slicewise_errors(fn):
@@ -269,7 +306,11 @@ def residual(diff, *norms) -> float:
     An overflowed norm would otherwise scale the residual to 0 or NaN,
     and either reads as a pass.
     """
-    d = frobenius_norm(diff)
+    return _scaled(frobenius_norm(diff), *norms)
+
+
+def _scaled(d: float, *norms) -> float:
+    """``residual`` of a difference whose norm ``d`` is already taken."""
     if not _all_finite(d, *norms):
         return math.inf
     return d / residual_scale(*norms)

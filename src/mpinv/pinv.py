@@ -28,12 +28,15 @@ from .core import (
     as_matrix,
     distance,
     frobenius_norm,
+    frobenius_norms,
     numerical_rank,
     ratio,
     residual,
     residual_scale,
     slicewise_errors,
     _factor,
+    _stack,
+    _width,
 )
 from .matrix_io import matrix_to_dict
 
@@ -128,23 +131,27 @@ def penrose_residuals(a, x) -> PenroseResiduals:
     ``x`` must be n-by-m for an m-by-n ``a``.  The caller decides
     pass/fail against its own tolerance.
     """
-    return _penrose(*_operands(a, x))
+    return _penrose(*_operands(a, x))[0]
 
 
-def _penrose(am, xm) -> PenroseResiduals:
-    """``penrose_residuals`` of two matrices that are already validated."""
+def _penrose(am, xm) -> list:
+    """``penrose_residuals`` of two validated matrices, as a batch of one, or of
+    each slice of an ``(N, m, n)`` and an ``(N, n, m)`` stack, whose products and
+    differences are stacked calls and whose norms are ``frobenius_norms`` calls;
+    a matrix takes its six norms from ``frobenius_norm`` directly."""
     ax = am @ xm
     xa = xm @ am
-    abs_res = (
-        frobenius_norm(ax @ am - am),
-        frobenius_norm(xa @ xm - xm),
-        frobenius_norm(adjoint(ax) - ax),
-        frobenius_norm(adjoint(xa) - xa),
-    )
-    norms = (frobenius_norm(am), frobenius_norm(xm))
-    scale = residual_scale(*norms)
-    r = tuple(ratio(v, scale) for v in abs_res)
-    return PenroseResiduals(r[0], r[1], r[2], r[3], absolute=abs_res, norms=norms)
+    parts = (ax @ am - am, xa @ xm - xm, adjoint(ax) - ax, adjoint(xa) - xa, am, xm)
+    if am.ndim == 2:
+        return [_residuals(*map(frobenius_norm, parts))]
+    return [_residuals(*norms) for norms in zip(*map(frobenius_norms, parts))]
+
+
+def _residuals(r1, r2, r3, r4, na, nx) -> PenroseResiduals:
+    """The residuals of four equations' difference norms, scaled by ``||a||`` and ``||x||``."""
+    scale = residual_scale(na, nx)
+    return PenroseResiduals(ratio(r1, scale), ratio(r2, scale), ratio(r3, scale),
+                            ratio(r4, scale), absolute=(r1, r2, r3, r4), norms=(na, nx))
 
 
 @slicewise_errors
@@ -162,34 +169,51 @@ def pinv(a, tol: Tolerance = DEFAULT_TOL):
     first slice that fails raises the error it raises alone.
     """
     am = as_matrix(a, "a", stack=True)
-    f = _factor(am)
-    if am.ndim == 3:
-        return [_certified(am[i], f[i], tol) for i in range(len(am))]
-    return _certified(am, f, tol)
+    return _certified(am, _factor(am), tol)
 
 
-def _certified(am, f: SvdFactorization, tol: Tolerance) -> PinvResult:
-    """The pseudoinverse of ``am`` from its factorization ``f``, if its
-    Penrose residuals are within ``tol.eq_tol``."""
+def _certified(am, f: SvdFactorization, tol: Tolerance):
+    """The pseudoinverse of ``am`` from its factorization ``f``, if its Penrose
+    residuals are within ``tol.eq_tol``; for an ``(N, m, n)`` stack, the list of
+    each slice's, certified ``_width`` slices at a time, whose first failing slice
+    raises its error."""
+    if am.ndim == 2:
+        x, r = _inverse(f, tol)
+        return _accepted(x, r, _penrose(am, x)[0], f, tol)
+    fs, built, refusal = [f[i] for i in range(len(am))], [], None
+    for fi in fs:
+        try:
+            built.append(_inverse(fi, tol))
+        except PenroseResidualError as exc:
+            refusal = exc  # the slices before it raise their own errors first
+            break
+    width = _width(max(am.shape[1:]))
+    checked = [res for lo in range(0, len(built), width) for res in _penrose(
+        am[lo:lo + width], _stack([x for x, _ in built[lo:lo + width]]))]
+    results = [_accepted(x, r, res, fi, tol) for (x, r), res, fi in zip(built, checked, fs)]
+    if refusal is not None:
+        raise refusal
+    return results
+
+
+def _inverse(f: SvdFactorization, tol: Tolerance) -> tuple:
+    """``(V Sigma^+ U*, r)`` from the ``r`` singular values of ``f`` above the cutoff."""
     r = numerical_rank(f, tol)
-    if r == 0:
-        x = np.zeros((am.shape[1], am.shape[0]), dtype=np.complex128)
-    else:
-        # Unit rows of u and v bound every |x_ij| by (1 + O(n eps)) / sigma_r,
-        # so a finite 2 / sigma_r keeps x finite.
-        sigma_r = float(f.sigma[r - 1])
-        if not math.isfinite(2.0 / sigma_r):
-            raise PenroseResidualError(
-                f"pseudoinverse overflows float64 (smallest kept singular value {sigma_r!r})",
-                PenroseResiduals(math.inf, math.inf, math.inf, math.inf),
-            )
-        x = (f.v[:, :r] / f.sigma[:r]) @ adjoint(f.u[:, :r])
-    res = _penrose(am, x)
+    # Unit rows of u and v bound every |x_ij| by (1 + O(n eps)) / sigma_r,
+    # so a finite 2 / sigma_r keeps x finite.
+    if r and not math.isfinite(2.0 / float(f.sigma[r - 1])):
+        raise PenroseResidualError(
+            "pseudoinverse overflows float64 (smallest kept singular value "
+            f"{float(f.sigma[r - 1])!r})", PenroseResiduals(*[math.inf] * 4))
+    # Rank 0 gives the n-by-m zero matrix, a product over an empty inner axis.
+    return (f.v[:, :r] / f.sigma[:r]) @ adjoint(f.u[:, :r]), r
+
+
+def _accepted(x, r: int, res: PenroseResiduals, f: SvdFactorization, tol: Tolerance):
+    """The result, if its Penrose residuals ``res`` are within ``tol.eq_tol``."""
     if not res.within(tol):
         raise PenroseResidualError(
-            f"pseudoinverse residuals {res.as_dict()} exceed eq_tol={tol.eq_tol}",
-            res,
-        )
+            f"pseudoinverse residuals {res.as_dict()} exceed eq_tol={tol.eq_tol}", res)
     return PinvResult(pinv=x, rank=r, residuals=res, factorization=f)
 
 

@@ -13,16 +13,21 @@ three SVDs, of ``a``, ``b`` and ``ab``; a square pair stacks them and
 certifies all three with one ``pinv`` call.
 
 Each condition is one row of a table: a tuple of equations, each side a
-product of named workspace matrices, scored by ``core.residual`` against
-the product of each side's operand norms.  The table is compiled once
-into one generated Python function of straight-line code that forms
-each distinct product once per pair.
+product of named workspace matrices, scored by ``core``'s residual rule
+against the product of each side's operand norms.  The table is compiled
+once into generated Python code that forms each distinct product once
+per pair.  A square pair whose widest level fits in a 64 KiB stack
+(n <= 14) runs level by level: the products of one level are one stacked
+numpy call, and so are the norms of its equations; any other pair runs
+one product at a time, in the table's order, freeing each after its last
+use.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -35,9 +40,11 @@ from .core import (
     Tolerance,
     adjoint,
     as_matrix,
-    distance,
     frobenius_norm,
-    residual,
+    frobenius_norms,
+    _scaled,
+    _stack,
+    _width,
 )
 from .pinv import pinv
 
@@ -98,9 +105,16 @@ class RolIntermediates:
     r_dag: np.ndarray
 
     def __post_init__(self):
-        for name in ("p", "q", "r", "s", "q_dag", "r_dag"):
-            m = getattr(self, name)
-            herm = residual(adjoint(m) - m, frobenius_norm(m))
+        names = ("p", "q", "r", "s", "q_dag", "r_dag")
+        ms = [getattr(self, name) for name in names]
+        # The six m* - m, then the six m, formed and normed _width at a time
+        # (all twelve in one frobenius_norms call up to n = 18).
+        parts = itertools.chain((adjoint(m) - m for m in ms), ms)
+        width, norms = _width(len(ms[0])), []
+        while chunk := list(itertools.islice(parts, width)):
+            norms += frobenius_norms(_stack(chunk))
+        for name, gap, norm in zip(names, norms, norms[6:]):
+            herm = _scaled(gap, norm)
             if herm > 1e-9:
                 raise ValueError(f"intermediate {name} is not hermitian ({herm:.3e})")
 
@@ -121,7 +135,9 @@ class _Workspace:
     that fails still raises its own error.  ``ab`` is formed in its slot
     of the stack, and the norms of the three and of their pseudoinverses
     are the ones their certificates computed.  ``q^+`` and ``r^+`` take
-    their closed forms ``a* a`` and ``(b^+)* b^+``.
+    their closed forms ``a* a`` and ``(b^+)* b^+``.  The six products
+    ``p q r s a*a r^+`` are stacked matmuls of ``width`` slices each, whose
+    norms are one ``frobenius_norms`` call.
     """
 
     def __init__(self, a, b, tol: Tolerance, with_ab: bool = True):
@@ -129,21 +145,28 @@ class _Workspace:
         b = as_matrix(b, "b")
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"product ab undefined: a is {a.shape}, b is {b.shape}")
-        shapes = {"a": a.shape, "b": b.shape, "ab": (a.shape[0], b.shape[1])}
+        (m, n), k = a.shape, b.shape[1]
+        # Slices per stacked product.  A rectangular pair's products differ in
+        # shape, and where n is 1 numpy multiplies by BLAS vector kernels
+        # whose rounding depends on the layout that a stack copy changes.
+        self.width = _width(n) if m == n == k > 1 else 1
+        shapes = {"a": a.shape, "b": b.shape, "ab": (m, k)}
         self.mats, self.norms, self.ranks = {}, {}, {}
         for shape, run in itertools.groupby(("a", "b", "ab")[: 3 if with_ab else 2],
                                             shapes.__getitem__):
             self._certify(a, b, tuple(run), shape, tol)
         a, b, a_dag, b_dag = (self.mats[n] for n in ("a", "b", "a_dag", "b_dag"))
         ah, bh, adh, bdh = adjoint(a), adjoint(b), adjoint(a_dag), adjoint(b_dag)
-        aa = ah @ a
-        derived = {"p": b @ b_dag, "q": a_dag @ adh, "r": b @ bh, "s": a_dag @ a,
-                   "aa": aa, "r_dag": bdh @ b_dag}
-        self.mats.update(derived)
-        self.norms.update((name, frobenius_norm(m)) for name, m in derived.items())
+        products = (("p", b, b_dag), ("q", a_dag, adh), ("r", b, bh), ("s", a_dag, a),
+                    ("aa", ah, a), ("r_dag", bdh, b_dag))
+        for lo in range(0, len(products), self.width):
+            names, xs, ys = zip(*products[lo:lo + self.width])
+            stack = np.matmul(_stack(xs), _stack(ys))
+            self.mats.update(zip(names, stack))
+            self.norms.update(zip(names, frobenius_norms(stack)))
         # An adjoint has the norm of its matrix, and q^+ is a* a itself.
         for name, m, of in (("ah", ah, "a"), ("bh", bh, "b"), ("adh", adh, "a_dag"),
-                            ("bdh", bdh, "b_dag"), ("q_dag", aa, "aa")):
+                            ("bdh", bdh, "b_dag"), ("q_dag", self.mats["aa"], "aa")):
             self.mats[name] = m
             self.norms[name] = self.norms[of]
 
@@ -176,23 +199,43 @@ def _flat(factors) -> tuple:
     return tuple(n for f in factors for n in ((f,) if isinstance(f, str) else _flat(f)))
 
 
+def _level(op, arena, x, y, lo: int, hi: int):
+    """The steps of one level and kind: ``op`` of the arena's slices ``x`` and
+    ``y``, two index arrays, as one stacked call into its slices ``lo:hi``."""
+    op(arena[x], arena[y], out=arena[lo:hi])
+
+
+def _norms(arena, lhs, rhs) -> list:
+    """The norms of ``arena[lhs[i]] - arena[rhs[i]]`` for each ``rhs[i]``, then of
+    each further ``arena[lhs[i]]``, from one ``frobenius_norms`` call."""
+    stack = arena[lhs]
+    np.subtract(stack[:len(rhs)], arena[rhs], out=stack[:len(rhs)])
+    return frobenius_norms(stack)
+
+
 class _Program:
-    """Catalog rows compiled to one generated function of straight-line code.
+    """Catalog rows compiled to generated functions of straight-line code.
 
     Slots ``0 .. len(leaves) - 1`` hold workspace matrices; instruction
-    ``i`` of ``code``, ``(op, x, y, factors, dead)``, fills the next slot
-    and then drops the slots in ``dead``, whose last reader it is.  A step
-    (``op`` a matmul or a commutator's subtraction) holds ``op(slot x,
-    slot y)``; no two steps are alike, so each product is formed once, left
-    to right with nested factors first, as the table writes it.  An
-    equation (``op`` None) holds its residual; ``factors`` are the operand
-    names of each side, whose norm products scale it.
+    ``i`` of ``code``, ``(op, x, y, factors, level)``, fills slot
+    ``len(leaves) + i``.  A step (``op`` a matmul or a commutator's
+    subtraction) holds ``op(slot x, slot y)``; no two steps are alike, so
+    each product is formed once, left to right with nested factors first,
+    as the table writes it.  An equation (``op`` None) holds its residual;
+    ``factors`` are the operand names of each side, whose norm products
+    scale it.  Leaves are on level 0 and an instruction is one level above
+    its highest operand, so no instruction reads another of its level.
 
-    ``code`` is turned once into the Python function whose text is
-    ``source``: one statement per instruction on local ``v<slot>``, each
-    slot deleted after its last reader, and each norm product multiplied
-    inline, left to right.  It looks ``residual`` and ``distance`` up in
-    this module's globals at every call, as any function here does.
+    ``run`` has two generated functions, whose text is ``sources[True]``
+    (also ``source``) and ``sources[False]``.  When the workspace's
+    ``width`` holds the widest level, every matrix lives in one stack, the
+    arena, and the instructions run level by level: the steps of one kind
+    are one stacked call into the arena (``_level``), and the equations'
+    norms one ``frobenius_norms`` call (``_norms``).  Otherwise each
+    instruction runs alone, in the table's order, and each matrix is
+    deleted after its last reader.  Norm products and the scale rule stay
+    scalar.  Both functions look their helpers up in this module's globals
+    at each call.
     """
 
     def __init__(self, rows: dict):
@@ -222,46 +265,86 @@ class _Program:
         self.rows = {cond: tuple(
             emit(None, side(lhs), side(rhs), None if row is _DIRECT else (_flat(lhs), _flat(rhs)))
             for lhs, rhs in row) for cond, row in rows.items()}
-        last = {s: i for i, (_, x, y, _) in enumerate(code) for s in (x, y)}
-        self.code = [(*c, tuple(s for s in {c[1], c[2]} - {None} if last[s] == i))
-                     for i, c in enumerate(code)]
-        self.source = self._generate(slot)
-        namespace = {}
-        exec(compile(self.source, "<reverse_order._Program>", "exec"), globals(), namespace)
-        self._run = namespace["run"]
+        level = [0] * len(self.leaves)
+        for _, x, y, _ in code:
+            level.append(1 + max(level[s] for s in (x, y) if s is not None))
+        self.code = [(*c, lv) for c, lv in zip(code, level[len(self.leaves):])]
+        self.widest = max(Counter((op, lv) for op, *_, lv in self.code).values())
+        namespace, self.sources, self._runs = {}, {}, {}
+        for whole in (True, False):
+            self.sources[whole], index = self._generate(slot, whole)
+            exec(compile(self.sources[whole], "<reverse_order._Program>", "exec"), globals(),
+                 namespace)
+            self._runs[whole] = namespace.pop("run"), index
+        self.source = self.sources[True]
 
-    def _generate(self, slot: dict) -> str:
-        """The text of ``run(mats, norms)``, which returns each row's worst
-        residual, in row order."""
+    def _generate(self, slot: dict, whole: bool) -> tuple:
+        """The text of ``run(mats, norms, index)``, which returns each row's worst
+        residual, in row order, and the index arrays it gathers arena slices by."""
+        code, chunks = dict(enumerate(self.code, len(self.leaves))), {}
+        for i, (op, *_, lv) in sorted(code.items(), key=lambda c: c[1][-1] if whole else 0):
+            chunks.setdefault((lv, op) if whole else i, []).append(i)
+        pos, index = {i: i for i in range(len(self.leaves))}, []
+
+        def ref(slots):  # an index array of the arena slices of slots
+            index.append(np.array([pos[s] for s in slots], dtype=np.intp))
+            return f"index[{len(index) - 1}]"
+
         def norm(names):
             return " * ".join(f"n{slot[name]}" for name in names)
 
-        lines = ["def run(mats, norms):"]
-        lines += [f"    v{i} = mats.pop({name!r})" for i, name in enumerate(self.leaves)]
+        lines = ["def run(mats, norms, index):"]
         read = {slot[n] for *_, factors, _ in self.code if factors for f in factors for n in f}
         lines += [f"    n{i} = norms[{self.leaves[i]!r}]" for i in sorted(read)]
-        for i, (op, x, y, factors, dead) in enumerate(self.code, len(self.leaves)):
-            if op is operator.matmul:
-                value = f"v{x} @ v{y}"
-            elif op is operator.sub:
-                value = f"v{x} - v{y}"
-            elif factors is None:
-                value = f"distance(v{x}, v{y})"
-            elif y is None:
-                value = f"residual(v{x}, {norm(factors[0])})"
+        if whole:
+            size = len(self.leaves) + sum(op is not None for op, *_ in self.code)
+            lines.append(f"    A = np.empty(({size}, *mats['a'].shape), np.complex128)")
+        lines += [f"    {f'A[{i}]' if whole else f'v{i}'} = mats.pop({name!r})"
+                  for i, name in enumerate(self.leaves)]
+        last = {s: i for i, (_, x, y, *_) in code.items() for s in (x, y)}
+        for chunk in chunks.values():
+            ops = [code[i] for i in chunk]
+            op, xs, ys = ops[0][0], [c[1] for c in ops], [c[2] for c in ops]
+            if op is not None and whole:
+                lo = len(pos)
+                pos.update((i, len(pos)) for i in chunk)
+                ufunc = "np.matmul" if op is operator.matmul else "np.subtract"
+                lines.append(f"    _level({ufunc}, A, {ref(xs)}, {ref(ys)}, {lo}, {len(pos)})")
+            elif op is not None:
+                lines.append(f"    v{chunk[0]} = v{xs[0]} {'@' if op is operator.matmul else '-'} "
+                             f"v{ys[0]}")
             else:
-                value = f"residual(v{x} - v{y}, {norm(factors[0])}, {norm(factors[1])})"
-            lines.append(f"    v{i} = {value}")
+                # The differences first, then each one-sided lhs and both sides
+                # of the law itself, which is scored by its sides' own norms.
+                pairs = [(x, y) for x, y in zip(xs, ys) if y is not None]
+                singles = [s for _, x, y, f, _ in ops if None in (y, f) for s in (x, y)
+                           if s is not None]
+                lines.append("    d = " + (
+                    f"_norms(A, {ref([x for x, _ in pairs] + singles)}, "
+                    f"{ref([y for _, y in pairs])})" if whole else "(" + "".join(
+                        [f"frobenius_norm(v{x} - v{y}), " for x, y in pairs]
+                        + [f"frobenius_norm(v{s}), " for s in singles]) + ")"))
+                diffs, norms = iter(range(len(pairs))), itertools.count(len(pairs))
+                for i, (_, x, y, factors, _) in zip(chunk, ops):
+                    if factors is None:
+                        args = f"d[{next(diffs)}], d[{next(norms)}], d[{next(norms)}]"
+                    elif y is None:
+                        args = f"d[{next(norms)}], {norm(factors[0])}"
+                    else:
+                        args = f"d[{next(diffs)}], {norm(factors[0])}, {norm(factors[1])}"
+                    lines.append(f"    v{i} = _scaled({args})")
+            dead = [] if whole else sorted(s for s in set(xs + ys) - {None} if last[s] == chunk[-1])
             if dead:
-                lines.append("    del " + ", ".join(f"v{s}" for s in sorted(dead)))
+                lines.append("    del " + ", ".join(f"v{s}" for s in dead))
         worst = (f"max({', '.join(f'v{i}' for i in eqs)})" if len(eqs) > 1 else f"v{eqs[0]}"
                  for eqs in self.rows.values())
         lines.append(f"    return ({', '.join(worst)},)")
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n", tuple(index)
 
     def run(self, w: _Workspace) -> dict:
         """Each row's worst residual; takes ``w.mats``, to free each after its last reader."""
-        return dict(zip(self.rows, self._run(w.mats, w.norms)))
+        run, index = self._runs[w.width > 1 and w.width >= self.widest]
+        return dict(zip(self.rows, run(w.mats, w.norms, index)))
 
 
 # ROL_DIRECT is the law itself, scored by ``distance``: by its sides' own norms.
@@ -310,6 +393,7 @@ _CONDITIONS = {
                          (("adh", _Comm("r_dag", "s"), "b"), ())),
 }
 _PROGRAM = _Program(_CONDITIONS)
+_REPORT_ORDER = tuple((cond, cond.value) for cond in ConditionId)
 _ROW_PROGRAMS = {cond: _Program({cond: row}) for cond, row in _CONDITIONS.items()}
 
 
@@ -342,7 +426,7 @@ def full_report(a, b, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
     w = _Workspace(a, b, tol)
     report = ConditionReport(tolerance_used=tol)
     residuals = _PROGRAM.run(w)
-    for cond in ConditionId:
-        report.add(cond.value, residuals[cond])
+    for cond, name in _REPORT_ORDER:
+        report.add(name, residuals[cond])
     report.ranks = w.ranks
     return report

@@ -32,7 +32,7 @@ from mpinv import (
     svd,
 )
 from mpinv.core import (SvdConvergenceError, _check_order, _check_unitary, _verify,
-                        distance, ratio, residual, residual_scale)
+                        distance, frobenius_norms, ratio, residual, residual_scale)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mpinv"
 
@@ -334,6 +334,41 @@ class TestFrobeniusNorm:
         with np.errstate(over="ignore"):
             assert frobenius_norm(np.full((2, 2), 1e200)) == np.inf
         assert np.isnan(frobenius_norm(np.array([[np.nan]], dtype=complex)))
+
+
+class TestFrobeniusNorms:
+    @staticmethod
+    def stacks():
+        rng = np.random.default_rng(139)
+        for rows in range(1, 65):
+            cols = int(rng.integers(1, 65))
+            z = rng.standard_normal((4, rows, cols)) + 1j * rng.standard_normal((4, rows, cols))
+            z[1] *= 1e154  # the squares overflow: inf
+            z[2, 0, -1] = np.nan
+            yield "c_order", z
+            yield "f_order", adjoint(z)
+            yield "fortran_batch_of_one", np.asfortranarray(z[3])[None]
+            yield "strided", z[:, ::2, ::-1]
+        yield "one_by_one", np.array([[[3.0 - 4.0j]], [[1e154 + 0j]]])
+
+    @staticmethod
+    def same(x, y):
+        return struct.pack("<d", x) == struct.pack("<d", y) or math.isnan(x) and math.isnan(y)
+
+    def test_each_slice_is_frobenius_norm_bit_for_bit(self):
+        seen = []
+        for name, stack in self.stacks():
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = frobenius_norms(stack)
+                want = [frobenius_norm(m) for m in stack]
+            assert all(type(v) is float for v in got), name
+            assert len(got) == len(want) and all(map(self.same, got, want)), (name, stack.shape)
+            seen += got
+        assert any(map(math.isinf, seen)) and any(map(math.isnan, seen))
+
+    def test_a_matrix_is_a_batch_of_one(self):
+        z = np.asfortranarray(np.arange(12.0).reshape(3, 4) * (1 + 2j))
+        assert frobenius_norms(z) == [frobenius_norm(z)] == frobenius_norms(z[None])
 
 
 class TestNumericalRank:

@@ -115,10 +115,10 @@ MODULES = [importlib.import_module(f"mpinv.{info.name}")
 
 @pytest.fixture
 def core_calls(monkeypatch):
-    """The number of calls of each of four ``core`` functions since the fixture
+    """The number of calls of each of five ``core`` functions since the fixture
     started, from every module, ``core`` included, that binds the function."""
     calls = Counter()
-    for name in ("as_matrix", "frobenius_norm", "approx_eq", "operator_norm"):
+    for name in ("as_matrix", "frobenius_norm", "frobenius_norms", "approx_eq", "operator_norm"):
         real = getattr(core, name)
 
         def tap(*args, real=real, name=name, **kwargs):
@@ -137,7 +137,8 @@ def core_calls(monkeypatch):
     # operator_norm 0 and 0.88 per trial before the analysis decided its own
     # equalities, and frobenius_norm 111.02 per mph trial; frobenius_norm 27.5
     # per isometry trial before norm_conorm read the analysis's ||a^+ - a*||_F
-    # (one norm fewer on each of the 263 trials of nonzero rank).
+    # (one norm fewer on each of the 263 trials of nonzero rank).  No trial
+    # takes a stacked norm: each certificate here is of one matrix.
     ("mph", {"as_matrix": 10.0, "frobenius_norm": 97.02}),
     ("isometry", {"as_matrix": 4.0, "frobenius_norm": 7987 / 300}),  # 26.62
 ])

@@ -259,22 +259,26 @@ class TestStackedPinv:
         refused = certified = 0
         for count in range(300):
             ms = _stack_inputs(rng, count)
-            got = _outcome(lambda: pinv(np.stack(ms)))
-            want = []
-            for m in ms:
-                want.append(_outcome(lambda: pinv(m)))
+            # The stack as given, then as a Fortran-ordered array, whose
+            # slices are neither C- nor F-ordered.
+            fstack = np.asfortranarray(np.stack(ms))
+            for stack, alone in ((np.stack(ms), ms), (fstack, list(fstack))):
+                got = _outcome(lambda: pinv(stack))
+                want = []
+                for m in alone:
+                    want.append(_outcome(lambda: pinv(m)))
+                    if isinstance(want[-1], Exception):
+                        break
                 if isinstance(want[-1], Exception):
-                    break
-            if isinstance(want[-1], Exception):
-                # The first refused slice raises its own error and message.
-                assert isinstance(got, PenroseResidualError), got
-                assert str(got) == str(want[-1])
-                refused += 1
-                continue
-            assert isinstance(got, list) and len(got) == len(ms)
-            for g, w in zip(got, want):
-                _assert_same_result(g, w)
-            certified += len(ms)
+                    # The first refused slice raises its own error and message.
+                    assert isinstance(got, PenroseResidualError), got
+                    assert str(got) == str(want[-1])
+                    refused += 1
+                    continue
+                assert isinstance(got, list) and len(got) == len(ms)
+                for g, w in zip(got, want):
+                    _assert_same_result(g, w)
+                certified += len(ms)
         assert refused > 10 and certified > 300
 
     def test_first_failing_slice_raises_its_scalar_error(self):
@@ -289,6 +293,23 @@ class TestStackedPinv:
         assert str(stacked.value) == str(alone.value)
         with pytest.raises(ValueError, match="^a contains non-finite entries$"):
             pinv(np.stack([good, bad, refused]))
+
+    def test_a_refusal_comes_before_a_later_overflow(self):
+        # Slices are certified in order: a slice refused by its residuals
+        # raises before a later slice whose pseudoinverse would overflow,
+        # and an overflow before a later refusal.
+        rng = np.random.default_rng(233)
+        good = generate_regular(2, 2, 2, seed=rng)
+        refused = matrix_with_singular_values([1.0, 1e-12], (2, 2), rng)
+        overflows = np.diag([5e-324, 5e-324]).astype(complex)
+        for stack, first in (([good, refused, overflows], refused),
+                             ([good, overflows, refused], overflows)):
+            with np.errstate(all="ignore"):
+                with pytest.raises(PenroseResidualError) as alone:
+                    pinv(first)
+                with pytest.raises(PenroseResidualError) as stacked:
+                    pinv(np.stack(stack))
+            assert str(stacked.value) == str(alone.value)
 
     def test_linalg_error_is_attributed_to_its_slice(self, monkeypatch):
         # LAPACK names no slice; a stack that fails is factored slice by

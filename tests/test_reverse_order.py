@@ -1,11 +1,13 @@
 """Tests for the reverse-order-law condition catalog."""
 
 import hashlib
+import importlib
 import operator
 import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,8 +33,11 @@ from mpinv import (
     rol_intermediates,
     rol_negative_pair,
 )
+from mpinv import core
 from mpinv import reverse_order as ro
 from mpinv.core import DEFAULT_TOL, distance, residual
+
+pinv_module = importlib.import_module("mpinv.pinv")
 
 HOLDING_A = np.diag([1.0, 0.0]).astype(complex)
 HOLDING_B = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -276,6 +281,21 @@ def _seeded_pairs(seed, count):
         yield factors
 
 
+def _width_pairs():
+    """Square pairs on both sides of each change of stack width (the arena
+    up to n = 14; the workspace's six products in one stack up to n = 26; a
+    square pair's three certificates in one stack up to n = 36, two up to
+    n = 45), rectangular pairs, and pairs scaled by 2^k."""
+    rng = np.random.default_rng(163)
+    for n in (1, 2, 12, 14, 15, 20, 21, 24, 26, 27, 36, 37, 45, 46, 47, 48):
+        yield generate_regular(n, n, n, seed=rng), generate_regular(n, n, max(1, n - 1), seed=rng)
+        yield (2.0 ** 37 * generate_regular(n, n, max(1, n - 2), seed=rng),
+               2.0 ** -45 * generate_regular(n, n, n, seed=rng))
+    for m, n, k in ((2, 3, 4), (5, 5, 2), (1, 4, 4), (4, 4, 1), (3, 1, 3), (13, 15, 14)):
+        yield (generate_regular(m, n, min(m, n), seed=rng),
+               generate_regular(n, k, min(n, k), seed=rng))
+
+
 def _bits(x):
     return float(x).hex()
 
@@ -344,6 +364,30 @@ class TestCompiledProgram:
             assert {c: _bits(r) for c, r in got.items()} == {
                 c: _bits(r) for c, r in ref.items()}
 
+    def test_program_matches_reference_at_every_width(self):
+        for a, b in _width_pairs():
+            w = ro._Workspace(a, b, DEFAULT_TOL)
+            mats = dict(w.mats)
+            ah, bdh = adjoint(mats["a"]), adjoint(mats["b_dag"])
+            alone = {"p": mats["b"] @ mats["b_dag"], "q": mats["a_dag"] @ adjoint(mats["a_dag"]),
+                     "r": mats["b"] @ adjoint(mats["b"]), "s": mats["a_dag"] @ mats["a"],
+                     "aa": ah @ mats["a"], "r_dag": bdh @ mats["b_dag"]}
+            for name, m in alone.items():
+                assert mats[name].tobytes() == m.tobytes(), (a.shape, b.shape, name)
+                assert _bits(w.norms[name]) == _bits(frobenius_norm(m)), (a.shape, name)
+            ref = {c: _reference_row(w, row) for c, row in ro._CONDITIONS.items()}
+            got = full_report(a, b).residuals
+            assert {c.value: _bits(r) for c, r in ref.items()} == {
+                c: _bits(r) for c, r in got.items()}, (a.shape, b.shape)
+
+    def test_evaluate_condition_matches_full_report_at_every_width(self):
+        for a, b in _width_pairs():
+            report = full_report(a, b)
+            for cond in ConditionId:
+                verdict, res = evaluate_condition(a, b, cond)
+                assert _bits(res) == _bits(report.residuals[cond.value]), (a.shape, cond)
+                assert verdict == report.verdicts[cond.value], cond
+
     def test_evaluate_condition_matches_full_report(self):
         for a, b in _seeded_pairs(157, 24):
             report = full_report(a, b)
@@ -353,11 +397,50 @@ class TestCompiledProgram:
                 assert verdict == report.verdicts[cond.value], cond
 
     def test_each_slot_is_dropped_after_its_last_reader(self):
+        # One instruction at a time, each matrix is deleted right after the
+        # statement that reads it last; the arena frees them all at once.
         program = ro._PROGRAM
         base = len(program.leaves)
-        dropped = [s for *_, dead in program.code for s in dead]
-        assert sorted(dropped) == sorted(
-            set(range(base + len(program.code))) - {i for r in program.rows.values() for i in r})
+        last = {s: i for i, (_, x, y, *_) in enumerate(program.code, base) for s in (x, y)}
+        lines = program.sources[False].splitlines()
+        for s, reader in last.items():
+            if s is None:
+                continue
+            (read_at,) = [k for k, line in enumerate(lines)
+                          if line.startswith(f"    v{reader} = ")]
+            assert lines[read_at + 1].startswith("    del ") and f"v{s}" in (
+                lines[read_at + 1][len("    del "):].split(", ")), (s, reader)
+        assert not any(line.startswith("    del ") for line in program.sources[True].splitlines())
+
+    def test_levels(self):
+        # The 60 distinct products fall on 4 levels, the 10 commutator
+        # subtractions on 1, and the 31 equations on 4.
+        levels = Counter((op, level) for op, *_, level in ro._PROGRAM.code)
+        assert {lv: c for (op, lv), c in levels.items() if op is operator.matmul} == {
+            1: 20, 2: 15, 3: 16, 4: 9}
+        assert {lv: c for (op, lv), c in levels.items() if op is operator.sub} == {2: 10}
+        equations = {lv: c for (op, lv), c in levels.items() if op is None}
+        assert sum(equations.values()) == 31 and len(equations) <= 4
+        assert ro._PROGRAM.widest == 20
+        for op, x, y, _, level in ro._PROGRAM.code:
+            operands = [s - len(ro._PROGRAM.leaves) for s in (x, y)
+                        if s is not None and s >= len(ro._PROGRAM.leaves)]
+            assert level == 1 + max((ro._PROGRAM.code[s][-1] for s in operands), default=0)
+
+    def test_stacked_calls_of_one_report(self, monkeypatch):
+        # A 4-by-4 pair: one stacked call per level and kind, one norm call
+        # per level of equations, one for the workspace's six products, six
+        # for the certificate of a, b and ab (four differences, the three
+        # matrices and their pseudoinverses), and no norm of one matrix alone.
+        calls = Counter()
+        for module, name in ((ro, "_level"), (ro, "_norms"), (ro, "frobenius_norms"),
+                             (pinv_module, "frobenius_norms"), (core, "frobenius_norm")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, real=real, name=name, **kwargs:
+                                calls.update([name]) or real(*args, **kwargs))
+        rng = np.random.default_rng(4)
+        full_report(generate_regular(4, 4, 3, seed=rng), generate_regular(4, 4, 4, seed=rng))
+        assert calls == {"_level": 5, "_norms": 4, "frobenius_norms": 4 + 1 + 6}
 
 
 # Peak traced allocation of one full_report on this 48x48 pair before the
@@ -446,7 +529,7 @@ class TestGeneratedProgram:
         # The same table gives the same text in this process and in fresh
         # ones with other string hash seeds.
         again = ro._Program(ro._CONDITIONS)
-        assert again.source == ro._PROGRAM.source
+        assert again.sources == ro._PROGRAM.sources
         digest = hashlib.sha256(ro._PROGRAM.source.encode()).hexdigest()
         script = ("import hashlib; from mpinv import reverse_order as ro; "
                   "print(hashlib.sha256(ro._PROGRAM.source.encode()).hexdigest())")
@@ -459,26 +542,36 @@ class TestGeneratedProgram:
             assert out == digest
 
     def test_one_statement_per_instruction(self):
+        # One instruction at a time, each fills its own slot, in program
+        # order; level by level, each step fills an arena slice and each
+        # equation its own slot.
         program = ro._PROGRAM
-        lines = program.source.splitlines()
         base = len(program.leaves)
+        lines = program.sources[False].splitlines()
         assigned = [line.split(" = ")[0].strip() for line in lines
                     if line.startswith("    v") and " = " in line]
         assert assigned == [f"v{i}" for i in range(base + len(program.code))]
-        deleted = [v for line in lines if line.startswith("    del ")
-                   for v in line[len("    del "):].split(", ")]
-        assert sorted(deleted) == sorted(
-            f"v{s}" for *_, dead in program.code for s in dead)
+        lines = program.sources[True].splitlines()
+        steps = [line for line in lines if line.startswith("    _level(")]
+        assert len(steps) == 5
+        filled = [range(*map(int, line.rstrip(")").split(", ")[-2:])) for line in steps]
+        assert [i for r in filled for i in r] == list(range(base, base + 70))
+        equations = [line.split(" = ")[0].strip() for line in lines
+                     if line.startswith("    v") and "_scaled(" in line]
+        assert sorted(equations) == sorted(
+            f"v{i}" for i, c in enumerate(program.code, base) if c[0] is None)
 
     def test_residuals_are_looked_up_at_call_time(self, monkeypatch):
-        # The generated function reads residual and distance from this
-        # module's globals, so a wrapper bound there sees every call.
-        seen = []
-        for name in ("residual", "distance"):
+        # The generated functions read their helpers from this module's
+        # globals, so a wrapper bound there sees every call.
+        seen = Counter()
+        for name in ("_scaled", "_level", "_norms"):
             real = getattr(ro, name)
             monkeypatch.setattr(ro, name, lambda *args, real=real, name=name:
-                                seen.append(name) or real(*args))
-        full_report(np.eye(2), np.eye(2))
+                                seen.update([name]) or real(*args))
         equations = [c for c in ro._PROGRAM.code if c[0] is None]
-        assert seen.count("distance") == 1
-        assert seen.count("residual") == len(equations) - 1
+        full_report(np.eye(2), np.eye(2))
+        assert seen == {"_scaled": len(equations), "_level": 5, "_norms": 4}
+        seen.clear()
+        full_report(np.eye(48), np.eye(48))  # one instruction at a time
+        assert seen == {"_scaled": len(equations)}
