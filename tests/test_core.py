@@ -558,6 +558,16 @@ class TestSquareRule:
         assert set(raisers) == {"core.py"}, raisers
 
 
+def test_no_module_runs_code_built_from_text():
+    # Every program in the package is written out in its source: none is
+    # generated as text and run through exec, eval or compile.
+    calls = [(path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("exec", "eval", "compile")]
+    assert calls == [], calls
+
+
 class TestTolerance:
     def test_defaults(self):
         t = Tolerance()

@@ -1,11 +1,7 @@
 """Tests for the reverse-order-law condition catalog."""
 
-import hashlib
 import importlib
 import operator
-import os
-import subprocess
-import sys
 import tracemalloc
 from collections import Counter
 
@@ -397,20 +393,19 @@ class TestCompiledProgram:
                 assert verdict == report.verdicts[cond.value], cond
 
     def test_each_slot_is_dropped_after_its_last_reader(self):
-        # One instruction at a time, each matrix is deleted right after the
-        # statement that reads it last; the arena frees them all at once.
+        # One instruction at a time, each matrix is set to None by the entry
+        # that reads it last, and by no other; each step fills its own slot,
+        # in program order, and each norm of an equation its own place.
         program = ro._PROGRAM
         base = len(program.leaves)
-        last = {s: i for i, (_, x, y, *_) in enumerate(program.code, base) for s in (x, y)}
-        lines = program.sources[False].splitlines()
-        for s, reader in last.items():
-            if s is None:
-                continue
-            (read_at,) = [k for k, line in enumerate(lines)
-                          if line.startswith(f"    v{reader} = ")]
-            assert lines[read_at + 1].startswith("    del ") and f"v{s}" in (
-                lines[read_at + 1][len("    del "):].split(", ")), (s, reader)
-        assert not any(line.startswith("    del ") for line in program.sources[True].splitlines())
+        walk = program._walk
+        last = {s: k for k, (_, x, y, _, _) in enumerate(walk) for s in (x, y) if s is not None}
+        dropped = [(s, k) for k, (*_, dead) in enumerate(walk) for s in dead]
+        assert dict(dropped) == last and len(dropped) == len(last)
+        assert [out for op, *_, out, _ in walk if op is not None] == [
+            i for i, c in enumerate(program.code, base) if c[0] is not None]
+        norms = sorted(out for op, *_, out, _ in walk if op is None)
+        assert norms == list(range(base, base + 33))
 
     def test_levels(self):
         # The 60 distinct products fall on 4 levels, the 10 commutator
@@ -428,19 +423,78 @@ class TestCompiledProgram:
             assert level == 1 + max((ro._PROGRAM.code[s][-1] for s in operands), default=0)
 
     def test_stacked_calls_of_one_report(self, monkeypatch):
-        # A 4-by-4 pair: one stacked call per level and kind, one norm call
-        # per level of equations, one for the workspace's six products, six
-        # for the certificate of a, b and ab (four differences, the three
-        # matrices and their pseudoinverses), and no norm of one matrix alone.
+        # One norm call for the 33 equation norms up to n = 11 and two at
+        # n = 12 (28 slices each at most), one for the workspace's six
+        # products, six for the certificate of a, b and ab (four differences,
+        # the three matrices and their pseudoinverses), and no norm of one
+        # matrix alone.
         calls = Counter()
-        for module, name in ((ro, "_level"), (ro, "_norms"), (ro, "frobenius_norms"),
-                             (pinv_module, "frobenius_norms"), (core, "frobenius_norm")):
+        for module, name in ((ro, "frobenius_norms"), (pinv_module, "frobenius_norms"),
+                             (core, "frobenius_norm"), (ro, "frobenius_norm")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, real=real, name=name, **kwargs:
                                 calls.update([name]) or real(*args, **kwargs))
         rng = np.random.default_rng(4)
-        full_report(generate_regular(4, 4, 3, seed=rng), generate_regular(4, 4, 4, seed=rng))
-        assert calls == {"_level": 5, "_norms": 4, "frobenius_norms": 4 + 1 + 6}
+        for n, equation_calls in ((4, 1), (11, 1), (12, 2)):
+            calls.clear()
+            a, b = generate_regular(n, n, n - 1, seed=rng), generate_regular(n, n, n, seed=rng)
+            full_report(a, b)
+            assert calls == {"frobenius_norms": equation_calls + 1 + 6}, n
+
+    def test_arena_plan_fills_each_step_slice_once(self):
+        # The 70 steps fill the arena's slices base .. base + 69 in 5 stacked
+        # calls, one per level and kind, each reading only slices filled
+        # before it; the equations gather 33 slices, and the first 16 of
+        # them are differences.
+        program = ro._Program(ro._CONDITIONS)
+        base = len(program.leaves)
+        filled = [i for *_, lo, hi in program._levels for i in range(lo, hi)]
+        assert filled == list(range(base, base + 70)) and program._size == base + 70
+        for _, x, y, lo, _ in program._levels:
+            assert max(x.max(), y.max()) < lo
+        assert (len(program._gather), len(program._minus)) == (33, 16)
+        calls = []
+        program._levels = [(lambda x, y, out, ufunc=ufunc: calls.append((ufunc, len(out)))
+                            or ufunc(x, y, out=out), *rest) for ufunc, *rest in program._levels]
+        rng = np.random.default_rng(5)
+        a, b = generate_regular(4, 4, 3, seed=rng), generate_regular(4, 4, 4, seed=rng)
+        got = program.run(ro._Workspace(a, b, DEFAULT_TOL))
+        assert calls == [(np.matmul, 20), (np.matmul, 15), (np.subtract, 10),
+                         (np.matmul, 16), (np.matmul, 9)]
+        assert got == ro._PROGRAM.run(ro._Workspace(a, b, DEFAULT_TOL))
+
+    def test_each_equation_is_scaled_once(self, monkeypatch):
+        # Both plans score each of the 31 equations by one _scaled call.
+        seen = []
+        monkeypatch.setattr(ro, "_scaled", lambda *args, real=ro._scaled:
+                            seen.append(args) or real(*args))
+        for n in (1, 2, 48):
+            seen.clear()
+            full_report(np.eye(n), np.eye(n))
+            assert len(seen) == 31, n
+
+    def test_one_by_one_pairs_take_the_arena(self, monkeypatch):
+        # A 1-by-1 slice has one layout, so a 1-by-1 pair runs in the arena,
+        # bit for bit the reference; a rectangular pair never does, even
+        # for a row whose widest level is one step.
+        alone = Counter()
+        real = ro.frobenius_norm
+        monkeypatch.setattr(ro, "frobenius_norm", lambda m: alone.update([m.shape]) or real(m))
+        rng = np.random.default_rng(167)
+        for i in range(60):
+            a, b = (complex(*rng.standard_normal(2)) * 2.0 ** int(rng.integers(-60, 61))
+                    * np.ones((1, 1)) * (i % 7 != 0) for _ in range(2))
+            w = ro._Workspace(a, b, DEFAULT_TOL)
+            assert w.square and w.width >= ro._PROGRAM.widest
+            ref = {c: _reference_row(ro._Workspace(a, b, DEFAULT_TOL), row)
+                   for c, row in ro._CONDITIONS.items()}
+            got = ro._PROGRAM.run(w)
+            assert {c: _bits(r) for c, r in got.items()} == {c: _bits(r) for c, r in ref.items()}
+        assert not alone
+        assert ro._ROW_PROGRAMS[ConditionId.MBEKHTA_GI].widest == 1
+        a, b = generate_regular(1, 2, 1, seed=rng), generate_regular(2, 1, 1, seed=rng)
+        evaluate_condition(a, b, ConditionId.MBEKHTA_GI)
+        assert alone == {(1, 1): 1}
 
 
 # Peak traced allocation of one full_report on this 48x48 pair before the
@@ -522,56 +576,3 @@ class TestStackedWorkspace:
             report = full_report(a, b)
             assert calls == shapes
             assert report.ranks == {"a": min(m, n), "b": min(n, k), "ab": min(m, n, k)}
-
-
-class TestGeneratedProgram:
-    def test_source_is_deterministic(self):
-        # The same table gives the same text in this process and in fresh
-        # ones with other string hash seeds.
-        again = ro._Program(ro._CONDITIONS)
-        assert again.sources == ro._PROGRAM.sources
-        digest = hashlib.sha256(ro._PROGRAM.source.encode()).hexdigest()
-        script = ("import hashlib; from mpinv import reverse_order as ro; "
-                  "print(hashlib.sha256(ro._PROGRAM.source.encode()).hexdigest())")
-        # The subprocesses import mpinv from the same src directory as this one.
-        src = os.path.dirname(os.path.dirname(ro.__file__))
-        for seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-            out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                                 capture_output=True, text=True).stdout.strip()
-            assert out == digest
-
-    def test_one_statement_per_instruction(self):
-        # One instruction at a time, each fills its own slot, in program
-        # order; level by level, each step fills an arena slice and each
-        # equation its own slot.
-        program = ro._PROGRAM
-        base = len(program.leaves)
-        lines = program.sources[False].splitlines()
-        assigned = [line.split(" = ")[0].strip() for line in lines
-                    if line.startswith("    v") and " = " in line]
-        assert assigned == [f"v{i}" for i in range(base + len(program.code))]
-        lines = program.sources[True].splitlines()
-        steps = [line for line in lines if line.startswith("    _level(")]
-        assert len(steps) == 5
-        filled = [range(*map(int, line.rstrip(")").split(", ")[-2:])) for line in steps]
-        assert [i for r in filled for i in r] == list(range(base, base + 70))
-        equations = [line.split(" = ")[0].strip() for line in lines
-                     if line.startswith("    v") and "_scaled(" in line]
-        assert sorted(equations) == sorted(
-            f"v{i}" for i, c in enumerate(program.code, base) if c[0] is None)
-
-    def test_residuals_are_looked_up_at_call_time(self, monkeypatch):
-        # The generated functions read their helpers from this module's
-        # globals, so a wrapper bound there sees every call.
-        seen = Counter()
-        for name in ("_scaled", "_level", "_norms"):
-            real = getattr(ro, name)
-            monkeypatch.setattr(ro, name, lambda *args, real=real, name=name:
-                                seen.update([name]) or real(*args))
-        equations = [c for c in ro._PROGRAM.code if c[0] is None]
-        full_report(np.eye(2), np.eye(2))
-        assert seen == {"_scaled": len(equations), "_level": 5, "_norms": 4}
-        seen.clear()
-        full_report(np.eye(48), np.eye(48))  # one instruction at a time
-        assert seen == {"_scaled": len(equations)}
