@@ -5,10 +5,11 @@ Every higher-level identity in this package is evaluated on plain 2-D
 factorization, which also factors an ``(N, m, n)`` stack in one LAPACK
 call, the rank threshold, and the one residual-normalization rule
 behind every verdict: a Frobenius residual divided by
-``residual_scale`` of the norms it is measured against.
-``frobenius_norms`` takes the norm of each slice of a stack, bit for bit
-the norm of that slice alone, and a stacked call holds at most
-``_STACK_BYTES`` of slices.  Each answer has one certificate: ``svd``
+``residual_scale`` of the norms it is measured against, for scalars
+(``_scaled``) and, bit for bit alike, for arrays (``_scaled_array``).
+``frobenius_norms`` takes the norm of each slice of one or more stacks,
+bit for bit the norm of that slice alone, and a stacked call copies at
+most ``_STACK_BYTES`` of slices.  Each answer has one certificate: ``svd``
 checks the factors it answers with, while ``pinv`` factors through
 ``_factor`` and its Penrose residuals certify it.  ``SvdFactorization``
 checks nothing when built; ``_factor`` and ``_verify`` do.
@@ -114,19 +115,36 @@ def frobenius_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
-def frobenius_norms(stack: np.ndarray) -> list:
-    """``frobenius_norm`` of each slice of an ``(N, m, n)`` stack, or of a matrix as a
-    batch of one, bit for bit: a C- or F-ordered slice is read in its memory order and
-    summed by the same BLAS dot, one per slice of a stacked ``matmul``; others alone."""
-    if stack.ndim == 2:
-        return [frobenius_norm(stack)]
-    first = stack[0].flags
-    if len(stack) == 1 or not (first.c_contiguous or first.f_contiguous):
-        return [frobenius_norm(m) for m in stack]
-    if stack.strides[-1] > stack.strides[-2]:
-        stack = stack.swapaxes(-1, -2)
-    x = stack.reshape(len(stack), 1, -1)
-    re, im = x.real, x.imag
+def frobenius_norms(*stacks) -> list:
+    """``frobenius_norm`` of each slice of each ``(N, m, n)`` stack in turn, a matrix
+    being a batch of one, bit for bit: a C- or F-ordered slice is read in its memory
+    order and summed by the same BLAS dot, one per slice of a stacked ``matmul``, which
+    joins consecutive such stacks of one flat slice length while the copy holds at most
+    ``_STACK_BYTES``; a stack of one slice, or of another layout, is read slice by slice."""
+    norms, run, size = [], [], 0
+    for stack in stacks:
+        stack = stack[None] if stack.ndim == 2 else stack
+        first = stack[0].flags
+        x = None
+        if len(stack) > 1 and (first.c_contiguous or first.f_contiguous):
+            if stack.strides[-1] > stack.strides[-2]:
+                stack = stack.swapaxes(-1, -2)
+            x = stack.reshape(len(stack), -1)
+        if run and (x is None or x.shape[1] != run[0].shape[1] or size + x.nbytes > _STACK_BYTES):
+            norms += _dot_norms(run)
+            run, size = [], 0
+        if x is None:
+            norms += [frobenius_norm(m) for m in stack]
+        else:
+            run.append(x)
+            size += x.nbytes
+    return norms + _dot_norms(run) if run else norms
+
+
+def _dot_norms(run) -> list:
+    """The norm of each row of the ``(N, L)`` complex arrays ``run``, in one stacked call."""
+    x = run[0] if len(run) == 1 else np.concatenate(run)
+    re, im = x.real[:, None], x.imag[:, None]
     sq = np.matmul(re, re.swapaxes(1, 2))
     sq += np.matmul(im, im.swapaxes(1, 2))
     return np.sqrt(sq, out=sq).ravel().tolist()
@@ -314,6 +332,13 @@ def _scaled(d: float, *norms) -> float:
     if not _all_finite(d, *norms):
         return math.inf
     return d / residual_scale(*norms)
+
+
+def _scaled_array(d, s1, s2) -> np.ndarray:
+    """``_scaled(d, s1, s2)`` of each element of three float64 arrays, bit for bit."""
+    finite = np.isfinite(d) & np.isfinite(s1) & np.isfinite(s2)
+    scale = np.maximum(np.maximum(s1, s2), 1.0)
+    return np.divide(d, scale, out=np.full(d.shape, math.inf), where=finite)
 
 
 def distance(x, y) -> float:

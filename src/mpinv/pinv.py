@@ -137,14 +137,16 @@ def penrose_residuals(a, x) -> PenroseResiduals:
 def _penrose(am, xm) -> list:
     """``penrose_residuals`` of two validated matrices, as a batch of one, or of
     each slice of an ``(N, m, n)`` and an ``(N, n, m)`` stack, whose products and
-    differences are stacked calls and whose norms are ``frobenius_norms`` calls;
-    a matrix takes its six norms from ``frobenius_norm`` directly."""
+    differences are stacked calls and whose norms take one ``frobenius_norms`` call
+    (stacks of one slice length side by side); a matrix's come from ``frobenius_norm``."""
     ax = am @ xm
     xa = xm @ am
-    parts = (ax @ am - am, xa @ xm - xm, adjoint(ax) - ax, adjoint(xa) - xa, am, xm)
     if am.ndim == 2:
+        parts = (ax @ am - am, xa @ xm - xm, adjoint(ax) - ax, adjoint(xa) - xa, am, xm)
         return [_residuals(*map(frobenius_norm, parts))]
-    return [_residuals(*norms) for norms in zip(*map(frobenius_norms, parts))]
+    norms = frobenius_norms(ax @ am - am, am, xa @ xm - xm, xm, adjoint(ax) - ax, adjoint(xa) - xa)
+    return [_residuals(r1, r2, r3, r4, na, nx)
+            for r1, na, r2, nx, r3, r4 in (norms[i::len(am)] for i in range(len(am)))]
 
 
 def _residuals(r1, r2, r3, r4, na, nx) -> PenroseResiduals:
@@ -189,7 +191,7 @@ def _certified(am, f: SvdFactorization, tol: Tolerance):
             break
     width = _width(max(am.shape[1:]))
     checked = [res for lo in range(0, len(built), width) for res in _penrose(
-        am[lo:lo + width], _stack([x for x, _ in built[lo:lo + width]]))]
+        am[lo:min(lo + width, len(built))], _stack([x for x, _ in built[lo:lo + width]]))]
     results = [_accepted(x, r, res, fi, tol) for (x, r), res, fi in zip(built, checked, fs)]
     if refusal is not None:
         raise refusal

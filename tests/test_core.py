@@ -1,6 +1,7 @@
 """Tests for the matrix substrate: adjoint, SVD, rank, norms, comparison."""
 
 import ast
+import itertools
 import math
 import re
 import struct
@@ -31,8 +32,10 @@ from mpinv import (
     operator_norm,
     svd,
 )
-from mpinv.core import (SvdConvergenceError, _check_order, _check_unitary, _verify,
-                        distance, frobenius_norms, ratio, residual, residual_scale)
+from mpinv import core
+from mpinv.core import (SvdConvergenceError, _check_order, _check_unitary, _scaled,
+                        _scaled_array, _verify, distance, frobenius_norms, ratio, residual,
+                        residual_scale)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mpinv"
 
@@ -366,6 +369,35 @@ class TestFrobeniusNorms:
             seen += got
         assert any(map(math.isinf, seen)) and any(map(math.isnan, seen))
 
+    def test_several_stacks_share_calls_bit_for_bit(self, monkeypatch):
+        # The certificate's shapes of a stack of m-by-n matrices, C- and
+        # F-ordered, strided and of one slice, with overflowing and NaN
+        # slices: consecutive stacks of one flat length are joined, each
+        # joined copy within _STACK_BYTES, and a slice alone (36 KiB at
+        # 48-by-48) is never copied.
+        runs, real = [], core._dot_norms
+        monkeypatch.setattr(core, "_dot_norms", lambda run: runs.append(run) or real(run))
+        rng = np.random.default_rng(149)
+
+        def z(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        for m, n in ((2, 3), (3, 1), (1, 1), (5, 5), (12, 12), (20, 20), (7, 4), (48, 48)):
+            stacks = [z(3, m, n), adjoint(z(3, m, n)), z(3, m, m), z(2, n, 2 * n)[:, :, ::2],
+                      z(1, m, n), np.asfortranarray(z(n, m)), z(3, n, m), z(2, n, m)]
+            stacks[0][1] *= 1e154  # the squares overflow: inf
+            stacks[2][0, 0, -1] = np.nan
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = frobenius_norms(*stacks)
+                want = [frobenius_norm(s) for stack in stacks
+                        for s in (stack if stack.ndim == 3 else [stack])]
+            assert len(got) == len(want) and all(map(self.same, got, want)), (m, n)
+            assert all(type(v) is float for v in got)
+        joined = [run for run in runs if len(run) > 1]
+        assert joined and max(sum(x.nbytes for x in run) for run in joined) <= core._STACK_BYTES
+        assert all(len(x) > 1 for run in runs for x in run)
+        assert frobenius_norms() == []
+
     def test_a_matrix_is_a_batch_of_one(self):
         z = np.asfortranarray(np.arange(12.0).reshape(3, 4) * (1 + 2j))
         assert frobenius_norms(z) == [frobenius_norm(z)] == frobenius_norms(z[None])
@@ -502,10 +534,23 @@ class TestResidualRule:
             assert not approx_eq(big, big)
 
     def test_floor_lives_only_in_core(self):
-        floor = re.compile(r"max\(\(?1\.0\b")
-        counts = {p.name: len(floor.findall(p.read_text())) for p in SRC.glob("*.py")}
-        assert counts.pop("core.py") == 1  # residual_scale
-        assert not any(counts.values()), counts
+        # The scalar floor max((1.0, ...)) and the array floor np.maximum(..., 1.0).
+        floors = (re.compile(r"\bmax\(\(?1\.0\b"), re.compile(r"\bmaximum\(.*\b1\.0\b"))
+        counts = {p.name: [len(f.findall(p.read_text())) for f in floors] for p in SRC.glob("*.py")}
+        assert counts.pop("core.py") == [1, 1]  # residual_scale and _scaled_array
+        assert not any(map(any, counts.values())), counts
+
+    def test_array_rule_is_the_scalar_rule_bit_for_bit(self):
+        with np.errstate(over="ignore"):
+            values = [0.0, 5e-324, 0.5, 1.0, 1.5, 1e300, 1e300 * 1e300, math.inf, math.nan,
+                      3e-200 * 7e-200, 3.0 * 7e300 * 1e10]
+        d, s1, s2 = np.array(list(itertools.product(values, repeat=3))).T
+        got = _scaled_array(d, s1, s2)
+        assert [v.hex() for v in got.tolist()] == [
+            _scaled(*args).hex() for args in zip(d.tolist(), s1.tolist(), s2.tolist())]
+        # A missing side reads 1.0.
+        assert [v.hex() for v in _scaled_array(d, s1, np.ones_like(d)).tolist()] == [
+            _scaled(*args).hex() for args in zip(d.tolist(), s1.tolist())]
 
     def test_ratio_is_plain_division_on_finite_values(self):
         rng = np.random.default_rng(17)

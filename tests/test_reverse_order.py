@@ -360,6 +360,26 @@ class TestCompiledProgram:
             assert {c: _bits(r) for c, r in got.items()} == {
                 c: _bits(r) for c, r in ref.items()}
 
+    def test_program_matches_reference_where_norm_products_overflow(self):
+        # Scaled by up to 2^+-300, a side's norm product or a difference's norm
+        # overflows, and the array rule scores those equations inf as _scaled does.
+        rng = np.random.default_rng(173)
+        worst = Counter()
+        for a, b in _seeded_pairs(179, 60):
+            a, b = (2.0 ** int(rng.integers(-300, 301)) * m for m in (a, b))
+            with np.errstate(all="ignore"):
+                try:
+                    got = ro._PROGRAM.run(ro._Workspace(a, b, DEFAULT_TOL))
+                except PenroseResidualError:
+                    continue
+                ref = {c: _reference_row(ro._Workspace(a, b, DEFAULT_TOL), row)
+                       for c, row in ro._CONDITIONS.items()}
+            assert {c: _bits(r) for c, r in got.items()} == {
+                c: _bits(r) for c, r in ref.items()}, (a.shape, b.shape)
+            square = a.shape[0] == a.shape[1] == b.shape[1]
+            worst[square, max(got.values()) == np.inf] += 1
+        assert worst[True, True] and worst[False, True], worst
+
     def test_program_matches_reference_at_every_width(self):
         for a, b in _width_pairs():
             w = ro._Workspace(a, b, DEFAULT_TOL)
@@ -425,8 +445,9 @@ class TestCompiledProgram:
     def test_stacked_calls_of_one_report(self, monkeypatch):
         # One norm call for the 33 equation norms up to n = 11 and two at
         # n = 12 (28 slices each at most), one for the workspace's six
-        # products, six for the certificate of a, b and ab (four differences,
-        # the three matrices and their pseudoinverses), and no norm of one
+        # products, one for the certificate of a, b and ab (its four
+        # differences, the three matrices and their pseudoinverses: six
+        # stacks of one slice length, 41 KiB at n = 12), and no norm of one
         # matrix alone.
         calls = Counter()
         for module, name in ((ro, "frobenius_norms"), (pinv_module, "frobenius_norms"),
@@ -439,7 +460,7 @@ class TestCompiledProgram:
             calls.clear()
             a, b = generate_regular(n, n, n - 1, seed=rng), generate_regular(n, n, n, seed=rng)
             full_report(a, b)
-            assert calls == {"frobenius_norms": equation_calls + 1 + 6}, n
+            assert calls == {"frobenius_norms": equation_calls + 1 + 1}, n
 
     def test_arena_plan_fills_each_step_slice_once(self):
         # The 70 steps fill the arena's slices base .. base + 69 in 5 stacked
@@ -464,14 +485,18 @@ class TestCompiledProgram:
         assert got == ro._PROGRAM.run(ro._Workspace(a, b, DEFAULT_TOL))
 
     def test_each_equation_is_scaled_once(self, monkeypatch):
-        # Both plans score each of the 31 equations by one _scaled call.
+        # Both plans score the 31 equations of a report by one call of the
+        # array rule, in the arena, one at a time and for a rectangular pair.
         seen = []
-        monkeypatch.setattr(ro, "_scaled", lambda *args, real=ro._scaled:
+        monkeypatch.setattr(ro, "_scaled_array", lambda *args, real=ro._scaled_array:
                             seen.append(args) or real(*args))
-        for n in (1, 2, 48):
+        rng = np.random.default_rng(11)
+        pairs = [(np.eye(n), np.eye(n)) for n in (1, 2, 48)]
+        pairs.append((generate_regular(3, 4, 3, seed=rng), generate_regular(4, 2, 2, seed=rng)))
+        for a, b in pairs:
             seen.clear()
-            full_report(np.eye(n), np.eye(n))
-            assert len(seen) == 31, n
+            full_report(a, b)
+            assert [[len(v) for v in args] for args in seen] == [[31] * 3], a.shape
 
     def test_one_by_one_pairs_take_the_arena(self, monkeypatch):
         # A 1-by-1 slice has one layout, so a 1-by-1 pair runs in the arena,
