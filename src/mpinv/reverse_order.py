@@ -212,7 +212,7 @@ class _Program:
     its last reader.  Both fill one list of norms, which ``run`` scores
     through index arrays: the side products (``_sides``), one
     ``_scaled_array`` call for every equation (``_scores``) and one
-    ``np.maximum`` for every row's worst (``_worst``).
+    ``np.maximum.reduce`` for every row's worst (``_worst``).
     """
 
     def __init__(self, rows: dict):
@@ -279,8 +279,7 @@ class _Program:
         last = {s: k for k, (_, x, y, _) in enumerate(walk) for s in (x, y)}
         self._walk = [(op, x, y, out, tuple(s for s in sorted({x, y} - {None}) if last[s] == k))
                       for k, (op, x, y, out) in enumerate(walk)]
-        # Scored from one array: the norms, 1.0 at ``one``, then the side products.
-        one, products = base + len(at), {}
+        one, products = base + len(at), {}  # one array: the norms, 1.0 at one, side products
 
         def scale(names):
             if len(names) == 1:
@@ -298,9 +297,9 @@ class _Program:
         self._sides = np.full((max(map(len, products), default=1), len(products)), one, np.intp)
         for k, names in enumerate(products):
             self._sides[:len(names), k] = [slot[n] for n in names]
-        place = {i: k for k, i in enumerate(equations)}
-        self._worst = np.array([[place[i] for i in (eqs * 2)[:2]] for eqs in self.rows.values()],
-                               np.intp).T  # each row's two equations, the first twice if one
+        place, most = {i: k for k, i in enumerate(equations)}, max(map(len, self.rows.values()))
+        self._worst = np.array([[place[i] for i in (eqs * most)[:most]]  # rows padded by repeats
+                                for eqs in self.rows.values()], np.intp).T
 
     def run(self, w: _Workspace) -> dict:
         """Each row's worst residual; takes ``w.mats``, to free each after its last reader."""
@@ -327,10 +326,11 @@ class _Program:
                     v[s] = None
         norms = np.array(norms + [1.0])
         sides, *factors = norms[self._sides]
-        for factor in factors:
-            sides *= factor
+        with np.errstate(over="ignore", invalid="ignore"):  # as math.prod: inf, 0 * inf nan
+            for factor in factors:
+                sides *= factor
         scores = _scaled_array(*np.concatenate((norms, sides))[self._scores])
-        return dict(zip(self.rows, np.maximum(*scores[self._worst]).tolist()))
+        return dict(zip(self.rows, np.maximum.reduce(scores[self._worst]).tolist()))
 
 
 # ROL_DIRECT is the law itself, scored by ``distance``: by its sides' own norms.

@@ -534,8 +534,9 @@ class TestResidualRule:
             assert not approx_eq(big, big)
 
     def test_floor_lives_only_in_core(self):
-        # The scalar floor max((1.0, ...)) and the array floor np.maximum(..., 1.0).
-        floors = (re.compile(r"\bmax\(\(?1\.0\b"), re.compile(r"\bmaximum\(.*\b1\.0\b"))
+        # The scalar floor max((1.0, ...)) and the array floor np.maximum(..., 1.0),
+        # also when spelled np.fmax(1.0, s) or _max((1.0, ...)).
+        floors = (re.compile(r"max\(\(?1\.0\b"), re.compile(r"(?:maximum|fmax)\(.*\b1\.0\b"))
         counts = {p.name: [len(f.findall(p.read_text())) for f in floors] for p in SRC.glob("*.py")}
         assert counts.pop("core.py") == [1, 1]  # residual_scale and _scaled_array
         assert not any(map(any, counts.values())), counts

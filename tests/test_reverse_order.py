@@ -1,8 +1,10 @@
 """Tests for the reverse-order-law condition catalog."""
 
 import importlib
+import math
 import operator
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -379,6 +381,30 @@ class TestCompiledProgram:
             square = a.shape[0] == a.shape[1] == b.shape[1]
             worst[square, max(got.values()) == np.inf] += 1
         assert worst[True, True] and worst[False, True], worst
+
+    def test_scoring_adds_no_warning_where_norm_products_overflow(self):
+        # math.prod overflowed to inf, and took 0 * inf to nan, without a
+        # warning; so do the array side products, in the arena and one at a time.
+        for a, b in ((np.eye(3), np.eye(3)), (np.ones((2, 3)), np.ones((3, 1)))):
+            w = ro._Workspace(a, b, DEFAULT_TOL)
+            w.norms = {name: (1e300, 0.0, math.inf)[k % 3] for k, name in enumerate(w.norms)}
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = ro._PROGRAM.run(w)
+            assert math.inf in got.values() and not any(map(math.isnan, got.values()))
+
+    def test_a_row_of_three_equations_reads_all_three(self):
+        # Each row takes the worst of all its equations, however many it has.
+        g5, gi = ro._CONDITIONS[ConditionId.G5], ro._CONDITIONS[ConditionId.MBEKHTA_GI]
+        rows = {ConditionId.G5: g5 + gi, ConditionId.G3: ro._CONDITIONS[ConditionId.G3]}
+        program, third_worst = ro._Program(rows), 0
+        for a, b in _seeded_pairs(191, 40):
+            w = ro._Workspace(a, b, DEFAULT_TOL)
+            ref = {c: _reference_row(w, row) for c, row in rows.items()}
+            third_worst += _reference_row(w, gi) > _reference_row(w, g5)
+            got = program.run(w)  # takes w's matrices
+            assert {c: _bits(r) for c, r in got.items()} == {c: _bits(r) for c, r in ref.items()}
+        assert third_worst
 
     def test_program_matches_reference_at_every_width(self):
         for a, b in _width_pairs():
