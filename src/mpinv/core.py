@@ -7,19 +7,27 @@ call, the rank threshold, and the one residual-normalization rule
 behind every verdict: a Frobenius residual divided by
 ``residual_scale`` of the norms it is measured against, for scalars
 (``_scaled``) and, bit for bit alike, for arrays (``_scaled_array``).
-``frobenius_norms`` takes the norm of each slice of one or more stacks,
-bit for bit the norm of that slice alone, and a stacked call copies at
-most ``_STACK_BYTES`` of slices.  Each answer has one certificate: ``svd``
-checks the factors it answers with, while ``pinv`` factors through
-``_factor`` and its Penrose residuals certify it.  ``SvdFactorization``
-checks nothing when built; ``_factor`` and ``_verify`` do.
+``_Program`` is the one identity compiler: it compiles a table of
+equations over named leaves once, each equation with its scale (the leaf
+norm products it is divided by, or None for its sides' own norms), and
+its ``run(mats, norms, width)`` scores them.  ``frobenius_norms`` takes the
+norm of each slice of one or more stacks, bit for bit the norm of that
+slice alone, and a stacked call copies at most ``_STACK_BYTES`` of
+slices.  Each answer has one certificate: ``svd`` checks the factors it
+answers with, while ``pinv`` factors through ``_factor`` and its Penrose
+residuals certify it.  ``SvdFactorization`` checks nothing when built;
+``_factor`` and ``_verify`` do.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -339,6 +347,168 @@ def _scaled_array(d, s1, s2) -> np.ndarray:
     finite = np.isfinite(d) & np.isfinite(s1) & np.isfinite(s2)
     scale = np.maximum(np.maximum(s1, s2), 1.0)
     return np.divide(d, scale, out=np.full(d.shape, math.inf), where=finite)
+
+
+class _Comm(NamedTuple):
+    """The commutator ``x y - y x``, used as one factor of a product."""
+
+    x: str
+    y: str
+
+
+def _flat(factors) -> tuple:
+    """The leaf names in a product or equation, left to right."""
+    return tuple(n for f in factors for n in ((f,) if isinstance(f, str) else _flat(f)))
+
+
+class _Program:
+    """Rows of equations ``(lhs, rhs[, scale])`` compiled to two plans of plain data.
+
+    Each side is a product of factors: a leaf name, a ``_Comm``, or a tuple
+    of factors; ``rhs`` () means ``lhs = 0``.  ``scale`` holds one tuple of
+    leaf names per side, whose norm product scales the residual (by default
+    the side's operand names), or None for the sides' own norms.  The leaves
+    are the names the sides and scales read, in slots ``0 .. len(leaves) -
+    1``; instruction ``i`` of ``code``, ``(op, x, y, factors, level)``,
+    fills slot ``len(leaves) + i``.  A step (``op`` a matmul or a
+    commutator's subtraction) holds ``op(slot x, slot y)``; no two steps
+    are alike, so each product is formed once, left to right with nested
+    factors first.  An equation (``op`` None) scores ``x - y`` (``x`` if
+    ``y`` is None) against its scale ``factors``.  Leaves are on level 0,
+    an instruction one level above its highest operand.
+
+    Leaves of one square shape whose ``width`` holds the widest level run in
+    the arena, one stack of every matrix: each level and kind of step is one
+    stacked call (``_levels``), and the equations' norms are
+    ``frobenius_norms`` calls of at most ``width`` slices.  Any other run
+    takes ``_walk``, one instruction at a time in the table's order, dropping
+    each matrix after its last reader.  Both fill one list of norms, which
+    ``run`` scores through index arrays: the side products (``_sides``), one
+    ``_scaled_array`` call for every equation (``_scores``) and one
+    ``np.maximum.reduce`` for every row's worst (``_worst``).
+    """
+
+    def __init__(self, rows: dict):
+        rows = {key: [(lhs, rhs, *scale) if scale else (lhs, rhs, (_flat(lhs), _flat(rhs)))
+                      for lhs, rhs, *scale in row] for key, row in rows.items()}
+        self.leaves = list(dict.fromkeys(n for row in rows.values() for lhs, rhs, scale in row
+                                         for n in _flat((lhs, rhs, scale or ()))))
+        slot = {name: i for i, name in enumerate(self.leaves)}
+        code = []
+
+        def emit(op, x, y, factors=None):
+            key = (op, x, y, factors)  # a tuple, so never equal to a name
+            if key not in slot:
+                slot[key] = len(slot)
+                code.append(key)
+            return slot[key]
+
+        def side(factors):
+            out = None
+            for f in factors:
+                if isinstance(f, _Comm):
+                    x, y = slot[f.x], slot[f.y]
+                    f = emit(operator.sub, emit(operator.matmul, x, y),
+                             emit(operator.matmul, y, x))
+                else:
+                    f = slot[f] if isinstance(f, str) else side(f)
+                out = f if out is None else emit(operator.matmul, out, f)
+            return out
+
+        self.rows = {key: tuple(emit(None, side(lhs), side(rhs), scale) for lhs, rhs, scale in row)
+                     for key, row in rows.items()}
+        level = [0] * len(self.leaves)
+        for _, x, y, _ in code:
+            level.append(1 + max(level[s] for s in (x, y) if s is not None))
+        self.code = [(*c, lv) for c, lv in zip(code, level[len(self.leaves):])]
+        self.widest = max(Counter((op, lv) for op, *_, lv in self.code).values())
+        self._plan(slot)
+
+    def _plan(self, slot: dict):
+        """Build the arena plan (``_levels``, ``_gather``, ``_minus``), the plan
+        of one instruction at a time (``_walk``) and the scoring both share."""
+        base, code = len(self.leaves), dict(enumerate(self.code, len(self.leaves)))
+        equations = {i: c[1:4] for i, c in code.items() if c[0] is None}  # (x, y, factors)
+        # The norms each equation takes, as (x, y) with y None for x alone (an
+        # equation of scale None also takes its sides' own norms), and their places
+        # in the list of norms: after the leaves', the differences first.
+        takes = {i: [(x, y)] if factors is not None else [(x, y), (x, None), (y, None)]
+                 for i, (x, y, factors) in equations.items()}
+        at = {job: base + k for k, job in enumerate(dict.fromkeys(sorted(
+            (job for jobs in takes.values() for job in jobs), key=lambda job: job[1] is None)))}
+        steps = sorted((lv, op is operator.sub, i, x, y)
+                       for i, (op, x, y, _, lv) in code.items() if op is not None)
+        pos = np.arange(base + len(code), dtype=np.intp)  # each slot's arena slice, once filled
+        self._levels, self._size = [], base
+        for (_, sub), group in itertools.groupby(steps, key=lambda step: step[:2]):
+            *_, out, xs, ys = map(list, zip(*group))
+            lo = self._size
+            self._size += len(out)
+            pos[out] = range(lo, self._size)
+            self._levels.append((np.subtract if sub else np.matmul, pos[xs], pos[ys],
+                                 lo, self._size))
+        self._gather = pos[[x for x, _ in at]]
+        self._minus = pos[[y for _, y in at if y is not None]]
+        walk = [entry for i, (op, x, y, *_) in code.items() for entry in (
+            [(op, x, y, i)] if op is not None else [(None, *job, at[job]) for job in takes[i]])]
+        last = {s: k for k, (_, x, y, _) in enumerate(walk) for s in (x, y)}
+        self._walk = [(op, x, y, out, tuple(s for s in sorted({x, y} - {None}) if last[s] == k))
+                      for k, (op, x, y, out) in enumerate(walk)]
+        one, products = base + len(at), {}  # one array: the norms, 1.0 at one, side products
+
+        def scale(names):
+            if len(names) == 1:
+                return slot[names[0]]
+            return products.setdefault(names, one + 1 + len(products))
+
+        scores = []
+        for x, y, factors in equations.values():
+            # () is the side of x = 0, and reads 1.0.
+            sides = ([scale(f) for f in factors if f] if factors is not None
+                     else [at[(x, None)], at[(y, None)]])
+            scores.append([at[(x, y)], *sides, *[one] * (2 - len(sides))])
+        self._scores = np.array(scores, np.intp).T  # the rows d, s1, s2 of _scaled_array
+        # Each side's factors, left to right, padded to the widest with the exact 1.0.
+        self._sides = np.full((max(map(len, products), default=1), len(products)), one, np.intp)
+        for k, names in enumerate(products):
+            self._sides[:len(names), k] = [slot[n] for n in names]
+        place, most = {i: k for k, i in enumerate(equations)}, max(map(len, self.rows.values()))
+        self._worst = np.array([[place[i] for i in (eqs * most)[:most]]  # rows padded by repeats
+                                for eqs in self.rows.values()], np.intp).T
+
+    def run(self, mats: dict, norms: dict, width: int) -> dict:
+        """Each row's worst residual, from each leaf's matrix in ``mats`` and its norm
+        in ``norms``; pops the leaves from ``mats``, to free each after its last reader.
+        ``width`` is the slices per stacked call of the arena; a caller passes 0 when
+        its leaves differ in shape, so that they run one instruction at a time."""
+        norms = [norms[name] for name in self.leaves]
+        if width >= self.widest:
+            arena = np.empty((self._size, *mats[self.leaves[0]].shape), np.complex128)
+            for i, name in enumerate(self.leaves):
+                arena[i] = mats.pop(name)
+            for ufunc, x, y, lo, hi in self._levels:
+                ufunc(arena[x], arena[y], out=arena[lo:hi])
+            for lo in range(0, len(self._gather), width):
+                stack, minus = arena[self._gather[lo:lo + width]], self._minus[lo:lo + width]
+                np.subtract(stack[:len(minus)], arena[minus], out=stack[:len(minus)])
+                norms += frobenius_norms(stack)
+        else:
+            v = [mats.pop(name) for name in self.leaves] + [None] * len(self.code)
+            norms += [None] * len(self._gather)
+            for op, x, y, out, dead in self._walk:
+                if op is None:
+                    norms[out] = frobenius_norm(v[x] if y is None else v[x] - v[y])
+                else:
+                    v[out] = op(v[x], v[y])
+                for s in dead:
+                    v[s] = None
+        norms = np.array(norms + [1.0])
+        sides, *factors = norms[self._sides]
+        with np.errstate(over="ignore", invalid="ignore"):  # as math.prod: inf, 0 * inf nan
+            for factor in factors:
+                sides *= factor
+        scores = _scaled_array(*np.concatenate((norms, sides))[self._scores])
+        return dict(zip(self.rows, np.maximum.reduce(scores[self._worst]).tolist()))
 
 
 def distance(x, y) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -43,7 +43,7 @@ from .mp_hermitian import (
     generate_mp_hermitian,
     is_mp_hermitian,
 )
-from .pinv import FormulationId, PenroseResidualError, _formulation_residuals, _operands, pinv
+from .pinv import PenroseResidualError, _formulation_residuals, _operands, pinv
 from .reverse_order import (
     MBEKHTA_CONDITIONS,
     MP_ROL_CONDITIONS,
@@ -104,14 +104,7 @@ class TrialFailure:
     matrices: dict
 
     def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "trial_index": self.trial_index,
-            "condition_pair": self.condition_pair,
-            "residuals": dict(self.residuals),
-            "matrices": dict(self.matrices),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -122,12 +115,7 @@ class FuzzReport:
     elapsed: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials_run": self.trials_run,
-            "failures": [f.as_dict() for f in self.failures],
-            "elapsed": self.elapsed,
-        }
+        return asdict(self)
 
 
 def generate_regular(m, n, r, sv_low=0.5, sv_high=2.0, seed=0) -> np.ndarray:
@@ -282,14 +270,14 @@ def _trial_formulations(rng, max_dim, tol, fail):
     # multiplicative perturbation of relative size 1e-3 breaks every
     # equation in each of them.
     x_bad = (1.0 + 1e-3) * x
-    for fid, res, res_bad in zip(FormulationId, _formulation_residuals(*_operands(a, x)),
-                                 _formulation_residuals(*_operands(a, x_bad))):
+    residuals, perturbed = (_formulation_residuals(*_operands(a, c)) for c in (x, x_bad))
+    for fid, res in residuals.items():
         if res > tol.eq_tol:
             fail(f"formulation_true:{fid.value}", {"residual": res}, {"a": a, "x": x})
-        if res_bad <= tol.eq_tol:
+        if perturbed[fid] <= tol.eq_tol:
             fail(
                 f"formulation_perturbed:{fid.value}",
-                {"residual": res_bad},
+                {"residual": perturbed[fid]},
                 {"a": a, "x": x_bad},
             )
 

@@ -31,10 +31,10 @@ from .core import (
     frobenius_norms,
     numerical_rank,
     ratio,
-    residual,
     residual_scale,
     slicewise_errors,
     _factor,
+    _Program,
     _stack,
     _width,
 )
@@ -242,35 +242,34 @@ class FormulationId(str, Enum):
     P24_V = "P24_V"
 
 
-# The eight distinct defining equations of the catalog, as (lhs, rhs)
-# builders over (a, x, a*, x*).
-_EQUATIONS = (
-    lambda a, x, ah, xh: (a, xh @ ah @ a),
-    lambda a, x, ah, xh: (a, a @ ah @ xh),
-    lambda a, x, ah, xh: (x, x @ xh @ ah),
-    lambda a, x, ah, xh: (x, ah @ xh @ x),
-    lambda a, x, ah, xh: (ah, ah @ a @ x),
-    lambda a, x, ah, xh: (xh, xh @ x @ a),
-    lambda a, x, ah, xh: (ah, x @ a @ ah),
-    lambda a, x, ah, xh: (xh, a @ x @ xh),
+# The catalog's eight distinct equations over a, x, a* and x*, each scored as
+# the Penrose equations are: by residual_scale(||a||_F, ||x||_F).
+_AX = (("a",), ("x",))
+_IDENTITIES = (
+    (("a",), ("xh", "ah", "a"), _AX),
+    (("a",), ("a", "ah", "xh"), _AX),
+    (("x",), ("x", "xh", "ah"), _AX),
+    (("x",), ("ah", "xh", "x"), _AX),
+    (("ah",), ("ah", "a", "x"), _AX),
+    (("xh",), ("xh", "x", "a"), _AX),
+    (("ah",), ("x", "a", "ah"), _AX),
+    (("xh",), ("a", "x", "xh"), _AX),
 )
 
 # Each formulation is one equation or the conjunction of two, named by
-# their indices into _EQUATIONS.
+# their indices into _IDENTITIES.
 _FORMULATION_EQUATIONS = {
-    FormulationId.P21_I: (0,),
-    FormulationId.P21_II: (1,),
-    FormulationId.P21_III: (2,),
-    FormulationId.P21_IV: (3,),
-    FormulationId.P22_II: (0, 3),
-    FormulationId.P22_III: (1, 2),
-    FormulationId.R23_II: (4, 5),
-    FormulationId.R23_III: (6, 7),
-    FormulationId.P24_II: (6, 2),
-    FormulationId.P24_III: (1, 7),
-    FormulationId.P24_IV: (4, 3),
-    FormulationId.P24_V: (0, 5),
+    FormulationId.P21_I: (0,), FormulationId.P21_II: (1,),
+    FormulationId.P21_III: (2,), FormulationId.P21_IV: (3,),
+    FormulationId.P22_II: (0, 3), FormulationId.P22_III: (1, 2),
+    FormulationId.R23_II: (4, 5), FormulationId.R23_III: (6, 7),
+    FormulationId.P24_II: (6, 2), FormulationId.P24_III: (1, 7),
+    FormulationId.P24_IV: (4, 3), FormulationId.P24_V: (0, 5),
 }
+_FORMULATIONS = {f: tuple(map(_IDENTITIES.__getitem__, eqs))
+                 for f, eqs in _FORMULATION_EQUATIONS.items()}
+_PROGRAM = _Program(_FORMULATIONS)
+_ONE_PROGRAMS = {f: _Program({f: row}) for f, row in _FORMULATIONS.items()}
 
 
 def formulation_residual(a, x, formulation: FormulationId) -> float:
@@ -279,19 +278,17 @@ def formulation_residual(a, x, formulation: FormulationId) -> float:
     Scaled by ``residual_scale(||a||_F, ||x||_F)``, matching penrose_residuals.
     """
     am, xm = _operands(a, x)
-    return _formulation_residuals(am, xm, (FormulationId(formulation),))[0]
+    formulation = FormulationId(formulation)
+    return _formulation_residuals(am, xm, _ONE_PROGRAMS[formulation])[formulation]
 
 
-def _formulation_residuals(am, xm, formulations=tuple(FormulationId)) -> list:
-    """``formulation_residual`` of each of ``formulations`` (all twelve by default) for
-    validated matrices; ``a*``, ``x*``, the norms and each equation read are formed once."""
-    ah, xh = adjoint(am), adjoint(xm)
+def _formulation_residuals(am, xm, program: _Program = _PROGRAM) -> dict:
+    """``{formulation: formulation_residual}`` of each row of ``program`` (all twelve by
+    default) for validated matrices, in one run that forms each product once."""
     na, nx = frobenius_norm(am), frobenius_norm(xm)
-    res = {}
-    for index in sorted({i for f in formulations for i in _FORMULATION_EQUATIONS[f]}):
-        lhs, rhs = _EQUATIONS[index](am, xm, ah, xh)
-        res[index] = residual(lhs - rhs, na, nx)
-    return [max((0.0, *map(res.get, _FORMULATION_EQUATIONS[f]))) for f in formulations]
+    mats = {"a": am, "x": xm, "ah": adjoint(am), "xh": adjoint(xm)}
+    norms = {"a": na, "x": nx, "ah": na, "xh": nx}  # an adjoint has its matrix's norm
+    return program.run(mats, norms, _width(len(am)) if am.shape == xm.shape else 0)
 
 
 def formulation_holds(a, x, formulation: FormulationId, tol: Tolerance = DEFAULT_TOL) -> bool:

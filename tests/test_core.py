@@ -290,6 +290,20 @@ class TestStackedSvd:
                         callers.add((path.name, getattr(top, "name", "<module>")))
         assert callers == {("isometry.py", "_Analysis")}, callers
 
+    def test_one_identity_compiler(self):
+        # Only core's compiler scores an identity table, and each table is
+        # compiled once, at import: no function compiles a plan per call.
+        calls = {"_scaled_array": set(), "_Program": set()}
+        for path in SRC.glob("*.py"):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Call) and ast.unparse(node.func) in calls:
+                        calls[ast.unparse(node.func)].add(
+                            (path.name, getattr(top, "name", "<module>")))
+        assert calls == {"_scaled_array": {("core.py", "_Program")},
+                         "_Program": {("pinv.py", "<module>"),
+                                      ("reverse_order.py", "<module>")}}, calls
+
 
 class TestFrobeniusNorm:
     @staticmethod

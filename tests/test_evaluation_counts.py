@@ -3,10 +3,11 @@ evaluated once per candidate.
 
 The twelve formulations are built from eight equations.  A ``formulations``
 fuzz trial scores the twelve on ``(a, x)`` and on ``(a, x_bad)`` with one
-evaluator call each, so each call validates its operands once and evaluates
-each of the eight equations once: 16 evaluations and at most 5 ``as_matrix``
-calls from ``pinv`` per trial (one for ``pinv(a)``, two per candidate).  A
-single ``formulation_residual`` pays for its own one or two equations only.
+run of the compiled table each, so each run validates its operands once and
+scores each of the eight equations once: 16 equations and at most 5
+``as_matrix`` calls from ``pinv`` per trial (one for ``pinv(a)``, two per
+candidate).  A single ``formulation_residual`` runs a one-row table, and
+pays for its own one or two equations only.
 ``isometry._Analysis`` computes the structure residuals from the matrix it
 validated, so an ``isometry`` trial validates no matrix again through
 ``isometry.as_square``.  It decides ``a^+ = a*`` and ``a^+ = a`` by
@@ -39,11 +40,12 @@ X = pinv_matrix(A)
 
 @pytest.fixture
 def equations(monkeypatch):
-    """The indices into ``pinv._EQUATIONS`` evaluated since the fixture started."""
+    """The number of equations each run of a compiled table has scored since the
+    fixture started: one ``core._scaled_array`` call per run scores each of them."""
     seen = []
-    monkeypatch.setattr(pinv_module, "_EQUATIONS", tuple(
-        lambda *ops, i=i, real=real: seen.append(i) or real(*ops)
-        for i, real in enumerate(pinv_module._EQUATIONS)))
+    real = core._scaled_array
+    monkeypatch.setattr(core, "_scaled_array", lambda d, *sides: seen.append(len(d))
+                        or real(d, *sides))
     return seen
 
 
@@ -62,15 +64,16 @@ def test_formulations_trial_evaluates_each_equation_once_per_candidate(equations
     for i in range(300):
         del equations[:], validations[:]
         assert run_trial("formulations", 3, i, 8) == []
-        assert sorted(equations) == sorted(2 * list(range(8)))
+        assert equations == [8, 8]
         assert len(validations) <= 5
+    # The eight equations are distinct instructions of the compiled table.
+    assert sum(op is None for op, *_ in pinv_module._PROGRAM.code) == 8
 
 
 @pytest.mark.parametrize("fid", list(FormulationId), ids=lambda fid: fid.value)
 def test_one_formulation_evaluates_only_its_equations(equations, validations, fid):
     formulation_residual(A, X, fid)
-    assert len(equations) == (1 if fid.value.startswith("P21_") else 2)
-    assert len(equations) == len(set(equations))
+    assert equations == [1 if fid.value.startswith("P21_") else 2]
     assert validations == [("a",), ("x",)]
 
 
@@ -80,8 +83,9 @@ def test_catalog_call_matches_one_formulation_at_a_time():
         a = generate_regular(m, n, r, seed=rng)
         for x in (pinv_matrix(a), (1.0 + 1e-3) * pinv_matrix(a), rng.normal(size=(n, m))):
             got = pinv_module._formulation_residuals(*pinv_module._operands(a, x))
-            want = [formulation_residual(a, x, fid) for fid in FormulationId]
-            assert np.array_equal(got, want) and len(got) == 12
+            want = {fid: formulation_residual(a, x, fid) for fid in FormulationId}
+            assert list(got) == list(FormulationId)
+            assert {f: r.hex() for f, r in got.items()} == {f: r.hex() for f, r in want.items()}
 
 
 def test_operands_are_validated_before_the_formulation_id():

@@ -1,5 +1,8 @@
 """Tests for the pseudoinverse, its residuals, and the formulation catalog."""
 
+import importlib
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,9 @@ from mpinv import (
     pinv_matrix,
     svd,
 )
+from mpinv.core import residual
+
+pinv_module = importlib.import_module("mpinv.pinv")
 
 ALL_FORMULATIONS = list(FormulationId)
 
@@ -185,6 +191,89 @@ class TestFormulations:
     def test_residual_dimension_mismatch(self):
         with pytest.raises(ValueError):
             formulation_residual(np.eye(2), np.eye(3), FormulationId.P21_I)
+
+    def test_table_matches_reference_evaluator(self):
+        # The compiled table, run on all twelve rows and on one row at a time,
+        # is bit for bit the per-equation evaluator it replaced.
+        seen, plans = set(), set()
+        pairs = list(_formulation_pairs())
+        for k, (a, x) in enumerate(pairs):
+            with np.errstate(all="ignore"):
+                ref = _reference_formulations(a, x)
+                got = pinv_module._formulation_residuals(*pinv_module._operands(a, x))
+                if k % 5 == 0:
+                    assert {f: formulation_residual(a, x, f).hex() for f in FormulationId} == {
+                        f: r.hex() for f, r in ref.items()}, (a.shape, a.strides)
+            assert list(got) == list(FormulationId)
+            assert {f: r.hex() for f, r in got.items()} == {
+                f: r.hex() for f, r in ref.items()}, (a.shape, a.strides)
+            seen.update(math.inf if r == math.inf else r <= 1e-9 for r in got.values())
+            n = a.shape[0]
+            plans.add(a.shape == x.shape and n <= 22)  # the arena holds the widest level
+        assert len(pairs) >= 2000 and seen == {True, False, math.inf} and plans == {True, False}
+
+
+# The formulation catalog's per-equation evaluator, kept as the reference:
+# the eight equations as functions of (a, x, a*, x*) returning (lhs, rhs), and each
+# formulation as the indices of its one or two equations.
+_REFERENCE_EQUATIONS = (
+    lambda a, x, ah, xh: (a, xh @ ah @ a),
+    lambda a, x, ah, xh: (a, a @ ah @ xh),
+    lambda a, x, ah, xh: (x, x @ xh @ ah),
+    lambda a, x, ah, xh: (x, ah @ xh @ x),
+    lambda a, x, ah, xh: (ah, ah @ a @ x),
+    lambda a, x, ah, xh: (xh, xh @ x @ a),
+    lambda a, x, ah, xh: (ah, x @ a @ ah),
+    lambda a, x, ah, xh: (xh, a @ x @ xh),
+)
+_REFERENCE_ROWS = {
+    FormulationId.P21_I: (0,),
+    FormulationId.P21_II: (1,),
+    FormulationId.P21_III: (2,),
+    FormulationId.P21_IV: (3,),
+    FormulationId.P22_II: (0, 3),
+    FormulationId.P22_III: (1, 2),
+    FormulationId.R23_II: (4, 5),
+    FormulationId.R23_III: (6, 7),
+    FormulationId.P24_II: (6, 2),
+    FormulationId.P24_III: (1, 7),
+    FormulationId.P24_IV: (4, 3),
+    FormulationId.P24_V: (0, 5),
+}
+
+
+def _reference_formulations(a, x):
+    """Each formulation's worst residual, scaled by ``||a||_F`` and ``||x||_F``."""
+    ah, xh = adjoint(a), adjoint(x)
+    na, nx = frobenius_norm(a), frobenius_norm(x)
+    res = [residual(lhs - rhs, na, nx) for lhs, rhs in (
+        eq(a, x, ah, xh) for eq in _REFERENCE_EQUATIONS)]
+    return {f: max((0.0, *map(res.__getitem__, eqs))) for f, eqs in _REFERENCE_ROWS.items()}
+
+
+def _layout(m, k):
+    """``m`` as it is, F-ordered, or with negative strides."""
+    return (m, np.asfortranarray(m), np.flip(m).copy()[::-1, ::-1])[k]
+
+
+def _formulation_pairs():
+    """About 2,100 (a, x) pairs: square a with n = 1-22 (the arena) and n =
+    23-30 (one instruction at a time), rectangular a up to 22 with dimension 1
+    among them, in three layouts, scaled by 2^k, each with x = a^+, (1 + 1e-3) a^+
+    and a random matrix."""
+    rng = np.random.default_rng(197)
+    for i in range(700):
+        if i % 25 == 0:
+            m = n = 23 + i // 25 % 8
+        else:
+            m, n = (int(v) for v in rng.integers(1, 23, size=2))
+            m = n if i % 2 else m
+        a0 = generate_regular(m, n, int(rng.integers(1, min(m, n) + 1)), seed=rng)
+        k = (0, 0, 37, -37, 520, -520)[int(rng.integers(0, 6))]
+        x0 = 2.0 ** -k * pinv_matrix(a0)
+        random = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        for x in (x0, (1.0 + 1e-3) * x0, random):
+            yield _layout(2.0 ** k * a0, i % 3), _layout(x, i % 3)
 
 
 class TestInvolutionLaws:
