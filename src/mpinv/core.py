@@ -8,9 +8,10 @@ behind every verdict: a Frobenius residual divided by
 ``residual_scale`` of the norms it is measured against, for scalars
 (``_scaled``) and, bit for bit alike, for arrays (``_scaled_array``).
 ``_Program`` is the one identity compiler: it compiles a table of
-equations over named leaves once, each equation with its scale (the leaf
-norm products it is divided by, or None for its sides' own norms), and
-its ``run(mats, norms, width)`` scores them.  ``frobenius_norms`` takes the
+equations over named leaves and defined products once, each equation with
+its scale (the norm products it is divided by, or None for its sides' own
+norms), and its ``run(mats, norms)`` scores them by a plan it reads off the
+leaves' shapes.  ``frobenius_norms`` takes the
 norm of each slice of one or more stacks, bit for bit the norm of that
 slice alone, and a stacked call copies at most ``_STACK_BYTES`` of
 slices.  Each answer has one certificate: ``svd`` checks the factors it
@@ -364,11 +365,13 @@ def _flat(factors) -> tuple:
 class _Program:
     """Rows of equations ``(lhs, rhs[, scale])`` compiled to two plans of plain data.
 
-    Each side is a product of factors: a leaf name, a ``_Comm``, or a tuple
-    of factors; ``rhs`` () means ``lhs = 0``.  ``scale`` holds one tuple of
-    leaf names per side, whose norm product scales the residual (by default
-    the side's operand names), or None for the sides' own norms.  The leaves
-    are the names the sides and scales read, in slots ``0 .. len(leaves) -
+    Each side is a product of factors: a name, a ``_Comm``, or a tuple of
+    factors; ``rhs`` () means ``lhs = 0``.  ``scale`` holds one tuple of
+    names per side, whose norm product scales the residual (by default the
+    side's operand names), or None for the sides' own norms.  A name in
+    ``defs`` stands for its product of other names, compiled where it is first
+    read, its norm taken where a scale first reads it.  The leaves are the
+    names read that ``defs`` does not define, in slots ``0 .. len(leaves) -
     1``; instruction ``i`` of ``code``, ``(op, x, y, factors, level)``,
     fills slot ``len(leaves) + i``.  A step (``op`` a matmul or a
     commutator's subtraction) holds ``op(slot x, slot y)``; no two steps
@@ -377,10 +380,10 @@ class _Program:
     ``y`` is None) against its scale ``factors``.  Leaves are on level 0,
     an instruction one level above its highest operand.
 
-    Leaves of one square shape whose ``width`` holds the widest level run in
-    the arena, one stack of every matrix: each level and kind of step is one
-    stacked call (``_levels``), and the equations' norms are
-    ``frobenius_norms`` calls of at most ``width`` slices.  Any other run
+    Leaves of one n-by-n shape run in the arena when ``_width(n)`` slices
+    hold the widest level: one stack of every matrix, each level and kind of
+    step one stacked call (``_levels``), and the norms ``frobenius_norms``
+    calls of at most ``_width(n)`` slices.  Any other run
     takes ``_walk``, one instruction at a time in the table's order, dropping
     each matrix after its last reader.  Both fill one list of norms, which
     ``run`` scores through index arrays: the side products (``_sides``), one
@@ -388,30 +391,38 @@ class _Program:
     ``np.maximum.reduce`` for every row's worst (``_worst``).
     """
 
-    def __init__(self, rows: dict):
+    def __init__(self, rows: dict, defs: dict | None = None):
+        defs = defs or {}
         rows = {key: [(lhs, rhs, *scale) if scale else (lhs, rhs, (_flat(lhs), _flat(rhs)))
                       for lhs, rhs, *scale in row] for key, row in rows.items()}
+
+        def reads(factors):  # the leaf names behind factors, through the definitions
+            return [n for f in _flat(factors) for n in (reads(defs[f]) if f in defs else [f])]
+
         self.leaves = list(dict.fromkeys(n for row in rows.values() for lhs, rhs, scale in row
-                                         for n in _flat((lhs, rhs, scale or ()))))
+                                         for n in reads((lhs, rhs, scale or ()))))
         slot = {name: i for i, name in enumerate(self.leaves)}
         code = []
 
         def emit(op, x, y, factors=None):
             key = (op, x, y, factors)  # a tuple, so never equal to a name
             if key not in slot:
-                slot[key] = len(slot)
+                slot[key] = len(self.leaves) + len(code)
                 code.append(key)
             return slot[key]
+
+        def ref(name):  # a definition is compiled where it is first read
+            return slot[name] if name in slot else slot.setdefault(name, side(defs[name]))
 
         def side(factors):
             out = None
             for f in factors:
                 if isinstance(f, _Comm):
-                    x, y = slot[f.x], slot[f.y]
+                    x, y = ref(f.x), ref(f.y)
                     f = emit(operator.sub, emit(operator.matmul, x, y),
                              emit(operator.matmul, y, x))
                 else:
-                    f = slot[f] if isinstance(f, str) else side(f)
+                    f = ref(f) if isinstance(f, str) else side(f)
                 out = f if out is None else emit(operator.matmul, out, f)
             return out
 
@@ -429,13 +440,17 @@ class _Program:
         of one instruction at a time (``_walk``) and the scoring both share."""
         base, code = len(self.leaves), dict(enumerate(self.code, len(self.leaves)))
         equations = {i: c[1:4] for i, c in code.items() if c[0] is None}  # (x, y, factors)
-        # The norms each equation takes, as (x, y) with y None for x alone (an
-        # equation of scale None also takes its sides' own norms), and their places
-        # in the list of norms: after the leaves', the differences first.
-        takes = {i: [(x, y)] if factors is not None else [(x, y), (x, None), (y, None)]
-                 for i, (x, y, factors) in equations.items()}
-        at = {job: base + k for k, job in enumerate(dict.fromkeys(sorted(
-            (job for jobs in takes.values() for job in jobs), key=lambda job: job[1] is None)))}
+        # The norms each equation takes first, as (x, y) with y None for x alone: its
+        # own, its sides' for scale None, and those of the definitions its scale reads;
+        # and their places in the list of norms: after the leaves', the differences first.
+        takes, taken = {}, set()
+        for i, (x, y, factors) in equations.items():
+            jobs = [(x, y), *([(x, None), (y, None)] if factors is None else
+                              [(slot[n], None) for n in _flat(factors) if slot[n] >= base])]
+            takes[i] = [job for job in dict.fromkeys(jobs) if job not in taken]
+            taken.update(takes[i])
+        at = {job: base + k for k, job in enumerate(sorted(
+            (job for jobs in takes.values() for job in jobs), key=lambda job: job[1] is None))}
         steps = sorted((lv, op is operator.sub, i, x, y)
                        for i, (op, x, y, _, lv) in code.items() if op is not None)
         pos = np.arange(base + len(code), dtype=np.intp)  # each slot's arena slice, once filled
@@ -456,10 +471,10 @@ class _Program:
                       for k, (op, x, y, out) in enumerate(walk)]
         one, products = base + len(at), {}  # one array: the norms, 1.0 at one, side products
 
-        def scale(names):
-            if len(names) == 1:
-                return slot[names[0]]
-            return products.setdefault(names, one + 1 + len(products))
+        def scale(names):  # the place of a side's norm product
+            places = tuple(slot[n] if slot[n] < base else at[(slot[n], None)] for n in names)
+            return places[0] if len(places) == 1 else products.setdefault(
+                places, one + 1 + len(products))
 
         scores = []
         for x, y, factors in equations.values():
@@ -470,22 +485,25 @@ class _Program:
         self._scores = np.array(scores, np.intp).T  # the rows d, s1, s2 of _scaled_array
         # Each side's factors, left to right, padded to the widest with the exact 1.0.
         self._sides = np.full((max(map(len, products), default=1), len(products)), one, np.intp)
-        for k, names in enumerate(products):
-            self._sides[:len(names), k] = [slot[n] for n in names]
+        for k, places in enumerate(products):
+            self._sides[:len(places), k] = places
         place, most = {i: k for k, i in enumerate(equations)}, max(map(len, self.rows.values()))
         self._worst = np.array([[place[i] for i in (eqs * most)[:most]]  # rows padded by repeats
                                 for eqs in self.rows.values()], np.intp).T
 
-    def run(self, mats: dict, norms: dict, width: int) -> dict:
+    def run(self, mats: dict, norms: dict) -> dict:
         """Each row's worst residual, from each leaf's matrix in ``mats`` and its norm
-        in ``norms``; pops the leaves from ``mats``, to free each after its last reader.
-        ``width`` is the slices per stacked call of the arena; a caller passes 0 when
-        its leaves differ in shape, so that they run one instruction at a time."""
-        norms = [norms[name] for name in self.leaves]
+        in ``norms``; pops the leaves from ``mats``, to free each after its last reader."""
+        base, norms = len(self.leaves), [norms[name] for name in self.leaves]
+        v = [mats.pop(name) for name in self.leaves] + [None] * len(self.code)
+        n = len(v[0])
+        # Slices per stacked call.  Leaves that are not all of one square shape have
+        # products that differ in shape, or have a dimension 1, where numpy's BLAS vector
+        # kernels round by the layout that a stack copy changes; a 1-by-1 slice has one layout.
+        width = _width(n) if all(m.shape == (n, n) for m in v[:base]) else 0
         if width >= self.widest:
-            arena = np.empty((self._size, *mats[self.leaves[0]].shape), np.complex128)
-            for i, name in enumerate(self.leaves):
-                arena[i] = mats.pop(name)
+            arena = np.empty((self._size, n, n), np.complex128)
+            arena[:base] = v[:base]
             for ufunc, x, y, lo, hi in self._levels:
                 ufunc(arena[x], arena[y], out=arena[lo:hi])
             for lo in range(0, len(self._gather), width):
@@ -493,7 +511,6 @@ class _Program:
                 np.subtract(stack[:len(minus)], arena[minus], out=stack[:len(minus)])
                 norms += frobenius_norms(stack)
         else:
-            v = [mats.pop(name) for name in self.leaves] + [None] * len(self.code)
             norms += [None] * len(self._gather)
             for op, x, y, out, dead in self._walk:
                 if op is None:

@@ -293,16 +293,24 @@ class TestStackedSvd:
     def test_one_identity_compiler(self):
         # Only core's compiler scores an identity table, and each table is
         # compiled once, at import: no function compiles a plan per call.
+        # Stacked calls are made by that compiler and by pinv's stacked
+        # certificate only, so no module regrows a stacking path beside it.
         calls = {"_scaled_array": set(), "_Program": set()}
+        stacking = {"frobenius_norms", "_stack", "_width"}
+        stackers = set()
         for path in SRC.glob("*.py"):
             for top in ast.parse(path.read_text()).body:
                 for node in ast.walk(top):
                     if isinstance(node, ast.Call) and ast.unparse(node.func) in calls:
                         calls[ast.unparse(node.func)].add(
                             (path.name, getattr(top, "name", "<module>")))
+                    if isinstance(node, ast.Call) and (
+                            ast.unparse(node.func).rpartition(".")[2] in stacking):
+                        stackers.add(path.name)
         assert calls == {"_scaled_array": {("core.py", "_Program")},
                          "_Program": {("pinv.py", "<module>"),
                                       ("reverse_order.py", "<module>")}}, calls
+        assert stackers == {"core.py", "pinv.py"}, stackers
 
 
 class TestFrobeniusNorm:

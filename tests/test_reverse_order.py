@@ -106,6 +106,24 @@ class TestIntermediates:
         with pytest.raises(ValueError, match="undefined"):
             rol_intermediates(np.eye(2), np.eye(3))
 
+    def test_definitions_match_reference_bit_for_bit(self):
+        # Each intermediate is its product in ro._DEFS, byte for byte the
+        # workspace's former stacked products: square, rectangular (a
+        # dimension 1 too), F-ordered and 2^k-scaled pairs.
+        rng = np.random.default_rng(211)
+        pairs = [(generate_regular(n, n, max(1, n - 1), seed=rng),
+                  generate_regular(n, n, n, seed=rng)) for n in range(1, 21)]
+        for m, n, k in ((1, 3, 2), (3, 1, 3), (4, 4, 1), (1, 1, 4), (2, 5, 3), (6, 4, 5)):
+            pairs.append((generate_regular(m, n, min(m, n), seed=rng),
+                          generate_regular(n, k, min(n, k), seed=rng)))
+        pairs += [(np.asfortranarray(a), np.asfortranarray(b)) for a, b in pairs[::3]]
+        pairs += [(2.0 ** e * a, 2.0 ** -e * b) for e in (37, -37, 200, -200)
+                  for a, b in pairs[::5]]
+        for a, b in pairs:
+            got, ref = rol_intermediates(a, b), _reference_workspace(a, b, with_ab=False).mats
+            for name in ("p", "q", "r", "s", "q_dag", "r_dag"):
+                assert getattr(got, name).tobytes() == ref[name].tobytes(), (a.shape, b.shape, name)
+
     def test_intermediates_must_be_hermitian(self):
         inter = rol_intermediates(np.eye(2), np.eye(2))
         shift = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -250,6 +268,27 @@ def _reference_product(w, factors, norm=1.0):
     return out, norm
 
 
+def _reference_workspace(a, b, with_ab=True):
+    """The workspace as it formed p, q, r, s, a* a and r^+ itself, kept as the
+    reference for ``ro._DEFS``: stacked matmuls of as many slices as the arena's
+    width (one at a time for a pair that is not square), one ``frobenius_norms``
+    call per stack, and q^+ being a* a, matrix and norm."""
+    w = ro._Workspace(a, b, DEFAULT_TOL, with_ab)
+    (m, n), k = w.mats["a"].shape, w.mats["b"].shape[1]
+    a, b, a_dag, b_dag, ah, bh, adh, bdh = map(w.mats.get, (
+        "a", "b", "a_dag", "b_dag", "ah", "bh", "adh", "bdh"))
+    products = (("p", b, b_dag), ("q", a_dag, adh), ("r", b, bh), ("s", a_dag, a),
+                ("aa", ah, a), ("r_dag", bdh, b_dag))
+    step = core._width(n) if m == n == k else 1
+    for lo in range(0, len(products), step):
+        names, xs, ys = zip(*products[lo:lo + step])
+        stack = np.matmul(core._stack(xs), core._stack(ys))
+        w.mats.update(zip(names, stack))
+        w.norms.update(zip(names, core.frobenius_norms(stack)))
+    w.mats["q_dag"], w.norms["q_dag"] = w.mats["aa"], w.norms["aa"]
+    return w
+
+
 def _reference_row(w, row):
     if row is ro._DIRECT:
         return distance(w.mats["ab_dag"], w.mats["b_dag"] @ w.mats["a_dag"])
@@ -282,11 +321,11 @@ def _seeded_pairs(seed, count):
 
 def _width_pairs():
     """Square pairs on both sides of each change of stack width (the arena
-    up to n = 14; the workspace's six products in one stack up to n = 26; a
+    up to n = 15; the reference's six products in one stack up to n = 26; a
     square pair's three certificates in one stack up to n = 36, two up to
     n = 45), rectangular pairs, and pairs scaled by 2^k."""
     rng = np.random.default_rng(163)
-    for n in (1, 2, 12, 14, 15, 20, 21, 24, 26, 27, 36, 37, 45, 46, 47, 48):
+    for n in (1, 2, 12, 14, 15, 16, 20, 21, 24, 26, 27, 36, 37, 45, 46, 47, 48):
         yield generate_regular(n, n, n, seed=rng), generate_regular(n, n, max(1, n - 1), seed=rng)
         yield (2.0 ** 37 * generate_regular(n, n, max(1, n - 2), seed=rng),
                2.0 ** -45 * generate_regular(n, n, n, seed=rng))
@@ -301,7 +340,7 @@ def _bits(x):
 
 def _run(program, w):
     """``program`` run on the workspace ``w``, as ``full_report`` runs the catalog."""
-    return program.run(w.mats, w.norms, w.width)
+    return program.run(w.mats, w.norms)
 
 
 class TestCompiledProgram:
@@ -320,14 +359,18 @@ class TestCompiledProgram:
         # x y and y x of every commutator.
         spelled = []
 
+        def name(n):  # a definition is spelled out as its product
+            return side(ro._DEFS[n]) if n in ro._DEFS else n
+
         def side(factors):
             out = None
             for f in factors:
                 if isinstance(f, ro._Comm):
-                    spelled.extend([f"({f.x}@{f.y})", f"({f.y}@{f.x})"])
-                    f = f"[{f.x},{f.y}]"
-                elif not isinstance(f, str):
-                    f = side(f)
+                    x, y = name(f.x), name(f.y)
+                    spelled.extend([f"({x}@{y})", f"({y}@{x})"])
+                    f = f"[{x},{y}]"
+                else:
+                    f = name(f) if isinstance(f, str) else side(f)
                 if out is not None:
                     out = f"({out}@{f})"
                     spelled.append(out)
@@ -340,10 +383,12 @@ class TestCompiledProgram:
                 side(lhs)
                 side(rhs)
         matmuls = [s for s in self.steps(ro._PROGRAM) if s[0] is operator.matmul]
-        # The table spells 104 matmuls: 103 in the equation rows and
-        # b^+ a^+ for ROL_DIRECT; 60 of them are distinct.
-        assert len(spelled) == 104
-        assert len(matmuls) == len(set(spelled)) == 60
+        # The table spells 202 matmuls: 103 in the equation rows, b^+ a^+ for
+        # ROL_DIRECT and a definition's product at each of its 98 reads.  64
+        # are distinct: a* a is both aa and q^+, so [aa, p] and [q^+, p] are
+        # one commutator.
+        assert len(spelled) == 202
+        assert len(matmuls) == len(set(spelled)) == 64
 
     def test_commutator_and_product_compile_to_different_steps(self):
         # _Comm("s", "r") == ("s", "r") as tuples; the compiler must not
@@ -362,9 +407,9 @@ class TestCompiledProgram:
 
     def test_program_matches_reference_evaluator(self):
         for a, b in _seeded_pairs(151, 40):
-            ref = {c: _reference_row(ro._Workspace(a, b, DEFAULT_TOL), row)
-                   for c, row in ro._CONDITIONS.items()}
-            got = _run(ro._PROGRAM, ro._Workspace(a, b, DEFAULT_TOL))
+            w = _reference_workspace(a, b)
+            ref = {c: _reference_row(w, row) for c, row in ro._CONDITIONS.items()}
+            got = _run(ro._PROGRAM, w)  # takes w's leaves
             assert {c: _bits(r) for c, r in got.items()} == {
                 c: _bits(r) for c, r in ref.items()}
 
@@ -377,11 +422,11 @@ class TestCompiledProgram:
             a, b = (2.0 ** int(rng.integers(-300, 301)) * m for m in (a, b))
             with np.errstate(all="ignore"):
                 try:
-                    got = _run(ro._PROGRAM, ro._Workspace(a, b, DEFAULT_TOL))
+                    w = _reference_workspace(a, b)
                 except PenroseResidualError:
                     continue
-                ref = {c: _reference_row(ro._Workspace(a, b, DEFAULT_TOL), row)
-                       for c, row in ro._CONDITIONS.items()}
+                ref = {c: _reference_row(w, row) for c, row in ro._CONDITIONS.items()}
+                got = _run(ro._PROGRAM, w)
             assert {c: _bits(r) for c, r in got.items()} == {
                 c: _bits(r) for c, r in ref.items()}, (a.shape, b.shape)
             square = a.shape[0] == a.shape[1] == b.shape[1]
@@ -403,9 +448,9 @@ class TestCompiledProgram:
         # Each row takes the worst of all its equations, however many it has.
         g5, gi = ro._CONDITIONS[ConditionId.G5], ro._CONDITIONS[ConditionId.MBEKHTA_GI]
         rows = {ConditionId.G5: g5 + gi, ConditionId.G3: ro._CONDITIONS[ConditionId.G3]}
-        program, third_worst = ro._Program(rows), 0
+        program, third_worst = ro._Program(rows, ro._DEFS), 0
         for a, b in _seeded_pairs(191, 40):
-            w = ro._Workspace(a, b, DEFAULT_TOL)
+            w = _reference_workspace(a, b)
             ref = {c: _reference_row(w, row) for c, row in rows.items()}
             third_worst += _reference_row(w, gi) > _reference_row(w, g5)
             got = _run(program, w)  # takes w's matrices
@@ -414,8 +459,8 @@ class TestCompiledProgram:
 
     def test_program_matches_reference_at_every_width(self):
         for a, b in _width_pairs():
-            w = ro._Workspace(a, b, DEFAULT_TOL)
-            mats = dict(w.mats)
+            w = _reference_workspace(a, b)
+            mats = w.mats
             ah, bdh = adjoint(mats["a"]), adjoint(mats["b_dag"])
             alone = {"p": mats["b"] @ mats["b_dag"], "q": mats["a_dag"] @ adjoint(mats["a_dag"]),
                      "r": mats["b"] @ adjoint(mats["b"]), "s": mats["a_dag"] @ mats["a"],
@@ -457,64 +502,76 @@ class TestCompiledProgram:
         assert [out for op, *_, out, _ in walk if op is not None] == [
             i for i, c in enumerate(program.code, base) if c[0] is not None]
         norms = sorted(out for op, *_, out, _ in walk if op is None)
-        assert norms == list(range(base, base + 33))
+        assert norms == list(range(base, base + 38))
+
+    def test_one_at_a_time_walk_holds_at_most_18_matrices(self):
+        # One instruction at a time, the leaves are alive from the start, each
+        # product from its step to its last reader, and a difference while its
+        # norm is taken.  Definitions are formed where a row first reads them,
+        # so the order of ro._CONDITIONS sets this peak; the report's memory
+        # follows it (test_full_report_peak_memory_at_n48).
+        program = ro._PROGRAM
+        live = peak = len(program.leaves)
+        for op, x, y, out, dead in program._walk:
+            live += op is not None
+            peak = max(peak, live + (op is None and y is not None))
+            live -= len(dead)
+        assert peak <= 18
 
     def test_levels(self):
-        # The 60 distinct products fall on 4 levels, the 10 commutator
-        # subtractions on 1, and the 31 equations on 4.
+        # The 64 distinct products fall on 5 levels, the definitions first,
+        # the 9 commutator subtractions on 1, and the 31 equations on 5.
         levels = Counter((op, level) for op, *_, level in ro._PROGRAM.code)
         assert {lv: c for (op, lv), c in levels.items() if op is operator.matmul} == {
-            1: 20, 2: 15, 3: 16, 4: 9}
-        assert {lv: c for (op, lv), c in levels.items() if op is operator.sub} == {2: 10}
+            1: 9, 2: 18, 3: 13, 4: 15, 5: 9}
+        assert {lv: c for (op, lv), c in levels.items() if op is operator.sub} == {3: 9}
         equations = {lv: c for (op, lv), c in levels.items() if op is None}
-        assert sum(equations.values()) == 31 and len(equations) <= 4
-        assert ro._PROGRAM.widest == 20
+        assert sum(equations.values()) == 31 and len(equations) <= 5
+        assert ro._PROGRAM.widest == 18
         for op, x, y, _, level in ro._PROGRAM.code:
             operands = [s - len(ro._PROGRAM.leaves) for s in (x, y)
                         if s is not None and s >= len(ro._PROGRAM.leaves)]
             assert level == 1 + max((ro._PROGRAM.code[s][-1] for s in operands), default=0)
 
     def test_stacked_calls_of_one_report(self, monkeypatch):
-        # One norm call for the 33 equation norms up to n = 11 and two at
-        # n = 12 (28 slices each at most), one for the workspace's six
-        # products, one for the certificate of a, b and ab (its four
-        # differences, the three matrices and their pseudoinverses: six
-        # stacks of one slice length, 41 KiB at n = 12), and no norm of one
-        # matrix alone.
+        # One norm call for the 38 norms of the equations and definitions up
+        # to n = 10 and two at n = 11 and 12 (33 and 28 slices each at most),
+        # one for the certificate of a, b and ab (its four differences, the
+        # three matrices and their pseudoinverses: six stacks of one slice
+        # length, 41 KiB at n = 12), and no norm of one matrix alone.
         calls = Counter()
-        for module, name in ((ro, "frobenius_norms"), (pinv_module, "frobenius_norms"),
-                             (core, "frobenius_norms"), (core, "frobenius_norm"),
-                             (ro, "frobenius_norm")):
+        for module, name in ((pinv_module, "frobenius_norms"), (core, "frobenius_norms"),
+                             (core, "frobenius_norm"), (ro, "frobenius_norm")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, real=real, name=name, **kwargs:
                                 calls.update([name]) or real(*args, **kwargs))
         rng = np.random.default_rng(4)
-        for n, equation_calls in ((4, 1), (11, 1), (12, 2)):
+        for n, equation_calls in ((4, 1), (11, 2), (12, 2)):
             calls.clear()
             a, b = generate_regular(n, n, n - 1, seed=rng), generate_regular(n, n, n, seed=rng)
             full_report(a, b)
-            assert calls == {"frobenius_norms": equation_calls + 1 + 1}, n
+            assert calls == {"frobenius_norms": equation_calls + 1}, n
 
     def test_arena_plan_fills_each_step_slice_once(self):
-        # The 70 steps fill the arena's slices base .. base + 69 in 5 stacked
+        # The 73 steps fill the arena's slices base .. base + 72 in 6 stacked
         # calls, one per level and kind, each reading only slices filled
-        # before it; the equations gather 33 slices, and the first 16 of
-        # them are differences.
-        program = ro._Program(ro._CONDITIONS)
+        # before it; the equations and definitions gather 38 slices, and the
+        # first 16 of them are differences.
+        program = ro._Program(ro._CONDITIONS, ro._DEFS)
         base = len(program.leaves)
         filled = [i for *_, lo, hi in program._levels for i in range(lo, hi)]
-        assert filled == list(range(base, base + 70)) and program._size == base + 70
+        assert filled == list(range(base, base + 73)) and program._size == base + 73
         for _, x, y, lo, _ in program._levels:
             assert max(x.max(), y.max()) < lo
-        assert (len(program._gather), len(program._minus)) == (33, 16)
+        assert (len(program._gather), len(program._minus)) == (38, 16)
         calls = []
         program._levels = [(lambda x, y, out, ufunc=ufunc: calls.append((ufunc, len(out)))
                             or ufunc(x, y, out=out), *rest) for ufunc, *rest in program._levels]
         rng = np.random.default_rng(5)
         a, b = generate_regular(4, 4, 3, seed=rng), generate_regular(4, 4, 4, seed=rng)
         got = _run(program, ro._Workspace(a, b, DEFAULT_TOL))
-        assert calls == [(np.matmul, 20), (np.matmul, 15), (np.subtract, 10),
-                         (np.matmul, 16), (np.matmul, 9)]
+        assert calls == [(np.matmul, 9), (np.matmul, 18), (np.matmul, 13), (np.subtract, 9),
+                         (np.matmul, 15), (np.matmul, 9)]
         assert got == _run(ro._PROGRAM, ro._Workspace(a, b, DEFAULT_TOL))
 
     def test_each_equation_is_scaled_once(self, monkeypatch):
@@ -541,13 +598,12 @@ class TestCompiledProgram:
             sys._getframe(1).f_code is core._Program.run.__code__ and alone.update([m.shape]))
             or real(m))
         rng = np.random.default_rng(167)
+        assert core._width(1) >= ro._PROGRAM.widest
         for i in range(60):
             a, b = (complex(*rng.standard_normal(2)) * 2.0 ** int(rng.integers(-60, 61))
                     * np.ones((1, 1)) * (i % 7 != 0) for _ in range(2))
-            w = ro._Workspace(a, b, DEFAULT_TOL)
-            assert w.width >= ro._PROGRAM.widest
-            ref = {c: _reference_row(ro._Workspace(a, b, DEFAULT_TOL), row)
-                   for c, row in ro._CONDITIONS.items()}
+            w = _reference_workspace(a, b)
+            ref = {c: _reference_row(w, row) for c, row in ro._CONDITIONS.items()}
             got = _run(ro._PROGRAM, w)
             assert {c: _bits(r) for c, r in got.items()} == {c: _bits(r) for c, r in ref.items()}
         assert not alone
