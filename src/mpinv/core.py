@@ -97,10 +97,10 @@ def as_matrix(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
     return m
 
 
-def as_square(a, name: str = "a") -> np.ndarray:
+def as_square(a, name: str = "a", stack: bool = False) -> np.ndarray:
     """``as_matrix``, refusing a non-square shape."""
-    m = as_matrix(a, name)
-    if m.shape[0] != m.shape[1]:
+    m = as_matrix(a, name, stack)
+    if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     return m
 
@@ -362,6 +362,16 @@ def _flat(factors) -> tuple:
     return tuple(n for f in factors for n in ((f,) if isinstance(f, str) else _flat(f)))
 
 
+# A program whose widest level holds at most this many steps walks, whatever
+# the shapes of its leaves.  Measured by ``run`` alone on square leaves, n
+# 2-12 (2-core x86-64 host, numpy 2.4, OpenBLAS, one BLAS thread, thread CPU), the
+# walk took 0.45-0.69x the arena's time for programs of widest 1 and 2 (one
+# formulation, MBEKHTA_GI, MBEKHTA_IDEM: 22-31 us against 37-65 us) and
+# 0.86-0.91x for widest 4 (G5), but 1.34-1.45x for the twelve formulations
+# (widest 8) and 1.81-2.45x for the reverse-order catalog (widest 18).
+_WALK_WIDEST = 4
+
+
 class _Program:
     """Rows of equations ``(lhs, rhs[, scale])`` compiled to two plans of plain data.
 
@@ -380,12 +390,13 @@ class _Program:
     ``y`` is None) against its scale ``factors``.  Leaves are on level 0,
     an instruction one level above its highest operand.
 
-    Leaves of one n-by-n shape run in the arena when ``_width(n)`` slices
-    hold the widest level: one stack of every matrix, each level and kind of
-    step one stacked call (``_levels``), and the norms ``frobenius_norms``
-    calls of at most ``_width(n)`` slices.  Any other run
-    takes ``_walk``, one instruction at a time in the table's order, dropping
-    each matrix after its last reader.  Both fill one list of norms, which
+    A program whose widest level holds more than ``_WALK_WIDEST`` steps runs
+    leaves of one n-by-n shape in the arena when ``_width(n)`` slices hold
+    that level: one stack of every matrix, each level and kind of step one
+    stacked call (``_levels``), and the norms ``frobenius_norms`` calls of at
+    most ``_width(n)`` slices.  Any other run takes ``_walk``, one
+    instruction at a time in the table's order, dropping each matrix after
+    its last reader.  Both fill one list of norms, which
     ``run`` scores through index arrays: the side products (``_sides``), one
     ``_scaled_array`` call for every equation (``_scores``) and one
     ``np.maximum.reduce`` for every row's worst (``_worst``).
@@ -501,7 +512,7 @@ class _Program:
         # products that differ in shape, or have a dimension 1, where numpy's BLAS vector
         # kernels round by the layout that a stack copy changes; a 1-by-1 slice has one layout.
         width = _width(n) if all(m.shape == (n, n) for m in v[:base]) else 0
-        if width >= self.widest:
+        if self.widest > _WALK_WIDEST and width >= self.widest:
             arena = np.empty((self._size, n, n), np.complex128)
             arena[:base] = v[:base]
             for ufunc, x, y, lo, hi in self._levels:
@@ -578,15 +589,19 @@ class ConditionReport:
         return out
 
 
-def haar_unitary(n: int, rng) -> np.ndarray:
+def haar_unitary(n: int, rng, count: int | None = None) -> np.ndarray:
     """Haar-distributed n-by-n unitary via QR of a complex Gaussian matrix.
 
     The R-diagonal phase correction makes the distribution exactly
-    Haar and the output a pure function of the generator state.
+    Haar and the output a pure function of the generator state.  With
+    ``count``, a ``(count, n, n)`` stack of the unitaries that ``count``
+    calls in a row draw, bit for bit and leaving the generator in the same
+    state, from one Gaussian draw and one stacked QR call.
     """
     rng = np.random.default_rng(rng)
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r).copy()
+    g = rng.standard_normal((count or 1, 2, n, n))  # each slice's real, then imaginary part
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0
-    return q * (d / np.abs(d))
+    q = q * (d / np.abs(d))[:, None, :]
+    return q if count else q[0]

@@ -186,7 +186,7 @@ def _rotated_pair(a0, b0, n, seed):
     """
     a0, b0 = _padded(a0, n), _padded(b0, n)
     rng = np.random.default_rng(seed)
-    u, v, w = (haar_unitary(n, rng) for _ in range(3))
+    u, v, w = haar_unitary(n, rng, 3)
     return u @ a0 @ adjoint(v), v @ b0 @ adjoint(w)
 
 
@@ -372,10 +372,17 @@ def _trial_mph(rng, max_dim, tol, fail):
         fail("mph_annihilator", {}, {"a": a})
     if not is_mp_hermitian(adjoint(a), tol):
         fail("mph_adjoint_closure", {}, {"a": a})
-    power = a
-    for exponent in (2, 3, 4, 5):
-        power = power @ a
-        if not is_mp_hermitian(power, tol):
+    powers = [a @ a]
+    for _ in range(3):
+        powers.append(powers[-1] @ a)
+    try:
+        closed = is_mp_hermitian(np.array(powers), tol)
+    except (ValueError, RuntimeError):
+        # One power refuses: call them one at a time, lazily, so that the
+        # records of the powers before it are kept and its own error ends the trial.
+        closed = (is_mp_hermitian(power, tol) for power in powers)
+    for exponent, holds in zip((2, 3, 4, 5), closed):
+        if not holds:
             fail(f"mph_power_closure:{exponent}", {}, {"a": a})
     sub = _subspace_report(analysis)
     if not sub.all_true():

@@ -198,6 +198,19 @@ class _Analysis:
     conorm = functools.cached_property(
         lambda self: float(self.factorization.sigma[self.rank - 1]) if self.rank else None)
 
+    @classmethod
+    def stack(cls, ms: np.ndarray, tol: Tolerance) -> list:
+        """The analysis of each slice of a validated ``(N, n, n)`` stack, with
+        ``factorization`` and ``result`` set from one ``_factor`` and one
+        ``_certified`` call, bit for bit each slice's alone; the first slice
+        that ``pinv`` refuses raises its error."""
+        analyses = []
+        for m, result in zip(ms, _certified(ms, _factor(ms), tol)):
+            analysis = cls(m, tol)
+            analysis.factorization, analysis.result = result.factorization, result
+            analyses.append(analysis)
+        return analyses
+
     def norm_conorm(self) -> ConditionReport:
         if self.rank == 0:
             raise ValueError("check undefined for the zero element")
@@ -284,9 +297,8 @@ def matrix_with_singular_values(singular_values, shape, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if len(sv) == 0:
         return np.zeros((m, n), dtype=np.complex128)
-    u = haar_unitary(m, rng)[:, : len(sv)]
-    v = haar_unitary(n, rng)[:, : len(sv)]
-    return (u * sv) @ adjoint(v)
+    u, v = haar_unitary(m, rng, 2) if m == n else (haar_unitary(m, rng), haar_unitary(n, rng))
+    return (u[:, : len(sv)] * sv) @ adjoint(v[:, : len(sv)])
 
 
 SPECIAL_KINDS = ("partial_isometry", "hermitian_partial_isometry", "prescribed_singular_values")

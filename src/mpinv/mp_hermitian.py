@@ -29,6 +29,7 @@ from .core import (
     ratio,
     residual,
     residual_scale,
+    slicewise_errors,
 )
 from .isometry import _Analysis
 from .matrix_io import matrix_to_dict
@@ -117,9 +118,18 @@ class MphDecomposition:
         }
 
 
-def is_mp_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the pseudoinverse of ``a`` equals ``a`` itself."""
-    return _Analysis(as_square(a), tol).mp_hermitian
+@slicewise_errors
+def is_mp_hermitian(a, tol: Tolerance = DEFAULT_TOL):
+    """True iff the pseudoinverse of ``a`` equals ``a`` itself.
+
+    An ``(N, n, n)`` stack is factored in one SVD call and certified as
+    ``pinv`` certifies one, and gives a list of N verdicts, each its slice's
+    alone; the first slice that fails raises the error it raises alone.
+    """
+    m = as_square(a, stack=True)
+    if m.ndim == 2:
+        return _Analysis(m, tol).mp_hermitian
+    return [analysis.mp_hermitian for analysis in _Analysis.stack(m, tol)]
 
 
 def algebraic_mph_check(a, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -268,9 +278,10 @@ def generate_mp_hermitian(
 
     lo, hi = 1.0 / np.sqrt(cond_cap), np.sqrt(cond_cap)
     sv = rng.uniform(lo, hi, size=k)
-    s_mat = (haar_unitary(k, rng) * sv) @ adjoint(haar_unitary(k, rng))
+    # The two k-by-k unitaries and, for k = n, the embedding are one draw.
+    u, v, *q = haar_unitary(k, rng, 3 if k == n else 2)
+    s_mat = (u * sv) @ adjoint(v)
     t2 = (s_mat * signs) @ np.linalg.inv(s_mat)
 
-    q = haar_unitary(n, rng)
-    qk = q[:, :k]
+    qk = (q[0] if q else haar_unitary(n, rng))[:, :k]
     return qk @ t2 @ adjoint(qk)

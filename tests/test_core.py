@@ -1,6 +1,7 @@
 """Tests for the matrix substrate: adjoint, SVD, rank, norms, comparison."""
 
 import ast
+import importlib
 import itertools
 import math
 import re
@@ -21,6 +22,7 @@ from mpinv import (
     approx_eq,
     as_matrix,
     frobenius_norm,
+    generate_regular,
     haar_unitary,
     hermitian_residual,
     is_mp_hermitian,
@@ -30,6 +32,7 @@ from mpinv import (
     normality_residual,
     numerical_rank,
     operator_norm,
+    pinv_matrix,
     svd,
 )
 from mpinv import core
@@ -636,6 +639,39 @@ def test_no_module_runs_code_built_from_text():
     assert calls == [], calls
 
 
+class TestPlanChoice:
+    def test_each_shipped_program_takes_its_plan(self, monkeypatch):
+        # On square leaves that the arena holds, the twelve formulations
+        # (widest level 8) and the reverse-order catalog (18) run in the
+        # arena, whose norms are frobenius_norms calls; a program of one
+        # formulation (widest 1 or 2) or of one condition (1 to 4) walks.
+        pinv_module = importlib.import_module("mpinv.pinv")
+        ro = importlib.import_module("mpinv.reverse_order")
+        stacked = []
+        real = core.frobenius_norms
+        monkeypatch.setattr(core, "frobenius_norms", lambda *s: stacked.append(1) or real(*s))
+        rng = np.random.default_rng(5)
+        a, b = generate_regular(4, 4, 3, seed=rng), generate_regular(4, 4, 4, seed=rng)
+        x, w = pinv_matrix(a), ro._Workspace(a, b, Tolerance())
+        programs = {"formulations": pinv_module._PROGRAM, "catalog": ro._PROGRAM,
+                    **{f.value: p for f, p in pinv_module._ONE_PROGRAMS.items()},
+                    **{c.value: p for c, p in ro._ROW_PROGRAMS.items()}}
+        arena, widest = set(), {}
+        for name, program in programs.items():
+            stacked.clear()
+            if "x" in program.leaves:
+                pinv_module._formulation_residuals(a, x, program)
+            else:
+                program.run(dict(w.mats), w.norms)
+            if stacked:
+                arena.add(name)
+            else:
+                widest[program.widest] = widest.get(program.widest, 0) + 1
+        assert arena == {"formulations", "catalog"}
+        assert widest == {1: 7, 2: 10, 4: 14}
+        assert core._width(4) >= ro._PROGRAM.widest
+
+
 class TestTolerance:
     def test_defaults(self):
         t = Tolerance()
@@ -656,3 +692,38 @@ class TestHaarUnitary:
         q2 = haar_unitary(8, np.random.default_rng(99))
         assert np.array_equal(q1, q2)
         assert frobenius_norm(adjoint(q1) @ q1 - np.eye(8)) <= 1e-13
+
+    @staticmethod
+    def one_draw(n, rng):
+        """The construction of one unitary, one 2-D QR call each, as a reference."""
+        q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        d = np.diagonal(r).copy()
+        d[d == 0] = 1.0
+        return q * (d / np.abs(d))
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_stack_is_the_sequential_draws(self, count):
+        # Each slice of a stack is bit for bit the unitary that a draw in a
+        # row makes, alone or by the reference, and the generator is left in
+        # the same state.
+        for seed in range(20):
+            for n in range(1, 13):
+                stacked, alone, ref = (np.random.default_rng([seed, n]) for _ in range(3))
+                got = haar_unitary(n, stacked, count)
+                want = [haar_unitary(n, alone) for _ in range(count)]
+                assert got.shape == (count, n, n)
+                assert [q.tobytes() for q in got] == [q.tobytes() for q in want]
+                assert want[0].shape == (n, n) and want[0].flags.c_contiguous
+                assert [q.tobytes() for q in want] == [
+                    self.one_draw(n, ref).tobytes() for _ in range(count)]
+                assert (stacked.bit_generator.state == alone.bit_generator.state
+                        == ref.bit_generator.state)
+
+    def test_one_haar_construction(self):
+        # Every unitary is drawn by haar_unitary: only core calls QR.
+        callers = set()
+        for path in SRC.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("linalg.qr"):
+                    callers.add(path.name)
+        assert callers == {"core.py"}, callers

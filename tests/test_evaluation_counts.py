@@ -141,9 +141,12 @@ def core_calls(monkeypatch):
     # operator_norm 0 and 0.88 per trial before the analysis decided its own
     # equalities, and frobenius_norm 111.02 per mph trial; frobenius_norm 27.5
     # per isometry trial before norm_conorm read the analysis's ||a^+ - a*||_F
-    # (one norm fewer on each of the 263 trials of nonzero rank).  No trial
-    # takes a stacked norm: each certificate here is of one matrix.
-    ("mph", {"as_matrix": 10.0, "frobenius_norm": 97.02}),
+    # (one norm fewer on each of the 263 trials of nonzero rank).  An mph
+    # trial certifies a^2 .. a^5 as one stack, with one stacked norm call
+    # for their six norms each: as_matrix 10.0 and frobenius_norm 97.02 per
+    # trial while each power was certified alone.  No isometry trial takes
+    # a stacked norm: each certificate there is of one matrix.
+    ("mph", {"as_matrix": 7.0, "frobenius_norm": 73.02, "frobenius_norms": 1.0}),
     ("isometry", {"as_matrix": 4.0, "frobenius_norm": 7987 / 300}),  # 26.62
 ])
 def test_analysis_trials_validate_no_matrix_the_analysis_built(core_calls, suite, per_trial):

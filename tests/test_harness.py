@@ -145,6 +145,25 @@ class TestReplayDeterminism:
         indices = [f.trial_index for f in report.failures]
         assert indices == sorted(indices)
 
+    @pytest.mark.parametrize("trial_index, closures", [(6, [2]), (341, [2, 3])])
+    def test_refused_power_keeps_the_records_before_it(self, monkeypatch, trial_index,
+                                                       closures):
+        # At eq_tol 3e-16 these mph trials of seed 1 find their first powers
+        # not MPH before pinv refuses the next one.  a^2 .. a^5 are certified
+        # as one stack; when it refuses, the powers are certified one at a
+        # time up to the refused one, so the closure records come first and
+        # the refusal ends the trial with its own message, as it did when
+        # each power was certified alone.
+        ndims = []
+        real = harness.is_mp_hermitian
+        monkeypatch.setattr(harness, "is_mp_hermitian",
+                            lambda m, tol: ndims.append(m.ndim) or real(m, tol))
+        records = run_trial("mph", 1, trial_index, 8, Tolerance(eq_tol=3e-16))
+        *found, refusal = [r.condition_pair for r in records]
+        assert found == [f"mph_power_closure:{k}" for k in closures]
+        assert refusal.startswith("trial_exception:PenroseResidualError:pseudoinverse residuals")
+        assert ndims == [2, 3] + [2] * (len(closures) + 1)
+
     def test_run_trial_rejects_all(self):
         with pytest.raises(ValueError, match="concrete suite"):
             run_trial("all", 0, 0, 4)

@@ -6,6 +6,7 @@ import pytest
 from mpinv import (
     MphDecomposition,
     NotMpHermitianError,
+    PenroseResidualError,
     SubspaceBasis,
     Tolerance,
     adjoint,
@@ -18,6 +19,7 @@ from mpinv import (
     generate_regular,
     haar_unitary,
     is_mp_hermitian,
+    matrix_with_singular_values,
     mph_decompose,
     mph_subspace_check,
     numerical_rank,
@@ -44,6 +46,39 @@ class TestIsMpHermitian:
     def test_requires_square(self):
         with pytest.raises(ValueError, match="square"):
             is_mp_hermitian(np.zeros((2, 3)))
+
+    def test_stack_gives_each_slice_its_own_verdict(self, monkeypatch):
+        # One SVD call factors the stack, and each verdict is its slice's alone.
+        rng = np.random.default_rng(41)
+        svd_calls = []
+        real_svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd_calls.append(1)
+                            or real_svd(*a, **k))
+        verdicts = set()
+        for n in range(1, 9):
+            for tol in (Tolerance(), Tolerance(eq_tol=1e-14)):
+                a = generate_mp_hermitian(n, int(rng.integers(0, n + 1)), rng)
+                powers = [a, a @ a, generate_regular(n, n, n, seed=rng), adjoint(a) @ a]
+                svd_calls.clear()
+                got = is_mp_hermitian(np.array(powers), tol)
+                assert len(svd_calls) == 1
+                assert got == [is_mp_hermitian(m, tol) for m in powers]
+                verdicts.update(got)
+        assert verdicts == {True, False}
+
+    def test_stack_raises_the_error_of_its_first_refused_slice(self):
+        rng = np.random.default_rng(43)
+        good = generate_mp_hermitian(3, 2, rng)
+        refused = matrix_with_singular_values([1.0, 1e-12, 1e-12], (3, 3), rng)
+        with pytest.raises(PenroseResidualError) as alone:
+            is_mp_hermitian(refused)
+        with pytest.raises(PenroseResidualError) as stacked:
+            is_mp_hermitian(np.array([good, refused, np.eye(3)]))
+        assert str(stacked.value) == str(alone.value)
+        with pytest.raises(ValueError, match="square"):
+            is_mp_hermitian(np.zeros((2, 2, 3)))
+        with pytest.raises(ValueError, match="non-finite"):
+            is_mp_hermitian(np.array([good, np.full((3, 3), np.nan)]))
 
 
 class TestAlgebraicCheck:
