@@ -175,17 +175,19 @@ def _stack(ms) -> np.ndarray:
 
 
 def slicewise_errors(fn):
-    """Decorate ``fn(m, ...)``, which also takes an ``(N, m, n)`` array: when
-    a stack raises ``ValueError`` or ``SvdConvergenceError``, ``fn`` runs on
-    each slice in turn, so that the first failing slice raises the error and
-    message it raises alone (LAPACK does not say which slice failed)."""
+    """Decorate ``fn(m, ...)``, which also takes an ``(N, m, n)`` stack, as an array or
+    nested lists, with the one rule for what a refused stack raises: when a stack raises
+    ``ValueError`` or ``RuntimeError``, ``fn`` runs on each slice in turn, so that the
+    first failing slice raises the error and message it raises alone (LAPACK does not
+    say which slice failed, and ``fn`` raises the first refusal it meets)."""
 
     @functools.wraps(fn)
     def wrapper(m, *args, **kwargs):
+        m = np.asarray(m, dtype=np.complex128)
         try:
             return fn(m, *args, **kwargs)
-        except (ValueError, SvdConvergenceError):
-            if getattr(m, "ndim", None) == 3:
+        except (ValueError, RuntimeError):
+            if m.ndim == 3:
                 for part in m:
                     fn(part, *args, **kwargs)
             raise
@@ -599,9 +601,9 @@ def haar_unitary(n: int, rng, count: int | None = None) -> np.ndarray:
     state, from one Gaussian draw and one stacked QR call.
     """
     rng = np.random.default_rng(rng)
-    g = rng.standard_normal((count or 1, 2, n, n))  # each slice's real, then imaginary part
+    g = rng.standard_normal((1 if count is None else count, 2, n, n))  # real, then imaginary part
     q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0
     q = q * (d / np.abs(d))[:, None, :]
-    return q if count else q[0]
+    return q[0] if count is None else q

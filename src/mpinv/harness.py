@@ -378,8 +378,9 @@ def _trial_mph(rng, max_dim, tol, fail):
     try:
         closed = is_mp_hermitian(np.array(powers), tol)
     except (ValueError, RuntimeError):
-        # One power refuses: call them one at a time, lazily, so that the
-        # records of the powers before it are kept and its own error ends the trial.
+        # One power refuses, and the stacked call raised its error but no verdicts:
+        # call them one at a time, lazily, so that the records of the powers
+        # before it are kept and its own error ends the trial.
         closed = (is_mp_hermitian(power, tol) for power in powers)
     for exponent, holds in zip((2, 3, 4, 5), closed):
         if not holds:

@@ -202,8 +202,8 @@ class _Analysis:
     def stack(cls, ms: np.ndarray, tol: Tolerance) -> list:
         """The analysis of each slice of a validated ``(N, n, n)`` stack, with
         ``factorization`` and ``result`` set from one ``_factor`` and one
-        ``_certified`` call, bit for bit each slice's alone; the first slice
-        that ``pinv`` refuses raises its error."""
+        ``_certified`` call, bit for bit each slice's alone; a refused stack
+        raises the first refusal met (``is_mp_hermitian`` attributes it)."""
         analyses = []
         for m, result in zip(ms, _certified(ms, _factor(ms), tol)):
             analysis = cls(m, tol)

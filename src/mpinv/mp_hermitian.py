@@ -124,7 +124,7 @@ def is_mp_hermitian(a, tol: Tolerance = DEFAULT_TOL):
 
     An ``(N, n, n)`` stack is factored in one SVD call and certified as
     ``pinv`` certifies one, and gives a list of N verdicts, each its slice's
-    alone; the first slice that fails raises the error it raises alone.
+    alone, and raises what N calls in a row would (``core.slicewise_errors``).
     """
     m = as_square(a, stack=True)
     if m.ndim == 2:

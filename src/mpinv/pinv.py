@@ -141,15 +141,14 @@ def _penrose(am, xm) -> list:
     (stacks of one slice length side by side); a matrix's come from ``frobenius_norm``."""
     ax = am @ xm
     xa = xm @ am
+    parts = (ax @ am - am, am, xa @ xm - xm, xm, adjoint(ax) - ax, adjoint(xa) - xa)
     if am.ndim == 2:
-        parts = (ax @ am - am, xa @ xm - xm, adjoint(ax) - ax, adjoint(xa) - xa, am, xm)
         return [_residuals(*map(frobenius_norm, parts))]
-    norms = frobenius_norms(ax @ am - am, am, xa @ xm - xm, xm, adjoint(ax) - ax, adjoint(xa) - xa)
-    return [_residuals(r1, r2, r3, r4, na, nx)
-            for r1, na, r2, nx, r3, r4 in (norms[i::len(am)] for i in range(len(am)))]
+    norms = frobenius_norms(*parts)
+    return [_residuals(*norms[i::len(am)]) for i in range(len(am))]
 
 
-def _residuals(r1, r2, r3, r4, na, nx) -> PenroseResiduals:
+def _residuals(r1, na, r2, nx, r3, r4) -> PenroseResiduals:
     """The residuals of four equations' difference norms, scaled by ``||a||`` and ``||x||``."""
     scale = residual_scale(na, nx)
     return PenroseResiduals(ratio(r1, scale), ratio(r2, scale), ratio(r3, scale),
@@ -167,8 +166,8 @@ def pinv(a, tol: Tolerance = DEFAULT_TOL):
     equations, that is its one certificate: the SVD is not checked again.
 
     An ``(N, m, n)`` stack is factored in one SVD call and gives a list of
-    N results, each bit for bit the ``PinvResult`` of its slice alone; the
-    first slice that fails raises the error it raises alone.
+    N results, each bit for bit the ``PinvResult`` of its slice alone, and
+    raises what N calls in a row would raise (``core.slicewise_errors``).
     """
     am = as_matrix(a, "a", stack=True)
     return _certified(am, _factor(am), tol)
@@ -177,25 +176,17 @@ def pinv(a, tol: Tolerance = DEFAULT_TOL):
 def _certified(am, f: SvdFactorization, tol: Tolerance):
     """The pseudoinverse of ``am`` from its factorization ``f``, if its Penrose
     residuals are within ``tol.eq_tol``; for an ``(N, m, n)`` stack, the list of
-    each slice's, certified ``_width`` slices at a time, whose first failing slice
-    raises its error."""
+    each slice's, certified ``_width`` slices at a time; a stack raises the first
+    refusal met (``slicewise_errors`` finds its first refused slice)."""
     if am.ndim == 2:
         x, r = _inverse(f, tol)
         return _accepted(x, r, _penrose(am, x)[0], f, tol)
-    fs, built, refusal = [f[i] for i in range(len(am))], [], None
-    for fi in fs:
-        try:
-            built.append(_inverse(fi, tol))
-        except PenroseResidualError as exc:
-            refusal = exc  # the slices before it raise their own errors first
-            break
+    fs = [f[i] for i in range(len(am))]
+    built = [_inverse(fi, tol) for fi in fs]
     width = _width(max(am.shape[1:]))
-    checked = [res for lo in range(0, len(built), width) for res in _penrose(
-        am[lo:min(lo + width, len(built))], _stack([x for x, _ in built[lo:lo + width]]))]
-    results = [_accepted(x, r, res, fi, tol) for (x, r), res, fi in zip(built, checked, fs)]
-    if refusal is not None:
-        raise refusal
-    return results
+    checked = [res for lo in range(0, len(am), width) for res in _penrose(
+        am[lo:lo + width], _stack([x for x, _ in built[lo:lo + width]]))]
+    return [_accepted(x, r, res, fi, tol) for (x, r), res, fi in zip(built, checked, fs)]
 
 
 def _inverse(f: SvdFactorization, tol: Tolerance) -> tuple:

@@ -113,10 +113,10 @@ class _Workspace:
 
     ``pinv`` runs on ``a``, ``b`` and, unless ``with_ab`` is False, ``ab``,
     in that order; each run of equal shapes in that order (all three for a
-    square pair) is one stack and one ``pinv`` call, so the first matrix
-    that fails still raises its own error.  ``ab`` is formed in its slot
-    of the stack, and the norms of the three and of their pseudoinverses
-    are the ones their certificates computed.  The adjoints of ``a``,
+    square pair) is one stack and one ``pinv`` call, whose ``slicewise_errors``
+    makes the first matrix that fails raise its own error.  ``ab`` is formed in
+    its slot of the stack, and the norms of the three and of their
+    pseudoinverses are the ones their certificates computed.  The adjoints of ``a``,
     ``b``, ``a^+`` and ``b^+`` take the norms of their matrices; every
     product the catalog reads is formed by its program (see ``_DEFS``).
     """

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from mpinv import (
     EPS,
+    PenroseResidualError,
     SvdFactorization,
     Tolerance,
     adjoint,
@@ -26,12 +27,14 @@ from mpinv import (
     haar_unitary,
     hermitian_residual,
     is_mp_hermitian,
+    matrix_with_singular_values,
     mph_decompose,
     mph_subspace_check,
     normal_mph_check,
     normality_residual,
     numerical_rank,
     operator_norm,
+    pinv,
     pinv_matrix,
     svd,
 )
@@ -314,6 +317,66 @@ class TestStackedSvd:
                          "_Program": {("pinv.py", "<module>"),
                                       ("reverse_order.py", "<module>")}}, calls
         assert stackers == {"core.py", "pinv.py"}, stackers
+
+    def test_one_refusal_order(self):
+        # Only slicewise_errors decides what a refused stack raises: no other
+        # function of the checking modules catches a refusal to order it itself.
+        refusals = {"PenroseResidualError", "SvdConvergenceError", "RuntimeError",
+                    "Exception", "BaseException"}
+        catchers = set()
+        for name in ("core", "pinv", "isometry", "mp_hermitian", "reverse_order"):
+            for top in ast.parse((SRC / f"{name}.py").read_text()).body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.ExceptHandler) and (node.type is None or refusals & {
+                            n.attr if isinstance(n, ast.Attribute) else n.id
+                            for n in ast.walk(node.type)
+                            if isinstance(n, (ast.Attribute, ast.Name))}):
+                        catchers.add((name, getattr(top, "name", "<module>")))
+        assert catchers == {("core", "slicewise_errors")}, catchers
+
+
+def _raised(call):
+    """The exception ``call`` raises, or None."""
+    try:
+        with np.errstate(all="ignore"):
+            call()
+    except Exception as exc:
+        return exc
+    return None
+
+
+class TestSlicewiseErrors:
+    """A refused stack, given as an array or as nested lists, raises exactly
+    what its first failing slice raises alone: type, message and residuals."""
+
+    @staticmethod
+    def slices():
+        rng = np.random.default_rng(239)
+        return {"good": generate_regular(2, 2, 2, seed=rng),
+                "refused": matrix_with_singular_values([1.0, 1e-12], (2, 2), rng),
+                "overflow": np.diag([5e-324, 5e-324]).astype(complex),
+                "nan": np.full((2, 2), np.nan, dtype=complex)}
+
+    @pytest.mark.parametrize("entry", [pinv, is_mp_hermitian])
+    @pytest.mark.parametrize("order", [("good", "refused", "overflow"),
+                                       ("good", "overflow", "refused"),
+                                       ("good", "refused", "nan")])
+    def test_stack_raises_its_first_failing_slice_error(self, entry, order):
+        slices = self.slices()
+        ms = [slices[name] for name in order]
+        want = _raised(lambda: entry(ms[1]))
+        assert isinstance(want, PenroseResidualError)
+        for stack in (np.stack(ms), [m.tolist() for m in ms]):
+            got = _raised(lambda: entry(stack))
+            assert type(got) is type(want) and str(got) == str(want)
+            assert got.residuals == want.residuals
+
+    @pytest.mark.parametrize("entry", [pinv, is_mp_hermitian, svd])
+    def test_ragged_list_raises_numpy_error(self, entry):
+        ragged = [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0]]]
+        want = _raised(lambda: np.asarray(ragged, dtype=np.complex128))
+        got = _raised(lambda: entry(ragged))
+        assert type(got) is type(want) is ValueError and str(got) == str(want)
 
 
 class TestFrobeniusNorm:
@@ -718,6 +781,14 @@ class TestHaarUnitary:
                     self.one_draw(n, ref).tobytes() for _ in range(count)]
                 assert (stacked.bit_generator.state == alone.bit_generator.state
                         == ref.bit_generator.state)
+
+    def test_zero_count_is_an_empty_stack(self):
+        # Zero draws in a row: an empty stack, and the generator untouched.
+        rng = np.random.default_rng(241)
+        state = rng.bit_generator.state
+        got = haar_unitary(4, rng, 0)
+        assert got.shape == (0, 4, 4) and got.dtype == np.complex128
+        assert rng.bit_generator.state == state
 
     def test_one_haar_construction(self):
         # Every unitary is drawn by haar_unitary: only core calls QR.

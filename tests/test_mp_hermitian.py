@@ -59,10 +59,12 @@ class TestIsMpHermitian:
             for tol in (Tolerance(), Tolerance(eq_tol=1e-14)):
                 a = generate_mp_hermitian(n, int(rng.integers(0, n + 1)), rng)
                 powers = [a, a @ a, generate_regular(n, n, n, seed=rng), adjoint(a) @ a]
-                svd_calls.clear()
-                got = is_mp_hermitian(np.array(powers), tol)
-                assert len(svd_calls) == 1
-                assert got == [is_mp_hermitian(m, tol) for m in powers]
+                want = [is_mp_hermitian(m, tol) for m in powers]
+                for stack in (np.array(powers), [m.tolist() for m in powers]):
+                    svd_calls.clear()
+                    got = is_mp_hermitian(stack, tol)
+                    assert len(svd_calls) == 1
+                    assert got == want
                 verdicts.update(got)
         assert verdicts == {True, False}
 

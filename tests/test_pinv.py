@@ -349,9 +349,10 @@ class TestStackedPinv:
         for count in range(300):
             ms = _stack_inputs(rng, count)
             # The stack as given, then as a Fortran-ordered array, whose
-            # slices are neither C- nor F-ordered.
+            # slices are neither C- nor F-ordered, then as nested lists.
             fstack = np.asfortranarray(np.stack(ms))
-            for stack, alone in ((np.stack(ms), ms), (fstack, list(fstack))):
+            for stack, alone in ((np.stack(ms), ms), (fstack, list(fstack)),
+                                 ([m.tolist() for m in ms], ms)):
                 got = _outcome(lambda: pinv(stack))
                 want = []
                 for m in alone:
@@ -377,11 +378,12 @@ class TestStackedPinv:
         refused = matrix_with_singular_values([1.0, 1e-12, 1e-12], (3, 3), rng)
         with pytest.raises(PenroseResidualError) as alone:
             pinv(refused)
-        with pytest.raises(PenroseResidualError) as stacked:
-            pinv(np.stack([good, refused, bad]))
-        assert str(stacked.value) == str(alone.value)
-        with pytest.raises(ValueError, match="^a contains non-finite entries$"):
-            pinv(np.stack([good, bad, refused]))
+        for form in (np.stack, lambda ms: [m.tolist() for m in ms]):
+            with pytest.raises(PenroseResidualError) as stacked:
+                pinv(form([good, refused, bad]))
+            assert str(stacked.value) == str(alone.value)
+            with pytest.raises(ValueError, match="^a contains non-finite entries$"):
+                pinv(form([good, bad, refused]))
 
     def test_a_refusal_comes_before_a_later_overflow(self):
         # Slices are certified in order: a slice refused by its residuals
