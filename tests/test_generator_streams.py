@@ -100,6 +100,25 @@ def _mp_hermitian():
         yield generate_mp_hermitian(4, 3, seed, plus_count=1, cond_cap=4.0)
 
 
+def _large_singular_values():
+    # Sizes up to n = 64, where the Haar draw factors only the columns it
+    # returns, and one dimension above it.
+    for seed in SEEDS:
+        for r in (1, 5, 32, 33, 64):
+            yield matrix_with_singular_values(1.0 + np.arange(r), (64, 64), seed)
+        for shape in ((64, 17), (17, 64), (40, 64), (65, 40)):
+            yield matrix_with_singular_values([3.0, 2.0, 1.0], shape, seed)
+
+
+def _large(generator, *arg_tuples):
+    def cases():
+        for seed in SEEDS:
+            for args in arg_tuples:
+                yield generator(*args, seed=seed)
+
+    return cases
+
+
 STREAMS = {
     "generate_regular": _regular,
     "generate_rol_pair:forced_unitary": _rol_pair("forced_unitary"),
@@ -114,6 +133,10 @@ STREAMS = {
     "matrix_with_singular_values": _singular_values,
     "generate_special": _special,
     "generate_mp_hermitian": _mp_hermitian,
+    "matrix_with_singular_values:large": _large_singular_values,
+    "generate_regular:large": _large(generate_regular, (64, 48, 20)),
+    "random_partial_isometry:large": _large(random_partial_isometry, (48, 7)),
+    "generate_mp_hermitian:large": _large(generate_mp_hermitian, (48, 5), (64, 33)),
 }
 
 DIGESTS = {
@@ -130,6 +153,10 @@ DIGESTS = {
     "matrix_with_singular_values": "1c25549dff256390e859561a7608132140d52fc25af8a7e9962ef719afb8b46d",
     "generate_special": "344189aeb20cc7eeb10578b1b2294ba2531008957c7e4bc39d7b768b3f941273",
     "generate_mp_hermitian": "a146b24156eecf4c46f58f5c269d13b5ce83aa910e1d938c00af6e51cb8ad433",
+    "matrix_with_singular_values:large": "7f419f1cb77a88b76d37babd0d65d07d0a5d71e1be04222523297f2dc3461193",
+    "generate_regular:large": "50455e8af8ab1844519a0e1b4a4cd7cb4d22e146303790b8d347dcf61238ec0f",
+    "random_partial_isometry:large": "4837b38cc3fea1fb685ce9493b16face66ec6d6d03cc6608165b12809072089d",
+    "generate_mp_hermitian:large": "806a7932515984d7e73266e547cb9b41d52fee436468622504baebeea19fd6dc",
 }
 
 
