@@ -598,12 +598,23 @@ def haar_unitary(n: int, rng, count: int | None = None) -> np.ndarray:
     Haar and the output a pure function of the generator state.  With
     ``count``, a ``(count, n, n)`` stack of the unitaries that ``count``
     calls in a row draw, bit for bit and leaving the generator in the same
-    state, from one Gaussian draw and one stacked QR call.
+    state, from one Gaussian draw and one stacked QR call.  ``_haar_columns``
+    draws the same Gaussian but factors only the k leading columns it returns
+    when k < n <= ``_THIN_HAAR_MAX_N``.
     """
+    return _haar_columns(n, n, rng, count)
+
+
+_THIN_HAAR_MAX_N = 64  # thin QR = full QR, bit for bit, to n = 128 on 1 BLAS thread, 96 on 2
+
+
+def _haar_columns(n: int, k: int, rng, count: int | None = None) -> np.ndarray:
+    """The leading k columns of ``haar_unitary(n, rng, count)``, bit for bit."""
     rng = np.random.default_rng(rng)
     g = rng.standard_normal((1 if count is None else count, 2, n, n))  # real, then imaginary part
-    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    cols = k if n <= _THIN_HAAR_MAX_N else n
+    q, r = np.linalg.qr(g[:, 0, :, :cols] + 1j * g[:, 1, :, :cols])
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0
-    q = q * (d / np.abs(d))[:, None, :]
+    q = (q * (d / np.abs(d))[:, None, :])[..., :k]
     return q[0] if count is None else q

@@ -33,6 +33,7 @@ from .core import (
     residual_scale,
     _close,
     _factor,
+    _haar_columns,
     _svd,
     _verify,
 )
@@ -278,10 +279,10 @@ def random_hermitian_partial_isometry(n: int, inertia, seed) -> np.ndarray:
 def matrix_with_singular_values(singular_values, shape, seed) -> np.ndarray:
     """Seeded matrix with exactly the prescribed singular values.
 
-    ``shape`` is (rows, cols); values beyond the list are zero.  The
-    result is ``U_r diag(sv) V_r*`` with U_r, V_r the leading columns of
-    two Haar unitaries drawn in that order; the package's other
-    rank-and-spectrum generators delegate here.
+    ``shape`` is (rows, cols); values beyond the list are zero.  The result
+    is ``U_r diag(sv) V_r*``, U_r and V_r the leading r columns of two Haar
+    unitaries drawn in that order (full Gaussians; only r columns factored
+    to n = 64).  The package's other rank-and-spectrum generators call it.
     """
     m, n = int(shape[0]), int(shape[1])
     if m < 1 or n < 1:
@@ -297,8 +298,9 @@ def matrix_with_singular_values(singular_values, shape, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if len(sv) == 0:
         return np.zeros((m, n), dtype=np.complex128)
-    u, v = haar_unitary(m, rng, 2) if m == n else (haar_unitary(m, rng), haar_unitary(n, rng))
-    return (u[:, : len(sv)] * sv) @ adjoint(v[:, : len(sv)])
+    u, v = _haar_columns(m, len(sv), rng, 2) if m == n else (
+        _haar_columns(m, len(sv), rng), _haar_columns(n, len(sv), rng))
+    return (u * sv) @ adjoint(v)
 
 
 SPECIAL_KINDS = ("partial_isometry", "hermitian_partial_isometry", "prescribed_singular_values")

@@ -30,6 +30,7 @@ from .core import (
     residual,
     residual_scale,
     slicewise_errors,
+    _haar_columns,
 )
 from .isometry import _Analysis
 from .matrix_io import matrix_to_dict
@@ -256,8 +257,9 @@ def generate_mp_hermitian(
     least one of each when k >= 2, unless plus_count pins the inertia)
     and S a random matrix with condition number at most cond_cap, so
     the result is similar to an involution on its column space but in
-    general neither hermitian nor normal.  The core is embedded by a
-    Haar unitary.  Deterministic per (n, k, seed, plus_count, cond_cap).
+    general neither hermitian nor normal.  The core is embedded by the
+    leading k columns of a Haar unitary (full Gaussian; only k columns
+    factored to n = 64).  Deterministic per (n, k, seed, plus_count, cond_cap).
     """
     if not (0 <= k <= n):
         raise ValueError(f"rank k={k} must satisfy 0 <= k <= n={n}")
@@ -283,5 +285,5 @@ def generate_mp_hermitian(
     s_mat = (u * sv) @ adjoint(v)
     t2 = (s_mat * signs) @ np.linalg.inv(s_mat)
 
-    qk = (q[0] if q else haar_unitary(n, rng))[:, :k]
+    qk = q[0] if q else _haar_columns(n, k, rng)
     return qk @ t2 @ adjoint(qk)

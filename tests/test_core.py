@@ -23,6 +23,7 @@ from mpinv import (
     approx_eq,
     as_matrix,
     frobenius_norm,
+    generate_mp_hermitian,
     generate_regular,
     haar_unitary,
     hermitian_residual,
@@ -781,6 +782,41 @@ class TestHaarUnitary:
                     self.one_draw(n, ref).tobytes() for _ in range(count)]
                 assert (stacked.bit_generator.state == alone.bit_generator.state
                         == ref.bit_generator.state)
+
+    GUARD = core._THIN_HAAR_MAX_N
+
+    @pytest.mark.parametrize("n", [GUARD, GUARD + 1])
+    @pytest.mark.parametrize("count", [None, 2, 3])
+    def test_columns_are_the_unitarys_leading_columns(self, n, count):
+        # Factoring only the columns read changes none of their bits, nor the
+        # generator state, at the bound and one past it.
+        for k in (1, 32, 33, n - 1):
+            cols, full = (np.random.default_rng([n, k]) for _ in range(2))
+            got = core._haar_columns(n, k, cols, count)
+            want = haar_unitary(n, full, count)[..., :k]
+            assert got.shape == want.shape == ((n, k) if count is None else (count, n, k))
+            assert got.tobytes() == want.tobytes()
+            assert cols.bit_generator.state == full.bit_generator.state
+
+    @pytest.mark.parametrize("draw, shapes", [
+        (lambda n: core._haar_columns(n, 5, 0), [(1, GUARD, 5)]),
+        (lambda n: core._haar_columns(n, 5, 0, 3), [(3, GUARD, 5)]),
+        (lambda n: core._haar_columns(n, n, 0, 2), [(2, GUARD, GUARD)]),
+        (lambda n: haar_unitary(n, 0), [(1, GUARD, GUARD)]),
+        (lambda n: core._haar_columns(n + 1, 5, 0, 2), [(2, GUARD + 1, GUARD + 1)]),
+        (lambda n: matrix_with_singular_values([2.0, 1.0], (n, n), 0), [(2, GUARD, 2)]),
+        (lambda n: matrix_with_singular_values([1.0], (17, n + 1), 0),
+         [(1, 17, 1), (1, GUARD + 1, GUARD + 1)]),
+        (lambda n: generate_mp_hermitian(n, 4, 0), [(2, 4, 4), (1, GUARD, 4)]),
+        (lambda n: generate_mp_hermitian(n + 1, 4, 0), [(2, 4, 4), (1, GUARD + 1, GUARD + 1)]),
+    ])
+    def test_qr_factors_only_the_columns_read(self, monkeypatch, draw, shapes):
+        # Below full rank and up to the bound, QR sees only the k columns a
+        # generator reads; at full rank or past the bound, the whole square.
+        seen, real = [], np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a: seen.append(a.shape) or real(a))
+        draw(self.GUARD)
+        assert seen == shapes
 
     def test_zero_count_is_an_empty_stack(self):
         # Zero draws in a row: an empty stack, and the generator untouched.
