@@ -192,6 +192,24 @@ class TestFailureRecordDigest:
         assert h.hexdigest() == self.DIGEST
 
 
+class TestMphRecordDigest:
+    # Recorded at commit ff32d0d. 900 mph trials whose reports hold power
+    # closure, adjoint closure, algebraic, annihilator, subspace and
+    # decomposition records and pinv refusals, so the order in which a
+    # trial certifies a, a* and a^2 .. a^5 and writes its records is pinned.
+    DIGEST = "ee3f93e757b3a49954f43c59ecd6d4a33d42734700143f0a206a45a25e6be740"
+
+    def test_reports_are_bit_identical(self):
+        h = hashlib.sha256()
+        for eq_tol in (3e-16, 1e-15, 1e-13):
+            config = FuzzConfig(suite="mph", trials=300, max_dim=8, seed=4,
+                                tolerance=Tolerance(eq_tol=eq_tol))
+            report = fuzz(config).as_dict()
+            report.pop("elapsed")
+            h.update(json.dumps(report).encode())
+        assert h.hexdigest() == self.DIGEST
+
+
 class TestTrialInputDigest:
     # Recorded at commit 4653260. Every (a, b) that a `rol` trial hands to
     # full_report and every a that an `isometry` trial analyses, passing
