@@ -36,12 +36,12 @@ from .isometry import (
 )
 from .matrix_io import matrix_to_dict
 from .mp_hermitian import (
+    _algebraic,
+    _annihilated,
     _decomposition,
     _subspace_report,
     algebraic_mph_check,
-    annihilator_spectrum_check,
     generate_mp_hermitian,
-    is_mp_hermitian,
 )
 from .pinv import PenroseResidualError, _formulation_residuals, _operands, pinv
 from .reverse_order import (
@@ -361,29 +361,30 @@ def _trial_mph(rng, max_dim, tol, fail):
     n = int(rng.integers(1, max_dim + 1))
     k = int(rng.integers(0, n + 1))
     a = generate_mp_hermitian(n, k, rng)
-    analysis = _Analysis(as_square(a), tol)
+    a2 = a @ a
+    a3 = a2 @ a
+    a4 = a3 @ a
+    mats = (a, adjoint(a), a2, a3, a4, a4 @ a)
+    try:
+        analyses = iter(_Analysis.stack(as_square(np.array(mats), stack=True), tol))
+    except (ValueError, RuntimeError):
+        # One matrix refuses, and the stack gave no analyses: analyse each alone, as
+        # is_mp_hermitian does, validated and certified where first read below, so that
+        # the records before the refused one are kept and its own error ends the trial.
+        analyses = (_Analysis(as_square(m), tol) for m in mats)
+    analysis = next(analyses)
 
     if not analysis.mp_hermitian:
         fail("generated_mph_detected", {}, {"a": a})
         return
-    if not algebraic_mph_check(a, tol):
+    if not _algebraic(a, a2, a3, tol):
         fail("mph_algebraic_agreement", {}, {"a": a})
-    if not annihilator_spectrum_check(a, tol):
+    if not _annihilated(a, a3, tol):
         fail("mph_annihilator", {}, {"a": a})
-    if not is_mp_hermitian(adjoint(a), tol):
+    if not next(analyses).mp_hermitian:
         fail("mph_adjoint_closure", {}, {"a": a})
-    powers = [a @ a]
-    for _ in range(3):
-        powers.append(powers[-1] @ a)
-    try:
-        closed = is_mp_hermitian(np.array(powers), tol)
-    except (ValueError, RuntimeError):
-        # One power refuses, and the stacked call raised its error but no verdicts:
-        # call them one at a time, lazily, so that the records of the powers
-        # before it are kept and its own error ends the trial.
-        closed = (is_mp_hermitian(power, tol) for power in powers)
-    for exponent, holds in zip((2, 3, 4, 5), closed):
-        if not holds:
+    for exponent, power in zip((2, 3, 4, 5), analyses):
+        if not power.mp_hermitian:
             fail(f"mph_power_closure:{exponent}", {}, {"a": a})
     sub = _subspace_report(analysis)
     if not sub.all_true():

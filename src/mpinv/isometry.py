@@ -204,7 +204,7 @@ class _Analysis:
         """The analysis of each slice of a validated ``(N, n, n)`` stack, with
         ``factorization`` and ``result`` set from one ``_factor`` and one
         ``_certified`` call, bit for bit each slice's alone; a refused stack
-        raises the first refusal met (``is_mp_hermitian`` attributes it)."""
+        raises the first refusal met, and its callers attribute it."""
         analyses = []
         for m, result in zip(ms, _certified(ms, _factor(ms), tol)):
             analysis = cls(m, tol)

@@ -137,9 +137,12 @@ def algebraic_mph_check(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Pseudoinverse-free MPH test: ``a = a^3`` and ``a^2`` hermitian."""
     m = as_square(a)
     a2 = m @ m
-    res_cube = distance(m, a2 @ m)
-    res_herm = residual(adjoint(a2) - a2, frobenius_norm(a2))
-    return res_cube <= tol.eq_tol and res_herm <= tol.eq_tol
+    return _algebraic(m, a2, a2 @ m, tol)
+
+
+def _algebraic(m, a2, a3, tol: Tolerance) -> bool:
+    """``algebraic_mph_check`` of a validated ``m``, given ``a2 = m @ m``, ``a3 = a2 @ m``."""
+    return _annihilated(m, a3, tol) and residual(adjoint(a2) - a2, frobenius_norm(a2)) <= tol.eq_tol
 
 
 def annihilator_spectrum_check(a, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -149,7 +152,12 @@ def annihilator_spectrum_check(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     the spectrum to the roots {0, -1, 1} without any eigensolve.
     """
     m = as_square(a)
-    return distance(m @ m @ m, m) <= tol.eq_tol
+    return _annihilated(m, m @ m @ m, tol)
+
+
+def _annihilated(m, a3, tol: Tolerance) -> bool:
+    """``annihilator_spectrum_check`` of a validated ``m``, given ``a3 = (m @ m) @ m``."""
+    return distance(m, a3) <= tol.eq_tol
 
 
 def _split_bases(f, r):

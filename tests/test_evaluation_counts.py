@@ -144,9 +144,13 @@ def core_calls(monkeypatch):
     # (one norm fewer on each of the 263 trials of nonzero rank).  An mph
     # trial certifies a^2 .. a^5 as one stack, with one stacked norm call
     # for their six norms each: as_matrix 10.0 and frobenius_norm 97.02 per
-    # trial while each power was certified alone.  No isometry trial takes
-    # a stacked norm: each certificate there is of one matrix.
-    ("mph", {"as_matrix": 7.0, "frobenius_norm": 73.02, "frobenius_norms": 1.0}),
+    # trial while each power was certified alone.  It certifies a, a* and
+    # a^2 .. a^5 as one validated stack and forms a^2 and a^3 once: as_matrix
+    # 7.0 and frobenius_norm 73.02 while a, a* and the powers took three
+    # certificates, and 61.02 before the algebraic check skipped the a^2
+    # hermitian test where a^3 != a (on 224 random b).  No isometry trial
+    # takes a stacked norm: each certificate there is of one matrix.
+    ("mph", {"as_matrix": 3.0, "frobenius_norm": 17858 / 300, "frobenius_norms": 1.0}),
     ("isometry", {"as_matrix": 4.0, "frobenius_norm": 7987 / 300}),  # 26.62
 ])
 def test_analysis_trials_validate_no_matrix_the_analysis_built(core_calls, suite, per_trial):

@@ -9,6 +9,7 @@ import pytest
 from mpinv import (
     ConditionId,
     FuzzConfig,
+    PenroseResidualError,
     Tolerance,
     adjoint,
     evaluate_condition,
@@ -17,10 +18,13 @@ from mpinv import (
     generate_regular,
     generate_rol_pair,
     harness,
+    is_mp_hermitian,
+    isometry,
     mbekhta_gap_pair,
     nonhermitian_partial_isometry_fixture,
     nonnormal_mph_fixture,
     numerical_rank,
+    pinv,
     rol_negative_pair,
     run_trial,
     svd,
@@ -145,24 +149,59 @@ class TestReplayDeterminism:
         indices = [f.trial_index for f in report.failures]
         assert indices == sorted(indices)
 
+    @staticmethod
+    def refused_trial(monkeypatch, trial_index):
+        """The condition pairs of mph trial ``trial_index`` of seed 1 at eq_tol
+        3e-16, the shape of each matrix the trial validates, in order, and the
+        refusal each of its six matrices meets when certified alone."""
+        shapes, drawn = [], []
+        real_square, real_draw = harness.as_square, harness.generate_mp_hermitian
+        monkeypatch.setattr(harness, "as_square", lambda m, *args, **kwargs:
+                            shapes.append(np.shape(m)) or real_square(m, *args, **kwargs))
+        monkeypatch.setattr(harness, "generate_mp_hermitian",
+                            lambda *args: drawn.append(real_draw(*args)) or drawn[-1])
+        tol = Tolerance(eq_tol=3e-16)
+        pairs = [r.condition_pair for r in run_trial("mph", 1, trial_index, 8, tol)]
+        (a,) = drawn
+        a2 = a @ a
+        a3 = a2 @ a
+        a4 = a3 @ a
+        alone = []
+        for m in (a, adjoint(a), a2, a3, a4, a4 @ a):
+            try:
+                pinv(m, tol)
+                alone.append(None)
+            except PenroseResidualError as exc:
+                alone.append(f"trial_exception:PenroseResidualError:{exc}")
+        return pairs, shapes, alone
+
     @pytest.mark.parametrize("trial_index, closures", [(6, [2]), (341, [2, 3])])
     def test_refused_power_keeps_the_records_before_it(self, monkeypatch, trial_index,
                                                        closures):
         # At eq_tol 3e-16 these mph trials of seed 1 find their first powers
-        # not MPH before pinv refuses the next one.  a^2 .. a^5 are certified
-        # as one stack; when it refuses, the powers are certified one at a
-        # time up to the refused one, so the closure records come first and
-        # the refusal ends the trial with its own message, as it did when
-        # each power was certified alone.
-        ndims = []
-        real = harness.is_mp_hermitian
-        monkeypatch.setattr(harness, "is_mp_hermitian",
-                            lambda m, tol: ndims.append(m.ndim) or real(m, tol))
-        records = run_trial("mph", 1, trial_index, 8, Tolerance(eq_tol=3e-16))
-        *found, refusal = [r.condition_pair for r in records]
+        # not MPH before pinv refuses the next one.  a, a* and a^2 .. a^5 are
+        # certified as one stack; when it refuses, each is validated and
+        # certified alone, in the trial's order, up to the refused one, so the
+        # closure records come first and the refusal ends the trial with its
+        # own message, as it did when each power was certified alone.
+        pairs, shapes, alone = self.refused_trial(monkeypatch, trial_index)
+        *found, refusal = pairs
         assert found == [f"mph_power_closure:{k}" for k in closures]
         assert refusal.startswith("trial_exception:PenroseResidualError:pseudoinverse residuals")
-        assert ndims == [2, 3] + [2] * (len(closures) + 1)
+        n = shapes[0][-1]
+        replayed = 3 + len(closures)  # a, a*, the powers not MPH and the refused one
+        assert shapes == [(6, n, n)] + [(n, n)] * replayed
+        assert alone[:replayed] == [None] * (replayed - 1) + [refusal]
+
+    def test_refused_adjoint_keeps_the_records_before_it(self, monkeypatch):
+        # At eq_tol 3e-16, mph trial 2597 of seed 1 finds a^3 != a before pinv
+        # refuses a*; the replay stops there, after a and a*.
+        pairs, shapes, alone = self.refused_trial(monkeypatch, 2597)
+        *found, refusal = pairs
+        assert found == ["mph_algebraic_agreement", "mph_annihilator"]
+        n = shapes[0][-1]
+        assert shapes == [(6, n, n), (n, n), (n, n)]
+        assert alone[:2] == [None, refusal]
 
     def test_run_trial_rejects_all(self):
         with pytest.raises(ValueError, match="concrete suite"):
@@ -190,6 +229,34 @@ class TestFailureRecordDigest:
                 report.pop("elapsed")
                 h.update(json.dumps(report).encode())
         assert h.hexdigest() == self.DIGEST
+
+
+class TestMphTrialStack:
+    def test_each_slice_answers_as_its_matrix_alone(self, monkeypatch):
+        # An mph trial certifies a, a* and a^2 .. a^5 as one stack.  a and the
+        # powers have the certificate and pseudoinverse of their matrix alone,
+        # bit for bit.  The a* slice is a C-ordered copy of the F-ordered
+        # adjoint(a), and a norm sums in memory order, so its certificate may
+        # differ in the last bits; its verdict is the one of adjoint(a) alone.
+        stacks = []
+        real = isometry._Analysis.stack
+
+        def spy(ms, tol):
+            stacks.append((ms, real(ms, tol)))
+            return stacks[-1][1]
+
+        monkeypatch.setattr(isometry._Analysis, "stack", staticmethod(spy))
+        for i in range(300):
+            del stacks[:]
+            assert run_trial("mph", 3, i, 8) == []
+            ((ms, analyses),) = stacks
+            assert len(ms) == 6 and np.array_equal(ms[1], adjoint(ms[0]))
+            for j in (0, 2, 3, 4, 5):
+                stacked, alone = analyses[j].result, pinv(ms[j])
+                assert stacked.residuals == alone.residuals
+                assert stacked.pinv.tobytes() == alone.pinv.tobytes()
+                assert stacked.rank == alone.rank
+            assert analyses[1].mp_hermitian == is_mp_hermitian(adjoint(ms[0]))
 
 
 class TestMphRecordDigest:
