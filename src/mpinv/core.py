@@ -399,9 +399,9 @@ class _Program:
     most ``_width(n)`` slices.  Any other run takes ``_walk``, one
     instruction at a time in the table's order, dropping each matrix after
     its last reader.  Both fill one list of norms, which
-    ``run`` scores through index arrays: the side products (``_sides``), one
-    ``_scaled_array`` call for every equation (``_scores``) and one
-    ``np.maximum.reduce`` for every row's worst (``_worst``).
+    ``run`` scores through index arrays: the side products (``_sides``), if any, one
+    ``_scaled_array`` call for every equation (``_scores``) and, where a row has two
+    equations, one ``np.maximum.reduce`` for every row's worst (``_worst``).
     """
 
     def __init__(self, rows: dict, defs: dict | None = None):
@@ -533,12 +533,12 @@ class _Program:
                 for s in dead:
                     v[s] = None
         norms = np.array(norms + [1.0])
-        sides, *factors = norms[self._sides]
-        with np.errstate(over="ignore", invalid="ignore"):  # as math.prod: inf, 0 * inf nan
-            for factor in factors:
-                sides *= factor
-        scores = _scaled_array(*np.concatenate((norms, sides))[self._scores])
-        return dict(zip(self.rows, np.maximum.reduce(scores[self._worst]).tolist()))
+        if self._sides.shape[1]:  # each side's factors multiplied left to right, as math.prod
+            with np.errstate(over="ignore", invalid="ignore"):  # inf, and 0 * inf nan
+                norms = np.concatenate((norms, np.multiply.reduce(norms[self._sides])))
+        scores = _scaled_array(*norms[self._scores])[self._worst]
+        worst = np.maximum.reduce(scores) if len(scores) > 1 else scores[0]
+        return dict(zip(self.rows, worst.tolist()))
 
 
 def distance(x, y) -> float:
