@@ -16,7 +16,7 @@ import numpy as np
 from .core import DEFAULT_TOL, SvdConvergenceError, Tolerance
 from .harness import FuzzConfig, FuzzSuite, fuzz, generate_regular
 from .isometry import CONORM_UNDEFINED, SPECIAL_KINDS, _Analysis, generate_special
-from .matrix_io import dumps, load_matrix, matrix_to_dict, save_matrix
+from .matrix_io import dumps, load_matrix, save_matrix
 from .mp_hermitian import _subspace_report, generate_mp_hermitian, mph_decompose
 from .pinv import PenroseResidualError, pinv
 from .reverse_order import full_report
@@ -42,12 +42,15 @@ def _add_tol_flags(p):
                    help="scale factor on the rank cutoff (default 1.0)")
 
 
-# Each command returns its JSON-ready report, or None when it prints nothing.
+# Each command returns its report for ``dumps``, matrices held as arrays,
+# or None when it prints nothing.
 def _cmd_pinv(args, tol):
     result = pinv(load_matrix(args.infile), tol)
+    report = result.report()
     if args.out:
-        save_matrix(result.pinv, args.out)
-    return result.as_dict()
+        # x is rendered once: stdout re-indents the text the file holds.
+        report["pinv"] = save_matrix(result.pinv, args.out)
+    return report
 
 
 def _cmd_rol(args, tol):
@@ -64,7 +67,7 @@ def _cmd_classify(args, tol):
 
 
 def _cmd_decompose(args, tol):
-    return mph_decompose(load_matrix(args.infile), tol).as_dict()
+    return mph_decompose(load_matrix(args.infile), tol).report()
 
 
 def _cmd_conorm(args, tol):
@@ -118,7 +121,7 @@ def _cmd_gen(args, tol):
     if args.out:
         save_matrix(m, args.out)
         return None
-    return matrix_to_dict(m)
+    return m
 
 
 # Parsing leaves no state in the parser (each call gets a fresh

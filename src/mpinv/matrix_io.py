@@ -1,10 +1,15 @@
 """Canonical JSON wire format for matrices.
 
 A matrix is serialized as ``{"rows": m, "cols": n, "data": [[re, im], ...]}``
-with ``data`` row-major of length ``m * n``.  Parsing rejects wrong
-lengths, entries that are not JSON numbers (booleans included) and
-non-finite values.  ``dumps`` is the one writer of the wire text: it
-returns exactly ``json.dumps(obj, indent=2)``.
+with ``data`` row-major of length ``m * n``; an n-by-0 or 0-by-n factor
+writes ``"data": []``.  Parsing rejects wrong lengths, entries that are
+not JSON numbers (booleans included), non-finite values and empty
+shapes.
+
+``dumps`` is the one writer of the wire text.  It takes complex ndarrays
+where matrix dicts go, renders each from one flat float list, and returns
+exactly ``json.dumps(_json_ready(obj), indent=2)``; ``_json_ready`` puts
+each array in its ``matrix_to_dict`` form, as ``as_dict()`` returns it.
 """
 
 from __future__ import annotations
@@ -23,9 +28,15 @@ _NUMBER = (int, float)
 _PAIR = (list, tuple)
 
 
+def _matrix(m) -> np.ndarray:
+    """``as_matrix``, letting through the empty factors of a decomposition."""
+    a = np.asarray(m, dtype=np.complex128)
+    return a if a.ndim == 2 and a.size == 0 else as_matrix(a)
+
+
 def matrix_to_dict(m) -> dict:
     """Serialize a matrix to the canonical JSON-ready dict."""
-    a = as_matrix(m)
+    a = _matrix(m)
     flat = a.ravel()
     data = np.column_stack([flat.real, flat.imag]).tolist()
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
@@ -90,66 +101,65 @@ def matrix_from_dict(obj) -> np.ndarray:
     return values.view(np.complex128).reshape(rows, cols)
 
 
-# Stands in for each matrix ``data`` list while json encodes the rest.
+class _Text(str):
+    """A matrix's wire text at indent 0; ``dumps`` places it as the matrix."""
+
+
+def _render(m) -> _Text:
+    """``json.dumps(matrix_to_dict(m), indent=2)``, built from one flat
+    float list."""
+    a = _matrix(m)
+    head = '{\n  "rows": %d,\n  "cols": %d,\n  "data": ' % a.shape
+    if a.size == 0:
+        return _Text(head + "[]\n}")
+    # re, im alternate; each pair closes and the next opens after an im.
+    seps = [",\n      ", "\n    ],\n    [\n      "] * a.size
+    seps[-1] = "\n    ]\n  ]\n}"
+    values = map(float.__repr__, a.ravel().view(np.float64).tolist())
+    return _Text(head + "[\n    [\n      " + "".join(chain.from_iterable(zip(values, seps))))
+
+
+def _replace_matrices(obj, f):
+    """A copy of ``obj`` with each matrix (an ndarray, or a ``_Text``) ``v``
+    replaced by ``f(v)``, in the order json encodes them."""
+    if isinstance(obj, (np.ndarray, _Text)):
+        return f(obj)
+    if isinstance(obj, dict):
+        return {key: _replace_matrices(value, f) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_replace_matrices(value, f) for value in obj]
+    return obj
+
+
+def _json_ready(obj):
+    """``obj`` with each matrix array as its ``matrix_to_dict`` form."""
+    return _replace_matrices(obj, matrix_to_dict)
+
+
+# Stands in for each matrix while json encodes the rest.
 _SLOT = "\x00mpinv-matrix-data\x00"
 _SLOT_JSON = json.dumps(_SLOT)
 
 
-def _with_slots(obj, slots):
-    """A copy of ``obj`` in which every non-empty list of float pairs
-    held under a ``"data"`` key is moved to ``slots`` and replaced by
-    ``_SLOT``, in the order json encodes them."""
-    if isinstance(obj, dict):
-        out = {}
-        for key, value in obj.items():
-            if key == "data" and _is_float_pairs(value):
-                slots.append(value)
-                out[key] = _SLOT
-            else:
-                out[key] = _with_slots(value, slots)
-        return out
-    if isinstance(obj, _PAIR):
-        return [_with_slots(v, slots) for v in obj]
-    return obj
-
-
-def _is_float_pairs(value) -> bool:
-    return (
-        type(value) is list
-        and len(value) > 0
-        and set(map(type, value)) == {list}
-        and set(map(len, value)) == {2}
-        and set(map(type, chain.from_iterable(value))) == {float}
-    )
-
-
-def _render_pairs(data, indent: str) -> str:
-    """``json.dumps(data, indent=2)`` for a list of float pairs whose
-    opening bracket sits on a line indented by ``indent``."""
-    outer = "\n" + indent + "  "
-    inner = outer + "  "
-    reprs = map(float.__repr__, chain.from_iterable(data))
-    pairs = map(("," + inner).join, zip(reprs, reprs))
-    body = (outer + "]," + outer + "[" + inner).join(pairs)
-    # json spells the non-finite floats NaN, Infinity and -Infinity;
-    # no finite repr contains an "n".
-    body = body.replace("nan", "NaN").replace("inf", "Infinity")
-    return "[" + outer + "[" + inner + body + outer + "]\n" + indent + "]"
-
-
 def dumps(obj) -> str:
-    """Exactly ``json.dumps(obj, indent=2)`` for any acyclic ``obj``, with
-    each matrix ``data`` list rendered in bulk instead of by the
-    pure-Python encoder that ``indent`` selects."""
-    slots = []
-    skeleton = json.dumps(_with_slots(obj, slots), indent=2)
-    parts = skeleton.split(_SLOT_JSON)
-    if len(parts) != len(slots) + 1:  # a string in obj spells the slot marker
-        return json.dumps(obj, indent=2)
+    """Exactly ``json.dumps(_json_ready(obj), indent=2)`` for any acyclic
+    ``obj``, each matrix rendered once by ``_render`` instead of by the
+    pure-Python encoder that ``indent`` selects.  A matrix's text is
+    rendered at indent 0 and re-indented where it lands."""
+    texts = []
+
+    def take(m):
+        texts.append(m if isinstance(m, _Text) else _render(m))
+        return _SLOT
+
+    parts = json.dumps(_replace_matrices(obj, take), indent=2).split(_SLOT_JSON)
+    if len(parts) != len(texts) + 1:  # a string in obj spells the slot marker
+        rendered = iter(texts)
+        return json.dumps(_replace_matrices(obj, lambda m: json.loads(next(rendered))), indent=2)
     out = [parts[0]]
-    for data, before, after in zip(slots, parts, parts[1:]):
+    for text, before, after in zip(texts, parts, parts[1:]):
         line = before[before.rfind("\n") + 1:]
-        out += [_render_pairs(data, " " * (len(line) - len(line.lstrip(" ")))), after]
+        out += [text.replace("\n", "\n" + " " * (len(line) - len(line.lstrip(" ")))), after]
     return "".join(out)
 
 
@@ -164,7 +174,10 @@ def load_matrix(path) -> np.ndarray:
     return matrix_from_dict(obj)
 
 
-def save_matrix(m, path) -> None:
-    text = dumps(matrix_to_dict(m))
+def save_matrix(m, path) -> str:
+    """Write ``m``'s wire text and a newline to ``path``; return the text,
+    which ``dumps`` places as it would ``m``."""
+    text = _render(m)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
+    return text

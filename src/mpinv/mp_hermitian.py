@@ -33,7 +33,7 @@ from .core import (
     _haar_columns,
 )
 from .isometry import _Analysis
-from .matrix_io import matrix_to_dict
+from .matrix_io import _json_ready
 
 __all__ = [
     "SubspaceBasis",
@@ -102,21 +102,19 @@ class MphDecomposition:
                 f"restriction is not an involution ({self.involution_residual:.3e})"
             )
 
-    def as_dict(self) -> dict:
-        def maybe_empty(m):
-            # Empty factors (rank 0 or full rank) still serialize.
-            if m.size == 0:
-                return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": []}
-            return matrix_to_dict(m)
-
+    def report(self) -> dict:
+        """The wire report, holding the factors as arrays for ``matrix_io.dumps``."""
         return {
-            "h1": maybe_empty(self.h1.columns),
-            "h2": maybe_empty(self.h2.columns),
-            "t2": maybe_empty(self.t2),
+            "h1": self.h1.columns,
+            "h2": self.h2.columns,
+            "t2": self.t2,
             "orthogonality_residual": self.orthogonality_residual,
             "involution_residual": self.involution_residual,
             "reconstruction_residual": self.reconstruction_residual,
         }
+
+    def as_dict(self) -> dict:
+        return _json_ready(self.report())
 
 
 @slicewise_errors

@@ -38,7 +38,7 @@ from .core import (
     _stack,
     _width,
 )
-from .matrix_io import matrix_to_dict
+from .matrix_io import _json_ready
 
 __all__ = [
     "PenroseResiduals",
@@ -108,12 +108,16 @@ class PinvResult:
     residuals: PenroseResiduals
     factorization: SvdFactorization
 
-    def as_dict(self) -> dict:
+    def report(self) -> dict:
+        """The wire report, holding the matrix as an array for ``matrix_io.dumps``."""
         return {
-            "pinv": matrix_to_dict(self.pinv),
+            "pinv": self.pinv,
             "rank": self.rank,
             "residuals": self.residuals.as_dict(),
         }
+
+    def as_dict(self) -> dict:
+        return _json_ready(self.report())
 
 
 def _operands(a, x):

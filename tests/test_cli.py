@@ -451,6 +451,24 @@ class TestWireFormat:
         assert path.read_text() == json.dumps(matrix_to_dict(pinv(A).pinv), indent=2) + "\n"
 
 
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out_file"])
+def test_pinv_renders_x_once(capsys, write_json, tmp_path, monkeypatch, out):
+    path = write_json("a.json", A)
+    calls = []
+
+    def spy(m):
+        calls.append(m.shape)
+        return render(m)
+
+    render = mpinv.matrix_io._render
+    monkeypatch.setattr(mpinv.matrix_io, "_render", spy)
+    flags = ["--out", str(tmp_path / "x.json")] if out else []
+    for _ in range(2):
+        code, stdout, _ = run_cli(capsys, "pinv", "--in", path, *flags)
+        assert code == 0 and stdout == json.dumps(pinv(A).as_dict(), indent=2) + "\n"
+    assert calls == [A.shape[::-1]] * 2
+
+
 GEN_ARGS = ["gen", "--kind", "regular", "--dim", "3", "--seed", "2"]
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpinv import load_matrix, matrix_from_dict, matrix_to_dict, save_matrix
-from mpinv.matrix_io import dumps
+from mpinv.matrix_io import _SLOT, dumps
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -123,6 +123,62 @@ def test_dumps_survives_a_string_that_spells_its_marker():
     assert dumps(obj) == json.dumps(obj, indent=2)
 
 
+def _as_dicts(obj):
+    """``obj`` with each ndarray swapped for its ``matrix_to_dict`` form."""
+    if isinstance(obj, np.ndarray):
+        return matrix_to_dict(obj)
+    if isinstance(obj, dict):
+        return {k: _as_dicts(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_dicts(v) for v in obj]
+    return obj
+
+
+_RNG = np.random.default_rng(5)
+_M = _RNG.standard_normal((6, 7)) + 1j * _RNG.standard_normal((6, 7))
+_EXTREMES = np.array([[complex(-0.0, 5e-324), complex(1.7976931348623157e308, -0.0)],
+                      [complex(-1.7976931348623157e308, -5e-324), complex(0.0, -0.0)]])
+
+
+@pytest.mark.parametrize(
+    "m",
+    [_M[:1, :1], _M[:1], _M[:, :1], _M[:, :0], _M[:0], np.asfortranarray(_M),
+     _M[:, 4:], _M.T[:, 2:], np.asfortranarray(_M)[:, 3:], _M[::2, ::3], _EXTREMES,
+     _EXTREMES.real],
+    ids=["1x1", "1xn", "nx1", "nx0", "0xn", "f_ordered", "column_slice",
+         "transposed_slice", "f_ordered_slice", "strided", "extremes", "real"],
+)
+def test_dumps_of_arrays_matches_indented_json_of_their_dicts(m):
+    obj = {"m": m, "nested": [{"data": m, "k": 1}, (m, -0.0)], "scalar": 5e-324}
+    for o in (m, obj, [obj, m]):
+        assert dumps(o) == json.dumps(_as_dicts(o), indent=2)
+
+
+def test_empty_factor_writes_empty_data():
+    assert matrix_to_dict(np.zeros((3, 0))) == {"rows": 3, "cols": 0, "data": []}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_dumps_refuses_a_non_finite_array_as_matrix_to_dict_does(bad):
+    m = np.eye(2, dtype=complex)
+    m[1, 0] = bad
+    with pytest.raises(ValueError) as expected:
+        matrix_to_dict(m)
+    with pytest.raises(ValueError) as got:
+        dumps({"m": m})
+    assert str(got.value) == str(expected.value)
+
+
+def test_dumps_places_saved_text(tmp_path):
+    m = _M[:2, :3]
+    text = save_matrix(m, tmp_path / "m.json")
+    d = matrix_to_dict(m)
+    assert dumps({"m": text, "k": [text]}) == json.dumps({"m": d, "k": [d]}, indent=2)
+    # A string that spells the slot marker sends dumps down its json path.
+    obj = {_SLOT: _SLOT, "m": m, "t": text}
+    assert dumps(obj) == json.dumps({_SLOT: _SLOT, "m": d, "t": d}, indent=2)
+
+
 def test_save_matrix_writes_indented_json(tmp_path):
     rng = np.random.default_rng(4)
     m = rng.standard_normal((5, 2)) - 1j * rng.standard_normal((5, 2))
@@ -148,6 +204,18 @@ def test_one_indented_json_writer():
         )
     assert counts.pop("matrix_io.py") >= 1
     assert not any(counts.values()), counts
+
+
+def test_cli_builds_no_pair_lists():
+    # The CLI hands matrix_io.dumps arrays and never calls matrix_to_dict,
+    # so no output it writes goes through [re, im] pair lists.
+    cli = Path(__file__).resolve().parents[1] / "src" / "mpinv" / "cli.py"
+    nodes = list(ast.walk(ast.parse(cli.read_text())))
+    called = {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+              for n in nodes if isinstance(n, ast.Call)}
+    imported = {a.name for n in nodes if isinstance(n, (ast.Import, ast.ImportFrom))
+                for a in n.names}
+    assert "matrix_to_dict" not in called | imported
 
 
 def test_load_malformed_json(tmp_path):
