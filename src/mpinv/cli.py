@@ -42,8 +42,8 @@ def _add_tol_flags(p):
                    help="scale factor on the rank cutoff (default 1.0)")
 
 
-# Each command returns its report for ``dumps``, matrices held as arrays,
-# or None when it prints nothing.
+# Each command returns what ``dumps`` prints, matrices held as arrays (an
+# answer's ``report()``, conorm's norms, gen's matrix), or None when it prints nothing.
 def _cmd_pinv(args, tol):
     result = pinv(load_matrix(args.infile), tol)
     report = result.report()
@@ -54,15 +54,15 @@ def _cmd_pinv(args, tol):
 
 
 def _cmd_rol(args, tol):
-    return full_report(load_matrix(args.a), load_matrix(args.b), tol).as_dict()
+    return full_report(load_matrix(args.a), load_matrix(args.b), tol).report()
 
 
 def _cmd_classify(args, tol):
     analysis = _Analysis(load_matrix(args.infile), tol)
-    out = analysis.classification().as_dict()
+    out = analysis.classification().report()
     square = analysis.m.shape[0] == analysis.m.shape[1]
-    out["subspace_check"] = _subspace_report(analysis).as_dict() if square else None
-    out["normal_mph_check"] = analysis.normal_mph().as_dict() if square else None
+    out["subspace_check"] = _subspace_report(analysis).report() if square else None
+    out["normal_mph_check"] = analysis.normal_mph().report() if square else None
     return out
 
 
@@ -81,7 +81,7 @@ def _cmd_conorm(args, tol):
 def _cmd_fuzz(args, tol):
     config = FuzzConfig(suite=args.suite, trials=args.trials, max_dim=args.max_dim,
                         seed=args.seed, tolerance=tol)
-    return fuzz(config).as_dict()
+    return fuzz(config).report()
 
 
 def _parse_inertia(text):
@@ -189,8 +189,8 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit as exc:  # --help and friends
-        return int(exc.code or 0)
+    except SystemExit:  # --help: every other parse error raises _CliError
+        return 0
     try:
         # Overflow and underflow make residuals fail closed, so numpy's
         # warnings would only add lines to a one-line refusal.

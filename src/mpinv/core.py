@@ -27,7 +27,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -561,8 +561,23 @@ def _close(d: float, norms, tol: Tolerance) -> bool:
     return _all_finite(d, *norms) and bool(d <= tol.eq_tol * residual_scale(*norms))
 
 
+class _Report:
+    """An answer that describes itself once, in ``report()``: its matrices as
+    arrays, the rest as plain floats, bools and ints; by default, the fields of
+    a dataclass."""
+
+    def report(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def as_dict(self) -> dict:
+        """``report()``, JSON-ready: each array in its ``matrix_to_dict`` form."""
+        from .matrix_io import _json_ready  # at call time: matrix_io imports core
+
+        return _json_ready(self.report())
+
+
 @dataclass
-class ConditionReport:
+class ConditionReport(_Report):
     """Named boolean verdicts with the residual magnitude behind each one."""
 
     verdicts: dict = field(default_factory=dict)
@@ -579,7 +594,7 @@ class ConditionReport:
     def all_true(self) -> bool:
         return all(self.verdicts.values())
 
-    def as_dict(self) -> dict:
+    def report(self) -> dict:
         out = {
             "verdicts": dict(self.verdicts),
             "residuals": dict(self.residuals),

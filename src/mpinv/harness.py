@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -25,6 +25,7 @@ from .core import (
     frobenius_norm,
     haar_unitary,
     residual,
+    _Report,
 )
 from .isometry import (
     _Analysis,
@@ -34,7 +35,6 @@ from .isometry import (
     random_hermitian_partial_isometry,
     random_partial_isometry,
 )
-from .matrix_io import matrix_to_dict
 from .mp_hermitian import (
     _algebraic,
     _annihilated,
@@ -95,7 +95,9 @@ class FuzzConfig:
 
 
 @dataclass(frozen=True)
-class TrialFailure:
+class TrialFailure(_Report):
+    """A replayable finding: the values and the arrays a trial found it on."""
+
     suite: str
     seed: int
     trial_index: int
@@ -103,19 +105,16 @@ class TrialFailure:
     residuals: dict
     matrices: dict
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
-class FuzzReport:
+class FuzzReport(_Report):
     suite: str
     trials_run: int
     failures: list = field(default_factory=list)
     elapsed: float = 0.0
 
-    def as_dict(self) -> dict:
-        return asdict(self)
+    def report(self) -> dict:
+        return {**super().report(), "failures": [f.report() for f in self.failures]}
 
 
 def generate_regular(m, n, r, sv_low=0.5, sv_high=2.0, seed=0) -> np.ndarray:
@@ -227,14 +226,6 @@ def nonhermitian_partial_isometry_fixture(n, seed):
     return _rotated_similarity([[0, 1], [0, 0]], n, seed)
 
 
-def _jsonable(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, float, np.integer, np.floating)):
-        return float(v)
-    return v
-
-
 def _trial_penrose(rng, max_dim, tol, fail):
     m = int(rng.integers(1, max_dim + 1))
     n = int(rng.integers(1, max_dim + 1))
@@ -243,7 +234,7 @@ def _trial_penrose(rng, max_dim, tol, fail):
     try:
         x = pinv(a, tol).pinv
     except PenroseResidualError as exc:
-        fail("penrose_system", exc.residuals.as_dict(), {"a": a})
+        fail("penrose_system", exc.residuals.report(), {"a": a})
         return
 
     res = residual(pinv(x, tol).pinv - a, frobenius_norm(a))
@@ -500,16 +491,8 @@ def run_trial(suite, seed, trial_index, max_dim, tol: Tolerance = DEFAULT_TOL):
     failures = []
 
     def fail(pair, residuals, matrices):
-        failures.append(
-            TrialFailure(
-                suite=suite.value,
-                seed=int(seed),
-                trial_index=int(trial_index),
-                condition_pair=pair,
-                residuals={k: _jsonable(v) for k, v in residuals.items()},
-                matrices={k: matrix_to_dict(v) for k, v in matrices.items()},
-            )
-        )
+        failures.append(TrialFailure(suite.value, int(seed), int(trial_index), pair,
+                                     residuals, matrices))
 
     try:
         _TRIAL_BODIES[suite](rng, max_dim, tol, fail)

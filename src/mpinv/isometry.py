@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .core import (
     _close,
     _factor,
     _haar_columns,
+    _Report,
     _svd,
     _verify,
 )
@@ -59,7 +60,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(_Report):
     """One-stop structural summary of a single matrix.
 
     ``regular`` is always true for finite matrices and exists to record
@@ -77,9 +78,6 @@ class ClassificationReport:
     pinv_norm: float
     conorm: float | None
     rank: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 # The refusal of ``conorm`` (and of ``mpinv conorm``) for the zero matrix.

@@ -31,9 +31,9 @@ from .core import (
     residual_scale,
     slicewise_errors,
     _haar_columns,
+    _Report,
 )
 from .isometry import _Analysis
-from .matrix_io import _json_ready
 
 __all__ = [
     "SubspaceBasis",
@@ -77,7 +77,7 @@ class SubspaceBasis:
 
 
 @dataclass(frozen=True)
-class MphDecomposition:
+class MphDecomposition(_Report):
     """Null/range split of an MPH matrix with its involutive core.
 
     h1 spans the null space, h2 the column space (mutually orthogonal),
@@ -112,9 +112,6 @@ class MphDecomposition:
             "involution_residual": self.involution_residual,
             "reconstruction_residual": self.reconstruction_residual,
         }
-
-    def as_dict(self) -> dict:
-        return _json_ready(self.report())
 
 
 @slicewise_errors

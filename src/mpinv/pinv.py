@@ -35,10 +35,10 @@ from .core import (
     slicewise_errors,
     _factor,
     _Program,
+    _Report,
     _stack,
     _width,
 )
-from .matrix_io import _json_ready
 
 __all__ = [
     "PenroseResiduals",
@@ -63,7 +63,7 @@ class PenroseResidualError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PenroseResiduals:
+class PenroseResiduals(_Report):
     """Relative residuals of the four defining equations.
 
     r1..r4 are divided by ``residual_scale(||a||_F, ||x||_F)``, and are
@@ -87,7 +87,7 @@ class PenroseResiduals:
     def within(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         return self.max() <= tol.eq_tol
 
-    def as_dict(self) -> dict:
+    def report(self) -> dict:
         return {
             "r1": self.r1,
             "r2": self.r2,
@@ -98,7 +98,7 @@ class PenroseResiduals:
 
 
 @dataclass(frozen=True)
-class PinvResult:
+class PinvResult(_Report):
     """``pinv``, certified by its Penrose ``residuals``, and the SVD of ``a`` it was
     built from, kept so callers need not redo it.  Construction checks nothing; sigma
     is ordered, but a caller reading u and v as bases checks them as ``svd`` does."""
@@ -113,11 +113,8 @@ class PinvResult:
         return {
             "pinv": self.pinv,
             "rank": self.rank,
-            "residuals": self.residuals.as_dict(),
+            "residuals": self.residuals.report(),
         }
-
-    def as_dict(self) -> dict:
-        return _json_ready(self.report())
 
 
 def _operands(a, x):
@@ -210,7 +207,7 @@ def _accepted(x, r: int, res: PenroseResiduals, f: SvdFactorization, tol: Tolera
     """The result, if its Penrose residuals ``res`` are within ``tol.eq_tol``."""
     if not res.within(tol):
         raise PenroseResidualError(
-            f"pseudoinverse residuals {res.as_dict()} exceed eq_tol={tol.eq_tol}", res)
+            f"pseudoinverse residuals {res.report()} exceed eq_tol={tol.eq_tol}", res)
     return PinvResult(pinv=x, rank=r, residuals=res, factorization=f)
 
 

@@ -7,8 +7,11 @@ import pytest
 
 import mpinv.cli
 from mpinv import (
+    FuzzConfig,
+    Tolerance,
     classify,
     full_report,
+    fuzz,
     generate_mp_hermitian,
     generate_regular,
     matrix_from_dict,
@@ -449,6 +452,18 @@ class TestWireFormat:
         path = tmp_path / "x.json"
         assert run_cli(capsys, "pinv", "--in", write_json("a.json", A), "--out", str(path))[0] == 0
         assert path.read_text() == json.dumps(matrix_to_dict(pinv(A).pinv), indent=2) + "\n"
+
+    def test_fuzz_failure_records_match_indented_json(self, capsys):
+        # At eq_tol 2.3e-16 every suite finds records, some holding matrices.
+        code, out, err = run_cli(capsys, "fuzz", "--suite", "all", "--trials", "10",
+                                 "--seed", "3", "--tol", "2.3e-16")
+        config = FuzzConfig(suite="all", trials=10, max_dim=8, seed=3,
+                            tolerance=Tolerance(eq_tol=2.3e-16))
+        reference = fuzz(config).as_dict()
+        assert code == 2 and err == ""
+        assert any(record["matrices"] for record in reference["failures"])
+        reference["elapsed"] = json.loads(out)["elapsed"]
+        assert out == json.dumps(reference, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out_file"])

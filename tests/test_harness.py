@@ -123,9 +123,16 @@ class TestReplayDeterminism:
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
     def test_trial_rng_is_order_independent(self):
-        # Trial 7 alone must equal trial 7 inside a longer campaign.
-        alone = run_trial("rol", 555, 7, 6)
-        assert alone == run_trial("rol", 555, 7, 6)
+        # Trial 7 alone must equal trial 7 inside a longer campaign.  At these
+        # tolerances it finds a pinv refusal (rol) and records that hold the
+        # trial's matrix (penrose).
+        for suite, eq_tol in (("rol", 3e-16), ("penrose", 6e-16)):
+            tol = Tolerance(eq_tol=eq_tol)
+            alone = [f.as_dict() for f in run_trial(suite, 555, 7, 6, tol)]
+            campaign = fuzz(FuzzConfig(suite=suite, trials=12, max_dim=6, seed=555,
+                                       tolerance=tol))
+            assert alone, suite
+            assert alone == [f.as_dict() for f in campaign.failures if f.trial_index == 7]
 
     def test_failures_replay_exactly(self):
         # An impossibly tight tolerance turns ordinary rounding into

@@ -207,15 +207,27 @@ def test_one_indented_json_writer():
 
 
 def test_cli_builds_no_pair_lists():
-    # The CLI hands matrix_io.dumps arrays and never calls matrix_to_dict,
-    # so no output it writes goes through [re, im] pair lists.
-    cli = Path(__file__).resolve().parents[1] / "src" / "mpinv" / "cli.py"
-    nodes = list(ast.walk(ast.parse(cli.read_text())))
-    called = {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
-              for n in nodes if isinstance(n, ast.Call)}
-    imported = {a.name for n in nodes if isinstance(n, (ast.Import, ast.ImportFrom))
-                for a in n.names}
-    assert "matrix_to_dict" not in called | imported
+    # Answers and fuzz records hold their matrices as arrays until
+    # matrix_io.dumps or as_dict() writes them, so no module but matrix_io
+    # calls matrix_to_dict, and only __init__ re-exports it.
+    src = Path(__file__).resolve().parents[1] / "src" / "mpinv"
+    for p in src.glob("*.py"):
+        nodes = list(ast.walk(ast.parse(p.read_text())))
+        called = {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                  for n in nodes if isinstance(n, ast.Call)}
+        imported = {a.name for n in nodes if isinstance(n, (ast.Import, ast.ImportFrom))
+                    for a in n.names}
+        assert p.name == "matrix_io.py" or "matrix_to_dict" not in called, p.name
+        assert p.name == "__init__.py" or "matrix_to_dict" not in imported, p.name
+
+
+def test_as_dict_is_defined_once():
+    # Every answer describes itself in report(); as_dict() is its one
+    # JSON-ready form, defined on the base class all of them share.
+    src = Path(__file__).resolve().parents[1] / "src" / "mpinv"
+    defs = [p.name for p in src.glob("*.py") for n in ast.walk(ast.parse(p.read_text()))
+            if isinstance(n, ast.FunctionDef) and n.name == "as_dict"]
+    assert defs == ["core.py"]
 
 
 def test_load_malformed_json(tmp_path):
