@@ -365,13 +365,14 @@ def _flat(factors) -> tuple:
 
 
 # A program whose widest level holds at most this many steps walks, whatever
-# the shapes of its leaves.  Measured by ``run`` alone on square leaves, n
-# 2-12 (2-core x86-64 host, numpy 2.4, OpenBLAS, one BLAS thread, thread CPU), the
-# walk took 0.45-0.69x the arena's time for programs of widest 1 and 2 (one
-# formulation, MBEKHTA_GI, MBEKHTA_IDEM: 22-31 us against 37-65 us) and
-# 0.86-0.91x for widest 4 (G5), but 1.34-1.45x for the twelve formulations
-# (widest 8) and 1.81-2.45x for the reverse-order catalog (widest 18).
-_WALK_WIDEST = 4
+# the shapes of its leaves.  Measured by ``run`` alone on square leaves
+# (2-core x86-64 host, numpy 2.4, OpenBLAS, one BLAS thread, thread CPU, the
+# median of 9 interleaved rounds, two runs), the arena with its ``take``
+# gathers took 1.2-1.5x the walk's time at most n in 1-15 on the catalog rows
+# of widest 1 and 2, but 0.83-1.04x on the 14 rows of widest 4 (below 1 at 29
+# of 30 points; 0.94-1.24x at n 16-32, where a whole ``evaluate_condition``
+# call reads 1.00-1.04x against 0.92-1.02x at n <= 15).
+_WALK_WIDEST = 2
 
 
 class _Program:
@@ -395,10 +396,10 @@ class _Program:
     A program whose widest level holds more than ``_WALK_WIDEST`` steps runs
     leaves of one n-by-n shape in the arena when ``_width(n)`` slices hold
     that level: one stack of every matrix, each level and kind of step one
-    stacked call (``_levels``), and the norms ``frobenius_norms`` calls of at
-    most ``_width(n)`` slices.  Any other run takes ``_walk``, one
-    instruction at a time in the table's order, dropping each matrix after
-    its last reader.  Both fill one list of norms, which
+    stacked call (``_levels``) on operands gathered with ``take``, and the
+    norms ``frobenius_norms`` calls of at most ``_width(n)`` slices.  Any
+    other run takes ``_walk``, one instruction at a time in the table's
+    order, dropping each matrix after its last reader.  Both fill one list of norms, which
     ``run`` scores through index arrays: the side products (``_sides``), if any, one
     ``_scaled_array`` call for every equation (``_scores``) and, where a row has two
     equations, one ``np.maximum.reduce`` for every row's worst (``_worst``).
@@ -517,11 +518,15 @@ class _Program:
         if self.widest > _WALK_WIDEST and width >= self.widest:
             arena = np.empty((self._size, n, n), np.complex128)
             arena[:base] = v[:base]
+            # Every gather is a take: it copies the same slices, C-ordered, as arena[idx],
+            # in 0.9-2.1 us against 2.7-3.7 us (n 2-12), where a small pair's 12 level
+            # gathers cost about as much as its 64 stacked products.
             for ufunc, x, y, lo, hi in self._levels:
-                ufunc(arena[x], arena[y], out=arena[lo:hi])
+                ufunc(arena.take(x, axis=0), arena.take(y, axis=0), out=arena[lo:hi])
             for lo in range(0, len(self._gather), width):
-                stack, minus = arena[self._gather[lo:lo + width]], self._minus[lo:lo + width]
-                np.subtract(stack[:len(minus)], arena[minus], out=stack[:len(minus)])
+                stack = arena.take(self._gather[lo:lo + width], axis=0)
+                minus = arena.take(self._minus[lo:lo + width], axis=0)
+                np.subtract(stack[:len(minus)], minus, out=stack[:len(minus)])
                 norms += frobenius_norms(stack)
         else:
             norms += [None] * len(self._gather)
@@ -564,7 +569,9 @@ def _close(d: float, norms, tol: Tolerance) -> bool:
 class _Report:
     """An answer that describes itself once, in ``report()``: its matrices as
     arrays, the rest as plain floats, bools and ints; by default, the fields of
-    a dataclass."""
+    a dataclass.  Two answers of one type are equal when their ``as_dict()``
+    are, so an answer holding arrays compares without asking an array for a
+    truth value; it is not hashable."""
 
     def report(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -574,6 +581,11 @@ class _Report:
         from .matrix_io import _json_ready  # at call time: matrix_io imports core
 
         return _json_ready(self.report())
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
 
 
 @dataclass

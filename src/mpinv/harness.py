@@ -94,7 +94,7 @@ class FuzzConfig:
             raise ValueError("max_dim must be in [1, 64]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialFailure(_Report):
     """A replayable finding: the values and the arrays a trial found it on."""
 
@@ -106,7 +106,7 @@ class TrialFailure(_Report):
     matrices: dict
 
 
-@dataclass
+@dataclass(eq=False)
 class FuzzReport(_Report):
     suite: str
     trials_run: int

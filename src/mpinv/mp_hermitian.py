@@ -76,7 +76,7 @@ class SubspaceBasis:
         return self.columns @ adjoint(self.columns)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MphDecomposition(_Report):
     """Null/range split of an MPH matrix with its involutive core.
 

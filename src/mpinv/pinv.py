@@ -97,7 +97,7 @@ class PenroseResiduals(_Report):
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PinvResult(_Report):
     """``pinv``, certified by its Penrose ``residuals``, and the SVD of ``a`` it was
     built from, kept so callers need not redo it.  Construction checks nothing; sigma

@@ -492,6 +492,17 @@ def _gen_stdout():
     return json.dumps(matrix_to_dict(generate_regular(3, 3, 3, seed=2)), indent=2) + "\n"
 
 
+@pytest.mark.parametrize("argv, code", [(["gen", "--kind", "regular", "--dim", "2"], 0),
+                                         (["gen", "--bogus"], 1)], ids=["ok", "unknown_flag"])
+def test_entry_exits_with_mains_code(capsys, monkeypatch, argv, code):
+    monkeypatch.setattr("sys.argv", ["mpinv", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        mpinv.cli.entry()
+    assert exit_.value.code == code
+    out, err = capsys.readouterr()
+    assert (out != "", err != "") == (code == 0, code == 1)
+
+
 class TestParserReuse:
     """One parser serves every call in a process and carries nothing over."""
 

@@ -1,6 +1,7 @@
 """Tests for the matrix substrate: adjoint, SVD, rank, norms, comparison."""
 
 import ast
+import dataclasses
 import importlib
 import itertools
 import math
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 from mpinv import (
     EPS,
+    FuzzReport,
     PenroseResidualError,
     SvdFactorization,
     Tolerance,
@@ -37,6 +39,7 @@ from mpinv import (
     operator_norm,
     pinv,
     pinv_matrix,
+    run_trial,
     svd,
 )
 from mpinv import core
@@ -706,9 +709,9 @@ def test_no_module_runs_code_built_from_text():
 class TestPlanChoice:
     def test_each_shipped_program_takes_its_plan(self, monkeypatch):
         # On square leaves that the arena holds, the twelve formulations
-        # (widest level 8) and the reverse-order catalog (18) run in the
-        # arena, whose norms are frobenius_norms calls; a program of one
-        # formulation (widest 1 or 2) or of one condition (1 to 4) walks.
+        # (widest level 8), the reverse-order catalog (18) and each condition
+        # of widest 4 run in the arena, whose norms are frobenius_norms calls;
+        # a program of one formulation or condition of widest 1 or 2 walks.
         pinv_module = importlib.import_module("mpinv.pinv")
         ro = importlib.import_module("mpinv.reverse_order")
         stacked = []
@@ -731,9 +734,65 @@ class TestPlanChoice:
                 arena.add(name)
             else:
                 widest[program.widest] = widest.get(program.widest, 0) + 1
-        assert arena == {"formulations", "catalog"}
-        assert widest == {1: 7, 2: 10, 4: 14}
+        assert arena == {"formulations", "catalog", *(
+            c.value for c, p in ro._ROW_PROGRAMS.items() if p.widest == 4)}
+        assert len(arena) == 16 and widest == {1: 7, 2: 10}
         assert core._width(4) >= ro._PROGRAM.widest
+
+    def test_arena_gathers_only_through_take(self):
+        # Inside _Program.run the arena is subscripted with basic slices
+        # only: every gather of its operands is an arena.take call.
+        run = next(node for node in ast.walk(ast.parse((SRC / "core.py").read_text()))
+                   if isinstance(node, ast.FunctionDef) and node.name == "run")
+        subscripts = [node for node in ast.walk(run) if isinstance(node, ast.Subscript)
+                      and ast.unparse(node.value) == "arena"]
+        assert subscripts and all(isinstance(node.slice, ast.Slice) for node in subscripts), [
+            ast.unparse(node) for node in subscripts]
+        assert any(isinstance(node, ast.Call) and ast.unparse(node.func) == "arena.take"
+                   for node in ast.walk(run))
+
+
+class TestReportEquality:
+    """Answers holding arrays compare by their ``as_dict()`` and are not hashable."""
+
+    @staticmethod
+    def _answers():
+        tol = Tolerance(eq_tol=6e-16)
+        a = generate_regular(4, 3, 2, seed=3)
+        m = generate_mp_hermitian(4, 2, seed=8)
+        records = run_trial("penrose", 555, 7, 6, tol)
+        return {"pinv": (pinv(a), "pinv"), "mph": (mph_decompose(m), "t2"),
+                "failure": (records[0], "matrices"),
+                "fuzz": (FuzzReport("penrose", 12, records, 0.5), "failures")}
+
+    @pytest.mark.parametrize("kind", ["pinv", "mph", "failure", "fuzz"])
+    def test_equal_calls_compare_equal(self, kind):
+        (x, _), (y, _) = self._answers()[kind], self._answers()[kind]
+        assert x == y and not x != y and x is not y
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(x)
+
+    @pytest.mark.parametrize("kind", ["pinv", "mph", "failure", "fuzz"])
+    def test_one_changed_entry_is_unequal(self, kind):
+        x, name = self._answers()[kind]
+        if kind == "fuzz":
+            first = x.failures[0]
+            changed = [dataclasses.replace(first, matrices=_nudged(first.matrices)),
+                       *x.failures[1:]]
+        else:
+            changed = _nudged(getattr(x, name))
+        assert x != dataclasses.replace(x, **{name: changed})
+        assert x != x.as_dict()
+
+
+def _nudged(value):
+    """A copy of an array, or of a dict of arrays, with its first entry changed."""
+    if isinstance(value, dict):
+        first = next(iter(value))
+        return {**value, first: _nudged(value[first])}
+    value = value.copy()
+    value.flat[0] += 2.0 ** -40
+    return value
 
 
 class TestTolerance:

@@ -128,11 +128,11 @@ class TestReplayDeterminism:
         # trial's matrix (penrose).
         for suite, eq_tol in (("rol", 3e-16), ("penrose", 6e-16)):
             tol = Tolerance(eq_tol=eq_tol)
-            alone = [f.as_dict() for f in run_trial(suite, 555, 7, 6, tol)]
+            alone = run_trial(suite, 555, 7, 6, tol)
             campaign = fuzz(FuzzConfig(suite=suite, trials=12, max_dim=6, seed=555,
                                        tolerance=tol))
             assert alone, suite
-            assert alone == [f.as_dict() for f in campaign.failures if f.trial_index == 7]
+            assert alone == [f for f in campaign.failures if f.trial_index == 7]
 
     def test_failures_replay_exactly(self):
         # An impossibly tight tolerance turns ordinary rounding into
