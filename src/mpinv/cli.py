@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 import numpy as np
@@ -86,7 +87,7 @@ def _cmd_fuzz(args, tol):
 
 def _parse_inertia(text):
     parts = text.split(",")
-    if len(parts) != 3 or not all(v.strip().lstrip("+-").isdecimal() for v in parts):
+    if len(parts) != 3 or not all(re.fullmatch(r"\s*[+-]?\d+\s*", v) for v in parts):
         raise _CliError("inertia must be three comma-separated integers")
     return tuple(int(v) for v in parts)
 

@@ -17,7 +17,8 @@ slice alone, and a stacked call copies at most ``_STACK_BYTES`` of
 slices.  Each answer has one certificate: ``svd`` checks the factors it
 answers with, while ``pinv`` factors through ``_factor`` and its Penrose
 residuals certify it.  ``SvdFactorization`` checks nothing when built;
-``_factor`` and ``_verify`` do.
+``_factor`` and ``_verify`` do.  The ``_lapack_*`` kernels are the package's
+one LAPACK boundary: every SVD, QR and inverse goes through one of them.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -250,12 +252,57 @@ def _reconstruct(u, sigma, v) -> np.ndarray:
     return (u[..., :k] * sigma[..., None, :]) @ adjoint(v[..., :k])
 
 
+# The LAPACK boundary: every SVD, QR and inverse in the package is one of these
+# kernels.  Each calls the gufunc behind a public numpy function under the same
+# error state, raises the same LinAlgError, and returns that function's result
+# bit for bit on a complex128 operand; it skips the wrapper's dtype promotion,
+# copies, ``triu`` and named tuple, which at n <= 8 cost about as much as LAPACK
+# itself.  Every operand is complex128 already: ``as_matrix``'s output, a
+# Gaussian draw, or arithmetic on them.  Callers look a kernel up in this module
+# when they call it, so a test that patches it here reaches every call.
+def _lapack(message: str):
+    """Decorate a kernel to run under numpy's error state for its gufunc, where
+    a LAPACK failure, flagged as an invalid value, raises ``LinAlgError(message)``."""
+
+    def fail(err, flag):
+        raise LinAlgError(message)
+
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+@_lapack("SVD did not converge")
+def _lapack_svd(a):
+    """``np.linalg.svd(a)``: ``(u, s, vh)`` with full u and vh."""
+    return _umath_linalg.svd_f(a, signature="D->DdD")
+
+
+@_lapack("SVD did not converge")
+def _lapack_svdvals(a):
+    """``np.linalg.svd(a, compute_uv=False)``."""
+    return _umath_linalg.svd(a, signature="D->d")
+
+
+@_lapack("Incorrect argument found while performing QR factorization")
+def _lapack_qr(a):
+    """``np.linalg.qr(a)``'s reduced q and a copy of r's diagonal; overwrites ``a``
+    with LAPACK's raw factor, whose diagonal is r's."""
+    tau = _umath_linalg.qr_r_raw(a, signature="D->D")
+    q = _umath_linalg.qr_reduced(a, tau, signature="DD->D")
+    return q, np.diagonal(a, axis1=-2, axis2=-1).copy()
+
+
+@_lapack("Singular matrix")
+def _lapack_inv(a):
+    """``np.linalg.inv(a)``."""
+    return _umath_linalg.inv(a, signature="D->D")
+
+
 def _factor(a) -> SvdFactorization:
     """The full SVD of a validated matrix or stack in one LAPACK call, with
     sigma's ordering checked but not ``_verify``'s unitarity and reconstruction."""
     try:
-        u, s, vh = np.linalg.svd(a, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
+        u, s, vh = _lapack_svd(a)
+    except LinAlgError as exc:
         raise SvdConvergenceError(
             f"SVD did not converge for a {a.shape[-2]}x{a.shape[-1]} matrix: {exc}"
         ) from exc
@@ -640,8 +687,7 @@ def _haar_columns(n: int, k: int, rng, count: int | None = None) -> np.ndarray:
     rng = np.random.default_rng(rng)
     g = rng.standard_normal((1 if count is None else count, 2, n, n))  # real, then imaginary part
     cols = k if n <= _THIN_HAAR_MAX_N else n
-    q, r = np.linalg.qr(g[:, 0, :, :cols] + 1j * g[:, 1, :, :cols])
-    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    q, d = _lapack_qr(g[:, 0, :, :cols] + 1j * g[:, 1, :, :cols])
     d[d == 0] = 1.0
     q = (q * (d / np.abs(d))[:, None, :])[..., :k]
     return q[0] if count is None else q

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import (
     DEFAULT_TOL,
     ConditionReport,
@@ -198,7 +199,7 @@ def _subspace_report(analysis: _Analysis) -> ConditionReport:
     report.add("null_equal", distance(p_null, p_conull))
 
     stacked = np.hstack([bases["range"], bases["null"]])
-    smin = float(np.linalg.svd(stacked, compute_uv=False)[-1])
+    smin = float(core._lapack_svdvals(stacked)[-1])
     report.add("direct_sum", smin, verdict=smin > 1e-6)
 
     b = bases["range"]
@@ -286,7 +287,7 @@ def generate_mp_hermitian(
     # The two k-by-k unitaries and, for k = n, the embedding are one draw.
     u, v, *q = haar_unitary(k, rng, 3 if k == n else 2)
     s_mat = (u * sv) @ adjoint(v)
-    t2 = (s_mat * signs) @ np.linalg.inv(s_mat)
+    t2 = (s_mat * signs) @ core._lapack_inv(s_mat)
 
     qk = q[0] if q else _haar_columns(n, k, rng)
     return qk @ t2 @ adjoint(qk)

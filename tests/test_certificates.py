@@ -31,7 +31,7 @@ from mpinv import (
     save_matrix,
     svd,
 )
-from mpinv import cli, isometry
+from mpinv import cli, core, isometry
 
 RNG = np.random.default_rng(307)
 # Well separated singular values, so that a corrupted sigma stays ordered.
@@ -54,20 +54,20 @@ def _scale_second_singular_value(u, s):
      r"^SVD reconstruction residual \S+ exceeds tolerance$"),
 ], ids=["u", "sigma"])
 def corrupted(request, monkeypatch):
-    """``np.linalg.svd`` with the factors of BAD and WORSE corrupted, slice by
+    """``core._lapack_svd`` with the factors of BAD and WORSE corrupted, slice by
     slice in a stack; returns the error and message ``svd`` owes them."""
     corrupt, error, message = request.param
-    real_svd = np.linalg.svd
+    real_svd = core._lapack_svd
 
-    def corrupting_svd(m, *args, **kwargs):
-        u, s, vh = real_svd(m, *args, **kwargs)
+    def corrupting_svd(m):
+        u, s, vh = real_svd(m)
         parts = zip(*(x if np.ndim(m) == 3 else x[None] for x in (m, u, s)))
         for part, ui, si in parts:
             if np.array_equal(part, BAD) or np.array_equal(part, WORSE):
                 corrupt(ui, si)
         return u, s, vh
 
-    monkeypatch.setattr(np.linalg, "svd", corrupting_svd)
+    monkeypatch.setattr(core, "_lapack_svd", corrupting_svd)
     return error, message
 
 

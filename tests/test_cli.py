@@ -232,6 +232,16 @@ class TestGenCommand:
         assert code == 1 and out == ""
         assert err == "error: inertia must be three comma-separated integers\n"
 
+    @pytest.mark.parametrize("inertia", ["+-1,1,1", "--1,1,1", "1,+-1,1"])
+    def test_inertia_takes_at_most_one_sign(self, capsys, inertia):
+        # "=" keeps argparse from reading "--1,1,1" as an option.
+        args = ("gen", "--kind", "hermitian_partial_isometry", "--dim", "3")
+        code, out, err = run_cli(capsys, *args, f"--inertia={inertia}")
+        assert code == 1 and out == ""
+        assert err == "error: inertia must be three comma-separated integers\n"
+        assert run_cli(capsys, *args, "--inertia=+1,1, +1") == run_cli(
+            capsys, *args, "--inertia=1,1,1")
+
     @pytest.mark.parametrize("values", ["", "1,x"])
     def test_malformed_singular_values_exit_1(self, capsys, values):
         code, out, err = run_cli(capsys, "gen", "--kind", "prescribed_singular_values",
@@ -341,11 +351,11 @@ class TestErrorPaths:
         assert "x contains" not in err
 
     def test_svd_failure_exit_1(self, capsys, write_json, monkeypatch):
-        def no_convergence(*args, **kwargs):
+        def no_convergence(a):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         path = write_json("a.json", np.eye(2, dtype=complex))
-        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        monkeypatch.setattr(mpinv.core, "_lapack_svd", no_convergence)
         code, out, err = run_cli(capsys, "pinv", "--in", path)
         assert code == 1 and out == ""
         assert err.startswith("error: SVD did not converge") and err.count("\n") == 1

@@ -1,6 +1,7 @@
 """Each public call, CLI command and fuzz trial factors each input matrix once.
 
-``numpy.linalg.svd`` is wrapped to count the factorizations whose
+The SVD kernels of ``core``'s LAPACK boundary, ``_lapack_svd`` and
+``_lapack_svdvals``, are wrapped to count the factorizations whose
 argument is bit-for-bit the input matrix; each slice of a stacked call
 counts as one factorization.  SVDs of derived matrices (the
 pseudoinverse behind ``classify``'s ``pinv_norm`` cross-check, the
@@ -36,7 +37,7 @@ from mpinv import (
     run_trial,
     save_matrix,
 )
-from mpinv import harness, isometry
+from mpinv import core, harness, isometry
 from mpinv.cli import main
 from mpinv.isometry import CONORM_UNDEFINED
 
@@ -51,14 +52,16 @@ def svd_calls_on(monkeypatch):
     started, ``count()`` the number of all factorizations; an ``(N, m, n)``
     stack is N of them."""
     seen = []
-    real_svd = np.linalg.svd
 
-    def counting_svd(m, *args, **kwargs):
-        m = np.array(m, copy=True)
-        seen.extend(m if m.ndim == 3 else [m])
-        return real_svd(m, *args, **kwargs)
+    def counting(real):
+        def kernel(m):
+            m = np.array(m, copy=True)
+            seen.extend(m if m.ndim == 3 else [m])
+            return real(m)
+        return kernel
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for name in ("_lapack_svd", "_lapack_svdvals"):
+        monkeypatch.setattr(core, name, counting(getattr(core, name)))
 
     def count(a=None):
         if a is None:
