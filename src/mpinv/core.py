@@ -10,8 +10,8 @@ behind every verdict: a Frobenius residual divided by
 ``_Program`` is the one identity compiler: it compiles a table of
 equations over named leaves and defined products once, each equation with
 its scale (the norm products it is divided by, or None for its sides' own
-norms), and its ``run(mats, norms)`` scores them by a plan it reads off the
-leaves' shapes.  ``frobenius_norms`` takes the
+norms), and its ``run(leaves, norms)`` scores them, given both in its leaf
+order, by a plan it reads off the leaves' shapes.  ``frobenius_norms`` takes the
 norm of each slice of one or more stacks, bit for bit the norm of that
 slice alone, and a stacked call copies at most ``_STACK_BYTES`` of
 slices.  Each answer has one certificate: ``svd`` checks the factors it
@@ -411,15 +411,13 @@ def _flat(factors) -> tuple:
     return tuple(n for f in factors for n in ((f,) if isinstance(f, str) else _flat(f)))
 
 
-# A program whose widest level holds at most this many steps walks, whatever
-# the shapes of its leaves.  Measured by ``run`` alone on square leaves
-# (2-core x86-64 host, numpy 2.4, OpenBLAS, one BLAS thread, thread CPU, the
-# median of 9 interleaved rounds, two runs), the arena with its ``take``
-# gathers took 1.2-1.5x the walk's time at most n in 1-15 on the catalog rows
-# of widest 1 and 2, but 0.83-1.04x on the 14 rows of widest 4 (below 1 at 29
-# of 30 points; 0.94-1.24x at n 16-32, where a whole ``evaluate_condition``
-# call reads 1.00-1.04x against 0.92-1.02x at n <= 15).
+# A program whose widest level holds at most _WALK_WIDEST steps walks; any other
+# runs in the arena on square leaves up to n = _ARENA_N, where _width(n) >= 18
+# slices hold the catalog's widest level.  Given one block of leaves, ``run`` on the
+# catalog rows of widest 4 read 0.90-0.96x the walk's time up to n = 14, 1.06-1.20x
+# at n 20-32, and 1.2-1.5x on rows of widest 1 and 2 (BENCH_leaf_block.json).
 _WALK_WIDEST = 2
+_ARENA_N = 15
 
 
 class _Program:
@@ -431,28 +429,30 @@ class _Program:
     side's operand names), or None for the sides' own norms.  A name in
     ``defs`` stands for its product of other names, compiled where it is first
     read, its norm taken where a scale first reads it.  The leaves are the
-    names read that ``defs`` does not define, in slots ``0 .. len(leaves) -
-    1``; instruction ``i`` of ``code``, ``(op, x, y, factors, level)``,
-    fills slot ``len(leaves) + i``.  A step (``op`` a matmul or a
-    commutator's subtraction) holds ``op(slot x, slot y)``; no two steps
-    are alike, so each product is formed once, left to right with nested
-    factors first.  An equation (``op`` None) scores ``x - y`` (``x`` if
-    ``y`` is None) against its scale ``factors``.  Leaves are on level 0,
-    an instruction one level above its highest operand.
+    names read that ``defs`` does not define, in ``order`` if given, else as
+    first read, in slots ``0 .. len(leaves) - 1``; instruction ``i`` of
+    ``code``, ``(op, x, y, factors, level)``, fills slot ``len(leaves) + i``.
+    A step (``op`` a matmul or a commutator's subtraction) holds ``op(slot x,
+    slot y)``; no two steps are alike, so each product is formed once, left to
+    right with nested factors first.  An equation (``op`` None) scores ``x -
+    y`` (``x`` if ``y`` is None) against its scale ``factors``.  Leaves are on
+    level 0, an instruction one level above its highest operand.
 
-    A program whose widest level holds more than ``_WALK_WIDEST`` steps runs
-    leaves of one n-by-n shape in the arena when ``_width(n)`` slices hold
-    that level: one stack of every matrix, each level and kind of step one
-    stacked call (``_levels``) on operands gathered with ``take``, and the
-    norms ``frobenius_norms`` calls of at most ``_width(n)`` slices.  Any
-    other run takes ``_walk``, one instruction at a time in the table's
-    order, dropping each matrix after its last reader.  Both fill one list of norms, which
-    ``run`` scores through index arrays: the side products (``_sides``), if any, one
-    ``_scaled_array`` call for every equation (``_scores``) and, where a row has two
-    equations, one ``np.maximum.reduce`` for every row's worst (``_worst``).
+    ``run(leaves, norms)`` takes both in ``leaves`` order.  A program whose
+    widest level holds more than ``_WALK_WIDEST`` steps runs leaves of one
+    n-by-n shape, n <= ``_ARENA_N``, in the arena: one stack of every matrix,
+    whose head is the leaves, copied in one assignment, each level and kind of
+    step one stacked call (``_levels``) on operands gathered with ``take``, and
+    the norms ``frobenius_norms`` calls of at most ``_width(n)`` slices.  Any
+    other run takes ``_walk``, one instruction at a time in the table's order,
+    dropping each matrix after its last reader.  Both fill one list of norms,
+    which ``run`` scores through index arrays: the side products (``_sides``),
+    if any, one ``_scaled_array`` call for every equation (``_scores``) and,
+    where a row has two equations, one ``np.maximum.reduce`` for every row's
+    worst (``_worst``).
     """
 
-    def __init__(self, rows: dict, defs: dict | None = None):
+    def __init__(self, rows: dict, defs: dict | None = None, order: tuple = ()):
         defs = defs or {}
         rows = {key: [(lhs, rhs, *scale) if scale else (lhs, rhs, (_flat(lhs), _flat(rhs)))
                       for lhs, rhs, *scale in row] for key, row in rows.items()}
@@ -462,6 +462,7 @@ class _Program:
 
         self.leaves = list(dict.fromkeys(n for row in rows.values() for lhs, rhs, scale in row
                                          for n in reads((lhs, rhs, scale or ()))))
+        self.leaves.sort(key=(order or tuple(self.leaves)).index)  # first read by default
         slot = {name: i for i, name in enumerate(self.leaves)}
         code = []
 
@@ -552,19 +553,18 @@ class _Program:
         self._worst = np.array([[place[i] for i in (eqs * most)[:most]]  # rows padded by repeats
                                 for eqs in self.rows.values()], np.intp).T
 
-    def run(self, mats: dict, norms: dict) -> dict:
-        """Each row's worst residual, from each leaf's matrix in ``mats`` and its norm
-        in ``norms``; pops the leaves from ``mats``, to free each after its last reader."""
-        base, norms = len(self.leaves), [norms[name] for name in self.leaves]
-        v = [mats.pop(name) for name in self.leaves] + [None] * len(self.code)
-        n = len(v[0])
-        # Slices per stacked call.  Leaves that are not all of one square shape have
-        # products that differ in shape, or have a dimension 1, where numpy's BLAS vector
-        # kernels round by the layout that a stack copy changes; a 1-by-1 slice has one layout.
-        width = _width(n) if all(m.shape == (n, n) for m in v[:base]) else 0
-        if self.widest > _WALK_WIDEST and width >= self.widest:
+    def run(self, leaves, norms) -> dict:
+        """Each row's worst residual, from the leaves and their norms in ``self.leaves``
+        order: an ``(N, n, n)`` block, or a list that ``run`` empties, to free each leaf."""
+        base, n, norms = len(self.leaves), len(leaves[0]), [*norms]
+        # Leaves that are not all of one square shape have products that differ in shape,
+        # or have a dimension 1, where numpy's BLAS vector kernels round by the layout
+        # that a stack copy changes; a 1-by-1 slice has one layout.  A block is square.
+        if self.widest > _WALK_WIDEST and n <= _ARENA_N and (
+                type(leaves) is not list or all(m.shape == (n, n) for m in leaves)):
+            width = _width(n)
             arena = np.empty((self._size, n, n), np.complex128)
-            arena[:base] = v[:base]
+            arena[:base] = leaves
             # Every gather is a take: it copies the same slices, C-ordered, as arena[idx],
             # in 0.9-2.1 us against 2.7-3.7 us (n 2-12), where a small pair's 12 level
             # gathers cost about as much as its 64 stacked products.
@@ -576,6 +576,9 @@ class _Program:
                 np.subtract(stack[:len(minus)], minus, out=stack[:len(minus)])
                 norms += frobenius_norms(stack)
         else:
+            v = [*leaves, *[None] * len(self.code)]
+            if type(leaves) is list:
+                leaves.clear()
             norms += [None] * len(self._gather)
             for op, x, y, out, dead in self._walk:
                 if op is None:

@@ -280,7 +280,7 @@ def _formulation_residuals(am, xm, program: _Program = _PROGRAM) -> dict:
     na, nx = frobenius_norm(am), frobenius_norm(xm)
     mats = {"a": am, "x": xm, "ah": adjoint(am), "xh": adjoint(xm)}
     norms = {"a": na, "x": nx, "ah": na, "xh": nx}  # an adjoint has its matrix's norm
-    return program.run(mats, norms)
+    return program.run([mats.pop(n) for n in program.leaves], [norms[n] for n in program.leaves])
 
 
 def formulation_holds(a, x, formulation: FormulationId, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -17,11 +17,8 @@ product of the workspace's leaves and of the table's definitions
 (``_DEFS``), scored by ``core``'s residual rule against the product of
 each side's operand norms, or, for the law itself, against its sides' own
 norms (scale None).  ``core._Program`` compiles the table once and runs it
-on the leaves: a square pair whose widest level fits in a 64 KiB stack
-(n <= 15) runs level by level, the products of one level being one stacked
-numpy call and the norms of all its equations and definitions one to three
-more; any other pair runs one product at a time, in the table's order,
-freeing each after its last use.
+on the leaves, in ``_LEAVES`` order: level by level in stacked calls for a
+square pair up to n = 15, else one product at a time.
 """
 
 from __future__ import annotations
@@ -40,6 +37,7 @@ from .core import (
     as_matrix,
     frobenius_norm,
     residual,
+    _ARENA_N,
     _Comm,
     _Program,
 )
@@ -109,47 +107,53 @@ class RolIntermediates:
 
 
 class _Workspace:
-    """The leaves of the catalog, with their norms, computed once per pair.
+    """The catalog's leaves and their norms, once per pair, in ``_LEAVES`` order.
 
-    ``pinv`` runs on ``a``, ``b`` and, unless ``with_ab`` is False, ``ab``,
-    in that order; each run of equal shapes in that order (all three for a
-    square pair) is one stack and one ``pinv`` call, whose ``slicewise_errors``
-    makes the first matrix that fails raise its own error.  ``ab`` is formed in
-    its slot of the stack, and the norms of the three and of their
-    pseudoinverses are the ones their certificates computed.  The adjoints of ``a``,
-    ``b``, ``a^+`` and ``b^+`` take the norms of their matrices; every
-    product the catalog reads is formed by its program (see ``_DEFS``).
+    ``pinv`` certifies ``a``, ``b`` and, unless ``with_ab`` is False, ``ab``, each run of
+    equal shapes as one stack (its first failing matrix raises its own error), and
+    gives their norms; an adjoint has its matrix's.  A square pair up to n =
+    ``_ARENA_N`` writes each leaf once, into one ``(10, n, n)`` block, whose head
+    ``pinv`` certifies in place and whose four adjoints are one ``conj`` call; any
+    other pair keeps one array per leaf, which the walk frees after its last reader.
     """
 
     def __init__(self, a, b, tol: Tolerance, with_ab: bool = True):
         a, b = as_matrix(a, "a"), as_matrix(b, "b")
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"product ab undefined: a is {a.shape}, b is {b.shape}")
-        shapes = {"a": a.shape, "b": b.shape, "ab": (a.shape[0], b.shape[1])}
-        self.mats, self.norms, self.ranks = {}, {}, {}
-        for shape, run in itertools.groupby(("a", "b", "ab")[: 3 if with_ab else 2],
-                                            shapes.__getitem__):
-            self._certify(a, b, tuple(run), shape, tol)
-        for name, of in (("ah", "a"), ("bh", "b"), ("adh", "a_dag"), ("bdh", "b_dag")):
-            self.mats[name], self.norms[name] = adjoint(self.mats[of]), self.norms[of]
+        n, names, size = a.shape[0], _LEAVES[: 3 if with_ab else 2], len(_LEAVES)
+        shapes = {"a": a.shape, "b": b.shape, "ab": (n, b.shape[1])}
+        block = a.shape == b.shape == (n, n) and n <= _ARENA_N
+        self.leaves = np.empty((size, n, n), np.complex128) if block else [None] * size
+        self.norms, self.ranks = [None] * size, {}
+        for shape, run in [((n, n), names)] if block else itertools.groupby(names, shapes.get):
+            run = tuple(run)  # a block holds one run, at its head
+            stack = self.leaves[:len(run)] if block else np.empty((len(run), *shape), complex)
+            for name, slot in zip(run, stack):
+                if name == "ab":
+                    # ab is formed before a and b certify; if it overflows, the
+                    # refusal of a, b or ab says so, without a numpy warning first.
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        np.matmul(a, b, out=slot)
+                else:
+                    slot[...] = a if name == "a" else b
+            for name, slot, result in zip(run, stack, pinv(stack, tol)):
+                at, dag = _AT[name], _AT[name + "_dag"]
+                self.leaves[at], self.leaves[dag] = slot, result.pinv
+                self.norms[at], self.norms[dag] = result.residuals.norms
+                self.ranks[name] = result.rank
+        if block:
+            np.conj(self.leaves.take(_FROM, axis=0).swapaxes(1, 2), out=self.leaves[_AH:])
+        else:
+            self.leaves[_AH:] = [adjoint(self.leaves[i]) for i in _FROM]
+        self.norms[_AH:] = [self.norms[i] for i in _FROM]
 
-    def _certify(self, a, b, names: tuple, shape: tuple, tol: Tolerance):
-        """Stack the matrices ``names`` (of ``a``, ``b``, ``ab``) of one shape and
-        certify them with one ``pinv`` call; keep each matrix, its pseudoinverse,
-        their norms and its rank, and drop the factorizations on return."""
-        stack = np.empty((len(names), *shape), dtype=np.complex128)
-        for name, slot in zip(names, stack):
-            if name == "ab":
-                # ab is formed before a and b certify; if it overflows, the
-                # refusal of a, b or ab says so, without a numpy warning first.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    np.matmul(a, b, out=slot)
-            else:
-                slot[...] = a if name == "a" else b
-        for name, slot, result in zip(names, stack, pinv(stack, tol)):
-            self.mats[name], self.mats[name + "_dag"] = slot, result.pinv
-            self.norms[name], self.norms[name + "_dag"] = result.residuals.norms
-            self.ranks[name] = result.rank
+    def operands(self, program: _Program) -> tuple:
+        """``program``'s leaves and their norms, in its ``leaves`` order."""
+        at = [_AT[name] for name in program.leaves]
+        leaves = (self.leaves.take(at, axis=0) if type(self.leaves) is np.ndarray
+                  else [self.leaves[i] for i in at])
+        return leaves, [self.norms[i] for i in at]
 
 
 # p, q, r, s, q^+ and r^+ (see above) and a* a, each a product of two leaves;
@@ -202,7 +206,11 @@ _CONDITIONS = {
                      ((_Comm("aa", "p"),), ())),
     ConditionId.ROL_DIRECT: _DIRECT,
 }
-_PROGRAM = _Program(_CONDITIONS, _DEFS)
+# The stack pinv certifies, the pseudoinverses, and the adjoints of those at _FROM.
+_LEAVES = ("a", "b", "ab", "a_dag", "b_dag", "ab_dag", "ah", "bh", "adh", "bdh")
+_PROGRAM = _Program(_CONDITIONS, _DEFS, _LEAVES)
+_AT = {name: i for i, name in enumerate(_PROGRAM.leaves)}
+_AH, _FROM = _AT["ah"], [_AT[name] for name in ("a", "b", "a_dag", "b_dag")]
 _REPORT_ORDER = tuple((cond, cond.value) for cond in ConditionId)
 _ROW_PROGRAMS = {cond: _Program({cond: row}, _DEFS) for cond, row in _CONDITIONS.items()}
 
@@ -212,8 +220,8 @@ def rol_intermediates(a, b, tol: Tolerance = DEFAULT_TOL) -> RolIntermediates:
 
     None of them reads ``ab``, so only ``a`` and ``b`` are certified.
     """
-    mats = _Workspace(a, b, tol, with_ab=False).mats
-    return RolIntermediates(*(np.matmul(*map(mats.get, _DEFS[name]))
+    leaf = dict(zip(_PROGRAM.leaves, _Workspace(a, b, tol, with_ab=False).leaves))
+    return RolIntermediates(*(np.matmul(*map(leaf.get, _DEFS[name]))
                               for name in ("p", "q", "r", "s", "q_dag", "r_dag")))
 
 
@@ -228,9 +236,8 @@ def evaluate_condition(a, b, condition: ConditionId, tol: Tolerance = DEFAULT_TO
     """
     condition = ConditionId(condition)
     program = _ROW_PROGRAMS[condition]
-    with_ab = not {"ab", "ab_dag"}.isdisjoint(program.leaves)
-    w = _Workspace(a, b, tol, with_ab)
-    res = program.run(w.mats, w.norms)[condition]
+    w = _Workspace(a, b, tol, with_ab=not {"ab", "ab_dag"}.isdisjoint(program.leaves))
+    res = program.run(*w.operands(program))[condition]
     return (res <= tol.eq_tol, float(res))
 
 
@@ -238,7 +245,7 @@ def full_report(a, b, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
     """Evaluate the whole catalog on (a, b), recording pinv ranks too."""
     w = _Workspace(a, b, tol)
     report = ConditionReport(tolerance_used=tol)
-    residuals = _PROGRAM.run(w.mats, w.norms)
+    residuals = _PROGRAM.run(w.leaves, w.norms)
     for cond, name in _REPORT_ORDER:
         report.add(name, residuals[cond])
     report.ranks = w.ranks

@@ -729,7 +729,7 @@ class TestPlanChoice:
             if "x" in program.leaves:
                 pinv_module._formulation_residuals(a, x, program)
             else:
-                program.run(dict(w.mats), w.norms)
+                program.run(*w.operands(program))
             if stacked:
                 arena.add(name)
             else:

@@ -25,8 +25,10 @@ from mpinv import (
     full_report,
     generate_mp_hermitian,
     generate_regular,
+    generate_rol_pair,
     gram_projection_residual,
     involution_laws_check,
+    mbekhta_gap_pair,
     mph_decompose,
     mph_subspace_check,
     norm_conorm_check,
@@ -34,6 +36,7 @@ from mpinv import (
     nonnormal_mph_fixture,
     pinv,
     random_partial_isometry,
+    rol_negative_pair,
 )
 
 SEEDS = (0, 1, 7)
@@ -118,8 +121,10 @@ def _classify():
         yield [classify(a).as_dict(), normal_mph_check(a).as_dict()]
 
 
-# The conditions built from q^+ or r^+; only their verdicts are pinned,
-# since the closed forms of q^+ and r^+ round differently from an SVD.
+# The conditions built from q^+ or r^+, whose residuals this digest leaves
+# out: it was recorded when q^+ and r^+ were still SVD-built pseudoinverses.
+# Their closed forms (reverse_order._DEFS) have been pinned since by
+# ``full_report_square``, with every other row.
 _READS_DAG = {
     ConditionId.T33_II, ConditionId.T33_III, ConditionId.T34_II, ConditionId.T34_III,
     ConditionId.R35_DAG_COMM,
@@ -150,6 +155,35 @@ def _full_report():
         }
 
 
+def _square_rol_pairs():
+    """Square pairs, n = 1 .. 15, of each family of the benchmark's reverse-order
+    corpus, each also scaled by 2^k on both sides."""
+    rng = np.random.default_rng(29)
+    for n in range(1, 16):
+        for family in ("random", "forced_unitary", "forced_pinv", "diagonal",
+                       "negative", "mbekhta_gap"):
+            if family == "diagonal":
+                d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                d[rng.random(n) < 0.3] = 0.0
+                a, b = np.diag(d), np.diag(d[::-1].copy())
+            elif family in ("negative", "mbekhta_gap"):
+                if n == 1:
+                    continue
+                a, b = (rol_negative_pair if family == "negative" else mbekhta_gap_pair)(n, rng)
+            else:
+                a, b = generate_rol_pair(n, family, rng)
+            yield a, b
+            k = int(rng.integers(-40, 41))
+            yield 2.0**k * a, 2.0**k * b
+
+
+def _full_report_square():
+    for a, b in _square_rol_pairs():
+        report = full_report(a, b)
+        yield {"verdicts": report.verdicts, "ranks": report.ranks,
+               "residuals": report.residuals}
+
+
 CHECKS = {
     "norm_conorm_check": _norm_conorm,
     "involution_laws_check": _involution,
@@ -160,6 +194,7 @@ CHECKS = {
     "mph_decompose": _decompose,
     "classify_and_normal_mph": _classify,
     "full_report": _full_report,
+    "full_report_square": _full_report_square,
 }
 
 DIGESTS = {
@@ -167,6 +202,7 @@ DIGESTS = {
     "classify_and_normal_mph": "e04d343a443518b1b32d58d09bb3dcc573d42ee4ec1dd316194ce0e32f4c3474",
     "formulation_residual": "016df9a7e0b3f699f37c411d842b95f1ea11ebde5571ef7325b4e0b2b5c255b3",
     "full_report": "0174a6cceb550ff504dcbd5de442434d781faf0f49324059dbcb4f9d490791b2",
+    "full_report_square": "3226e8a2682b32ba235af192c1784762f5a127ef8060bfa6b37b8e83e8bae15b",
     "gram_projection_residual": "cf48a4929af9e082f2a546faf7742dc1536930048aa8bfb7f66bae67252796be",
     "involution_laws_check": "2da6eaf6cd5dacca56fae39065274e879832c84155cd8e962eb894afd64b1581",
     "mph_decompose": "13969411ea57a2fb8a68cbbfe564b39ddc0749a8d7ab339297551c3af6d0d703",

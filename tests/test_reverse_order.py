@@ -5,6 +5,7 @@ import math
 import operator
 import sys
 import tracemalloc
+import types
 import warnings
 from collections import Counter
 
@@ -272,8 +273,11 @@ def _reference_workspace(a, b, with_ab=True):
     """The workspace as it formed p, q, r, s, a* a and r^+ itself, kept as the
     reference for ``ro._DEFS``: stacked matmuls of as many slices as the arena's
     width (one at a time for a pair that is not square), one ``frobenius_norms``
-    call per stack, and q^+ being a* a, matrix and norm."""
-    w = ro._Workspace(a, b, DEFAULT_TOL, with_ab)
+    call per stack, and q^+ being a* a, matrix and norm.  Its leaves and norms
+    are named, in dicts ``mats`` and ``norms``."""
+    ws = ro._Workspace(a, b, DEFAULT_TOL, with_ab)
+    w = types.SimpleNamespace(mats=dict(zip(ro._PROGRAM.leaves, ws.leaves)),
+                              norms=dict(zip(ro._PROGRAM.leaves, ws.norms)))
     (m, n), k = w.mats["a"].shape, w.mats["b"].shape[1]
     a, b, a_dag, b_dag, ah, bh, adh, bdh = map(w.mats.get, (
         "a", "b", "a_dag", "b_dag", "ah", "bh", "adh", "bdh"))
@@ -339,8 +343,11 @@ def _bits(x):
 
 
 def _run(program, w):
-    """``program`` run on the workspace ``w``, as ``full_report`` runs the catalog."""
-    return program.run(w.mats, w.norms)
+    """``program`` run on the workspace ``w``, as ``evaluate_condition`` runs a row,
+    or on the named leaves of a reference workspace, listed in the program's order."""
+    if isinstance(w, ro._Workspace):
+        return program.run(*w.operands(program))
+    return program.run([w.mats[n] for n in program.leaves], [w.norms[n] for n in program.leaves])
 
 
 class TestCompiledProgram:
@@ -438,7 +445,7 @@ class TestCompiledProgram:
         # warning; so do the array side products, in the arena and one at a time.
         for a, b in ((np.eye(3), np.eye(3)), (np.ones((2, 3)), np.ones((3, 1)))):
             w = ro._Workspace(a, b, DEFAULT_TOL)
-            w.norms = {name: (1e300, 0.0, math.inf)[k % 3] for k, name in enumerate(w.norms)}
+            w.norms = [(1e300, 0.0, math.inf)[k % 3] for k in range(len(w.norms))]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = _run(ro._PROGRAM, w)
@@ -588,6 +595,35 @@ class TestCompiledProgram:
             full_report(a, b)
             assert [[len(v) for v in args] for args in seen] == [[31] * 3], a.shape
 
+    def test_leaves_are_read_by_place_in_any_order(self, monkeypatch):
+        # The same rows in reverse order read their leaves in another order.
+        # Handed its leaves by place, from program.leaves, that program scores
+        # every row bit for bit as the catalog does: in the arena (square
+        # pairs up to n = _ARENA_N, 1-by-1 included) and in the walk (square
+        # pairs above it, and rectangular pairs).
+        program = ro._Program(dict(reversed(ro._CONDITIONS.items())), ro._DEFS)
+        assert program.leaves != ro._PROGRAM.leaves
+        assert sorted(program.leaves) == sorted(ro._PROGRAM.leaves)
+        stacked = []
+        real = core.frobenius_norms
+        monkeypatch.setattr(core, "frobenius_norms", lambda *s: stacked.append(1) or real(*s))
+        rng = np.random.default_rng(239)
+        shapes = [(n, n, n) for n in (1, 2, 4, 9, core._ARENA_N, core._ARENA_N + 1, 20)]
+        shapes += [(2, 3, 4), (4, 4, 1), (1, 3, 1), (5, 2, 5)]
+        for m, n, k in shapes:
+            for scale in (1.0, 2.0 ** 41):
+                a = scale * generate_regular(m, n, max(1, min(m, n) - 1), seed=rng)
+                b = generate_regular(n, k, min(n, k), seed=rng)
+                stacked.clear()
+                got = program.run(*ro._Workspace(a, b, DEFAULT_TOL).operands(program))
+                arena = bool(stacked)
+                want = ro._PROGRAM.run(*ro._Workspace(a, b, DEFAULT_TOL).operands(ro._PROGRAM))
+                assert arena == (m == n == k <= core._ARENA_N), (m, n, k)
+                assert {c: _bits(r) for c, r in got.items()} == {
+                    c: _bits(r) for c, r in want.items()}, (m, n, k)
+                assert {c.value: _bits(r) for c, r in got.items()} == {
+                    c: _bits(r) for c, r in full_report(a, b).residuals.items()}, (m, n, k)
+
     def test_one_by_one_pairs_take_the_arena(self, monkeypatch):
         # A 1-by-1 slice has one layout, so a 1-by-1 pair runs in the arena,
         # bit for bit the reference; a rectangular pair never does, even
@@ -676,6 +712,42 @@ class TestStackedWorkspace:
         with pytest.raises(PenroseResidualError):
             full_report(a, b)
         rol_intermediates(a, b)  # p, q, r, s read no ab either
+
+    def test_block_holds_each_leaf_once_bit_for_bit(self, monkeypatch):
+        # A square pair up to n = _ARENA_N writes its leaves into one block, whose
+        # head is the very stack pinv certifies; any other pair keeps one array
+        # per leaf.  Either way each leaf is, bit for bit, a, b, ab, the
+        # pseudoinverses pinv returns for them, or an adjoint of one of those.
+        stacks = []
+        real_pinv = ro.pinv
+        monkeypatch.setattr(ro, "pinv", lambda m, tol: stacks.append(m) or real_pinv(m, tol))
+        rng = np.random.default_rng(241)
+        for m, n, k in ((1, 1, 1), (3, 3, 3), (core._ARENA_N,) * 3, (core._ARENA_N + 1,) * 3,
+                        (3, 3, 2), (2, 4, 3)):
+            a = 2.0 ** -33 * generate_regular(m, n, min(m, n), seed=rng)
+            b = generate_regular(n, k, max(1, min(n, k) - 1), seed=rng)
+            stacks.clear()
+            w = ro._Workspace(a, b, DEFAULT_TOL)
+            block = m == n == k <= core._ARENA_N
+            assert isinstance(w.leaves, np.ndarray) == block, (m, n, k)
+            if block:
+                assert len(stacks) == 1 and stacks[0].base is w.leaves
+                assert stacks[0].__array_interface__ == w.leaves[:3].__array_interface__
+            leaf = dict(zip(ro._PROGRAM.leaves, w.leaves))
+            norm = dict(zip(ro._PROGRAM.leaves, w.norms))
+            want = {"a": a, "b": b, "ab": a @ b}
+            for name, x in list(want.items()):
+                result = pinv(x)
+                want[name + "_dag"] = result.pinv
+                assert (_bits(norm[name]), _bits(norm[name + "_dag"])) == tuple(
+                    map(_bits, result.residuals.norms)), name
+            for h, of in (("ah", "a"), ("bh", "b"), ("adh", "a_dag"), ("bdh", "b_dag")):
+                want[h] = adjoint(want[of])
+                assert _bits(norm[h]) == _bits(norm[of]), h
+            assert set(leaf) == set(want)
+            for name, x in want.items():
+                assert leaf[name].shape == x.shape, (m, n, k, name)
+                assert leaf[name].tobytes() == x.tobytes(), (m, n, k, name)
 
     def test_rectangular_pairs_stack_equal_shapes(self, monkeypatch):
         calls = []
