@@ -171,11 +171,6 @@ def _width(n: int) -> int:
     return max(1, _STACK_BYTES // (16 * n * n))
 
 
-def _stack(ms) -> np.ndarray:
-    """Matrices of one shape as an ``(N, m, n)`` stack; a single one is read in place."""
-    return ms[0][None] if len(ms) == 1 else np.array(ms)
-
-
 def slicewise_errors(fn):
     """Decorate ``fn(m, ...)``, which also takes an ``(N, m, n)`` stack, as an array or
     nested lists, with the one rule for what a refused stack raises: when a stack raises
@@ -347,8 +342,12 @@ def rank_threshold(f: SvdFactorization, tol: Tolerance = DEFAULT_TOL) -> float:
     """Cutoff below which singular values count as zero, for one matrix."""
     if f.sigma.ndim != 1:
         raise ValueError("a stack's factorization f has one rank per slice; index it as f[i]")
-    sigma_max = float(f.sigma[0]) if len(f.sigma) else 0.0
-    return sigma_max * max(f.rows, f.cols) * EPS * tol.rank_tol_factor
+    return _cutoff(float(f.sigma[0]) if len(f.sigma) else 0.0, max(f.rows, f.cols), tol)
+
+
+def _cutoff(sigma_max: float, size: int, tol: Tolerance) -> float:
+    """``rank_threshold`` from the largest singular value and the larger dimension."""
+    return sigma_max * size * EPS * tol.rank_tol_factor
 
 
 def numerical_rank(f: SvdFactorization, tol: Tolerance = DEFAULT_TOL) -> int:

@@ -200,9 +200,9 @@ class _Analysis:
     @classmethod
     def stack(cls, ms: np.ndarray, tol: Tolerance) -> list:
         """The analysis of each slice of a validated ``(N, n, n)`` stack, with
-        ``factorization`` and ``result`` set from one ``_factor`` and one
-        ``_certified`` call, bit for bit each slice's alone; a refused stack
-        raises the first refusal met, and its callers attribute it."""
+        ``factorization`` and ``result`` set from one ``_factor`` and one ``_certified``
+        call, as many numpy calls as one slice takes, bit for bit each slice's alone;
+        a refused stack raises the first refusal met, and its callers attribute it."""
         analyses = []
         for m, result in zip(ms, _certified(ms, _factor(ms), tol)):
             analysis = cls(m, tol)

@@ -133,12 +133,12 @@ def algebraic_mph_check(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Pseudoinverse-free MPH test: ``a = a^3`` and ``a^2`` hermitian."""
     m = as_square(a)
     a2 = m @ m
-    return _algebraic(m, a2, a2 @ m, tol)
+    return _algebraic(a2, _annihilated(m, a2 @ m, tol), tol)
 
 
-def _algebraic(m, a2, a3, tol: Tolerance) -> bool:
-    """``algebraic_mph_check`` of a validated ``m``, given ``a2 = m @ m``, ``a3 = a2 @ m``."""
-    return _annihilated(m, a3, tol) and residual(adjoint(a2) - a2, frobenius_norm(a2)) <= tol.eq_tol
+def _algebraic(a2, annihilated: bool, tol: Tolerance) -> bool:
+    """``algebraic_mph_check`` of ``m``, given ``a2 = m @ m`` and ``_annihilated(m, a2 @ m)``."""
+    return annihilated and residual(adjoint(a2) - a2, frobenius_norm(a2)) <= tol.eq_tol
 
 
 def annihilator_spectrum_check(a, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -13,6 +13,7 @@ as ``a = x* a* a`` or ``a* = x a a*``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -29,14 +30,13 @@ from .core import (
     distance,
     frobenius_norm,
     frobenius_norms,
-    numerical_rank,
     ratio,
     residual_scale,
     slicewise_errors,
+    _cutoff,
     _factor,
     _Program,
     _Report,
-    _stack,
     _width,
 )
 
@@ -136,20 +136,29 @@ def penrose_residuals(a, x) -> PenroseResiduals:
 
 
 def _penrose(am, xm) -> list:
-    """``penrose_residuals`` of two validated matrices, as a batch of one, or of
-    each slice of an ``(N, m, n)`` and an ``(N, n, m)`` stack, whose products and
-    differences are stacked calls and whose norms take one ``frobenius_norms`` call
-    (stacks of one slice length side by side); a matrix's come from ``frobenius_norm``."""
-    ax = am @ xm
-    xa = xm @ am
-    parts = (ax @ am - am, am, xa @ xm - xm, xm, adjoint(ax) - ax, adjoint(xa) - xa)
-    if am.ndim == 2:
-        return [_residuals(*map(frobenius_norm, parts))]
+    """``penrose_residuals`` of two validated matrices, as a batch of one, or of each slice
+    of an ``(N, m, n)`` and a C-ordered ``(N, n, m)`` stack, in stacked calls; a square
+    stack of C-ordered slices writes ``a``, ``x`` and the four differences, in the order
+    ``frobenius_norm`` reads each alone, into one buffer for one ``frobenius_norms`` call."""
+    if am.ndim == 3 and am.shape[1] == am.shape[2] and am[0].flags.c_contiguous:
+        d = np.empty((6, *am.shape), np.complex128)  # a, x, then the four differences
+        d[0], d[1] = am, xm
+        p = np.matmul(d[:2], d[1::-1])  # ax, xa
+        np.subtract(np.matmul(p, d[:2], out=d[2:4]), d[:2], out=d[2:4])
+        # (ax)* - ax is anti-hermitian, so its C and F orders hold the same squares.
+        np.subtract(np.conj(p.swapaxes(2, 3), out=d[4:]), p, out=d[4:])
+        parts = (d.reshape(-1, *am.shape[1:]),)
+    else:
+        ax = am @ xm
+        xa = xm @ am
+        parts = (am, xm, ax @ am - am, xa @ xm - xm, adjoint(ax) - ax, adjoint(xa) - xa)
+        if am.ndim == 2:
+            return [_residuals(*map(frobenius_norm, parts))]
     norms = frobenius_norms(*parts)
     return [_residuals(*norms[i::len(am)]) for i in range(len(am))]
 
 
-def _residuals(r1, na, r2, nx, r3, r4) -> PenroseResiduals:
+def _residuals(na, nx, r1, r2, r3, r4) -> PenroseResiduals:
     """The residuals of four equations' difference norms, scaled by ``||a||`` and ``||x||``."""
     scale = residual_scale(na, nx)
     return PenroseResiduals(ratio(r1, scale), ratio(r2, scale), ratio(r3, scale),
@@ -168,39 +177,46 @@ def pinv(a, tol: Tolerance = DEFAULT_TOL):
 
     An ``(N, m, n)`` stack is factored in one SVD call and gives a list of
     N results, each bit for bit the ``PinvResult`` of its slice alone, and
-    raises what N calls in a row would raise (``core.slicewise_errors``).
+    raises what N calls in a row would raise (``core.slicewise_errors``); their
+    ``pinv`` arrays are views of one ``(N, n, m)`` array, each one's ``base``.
     """
     am = as_matrix(a, "a", stack=True)
     return _certified(am, _factor(am), tol)
 
 
 def _certified(am, f: SvdFactorization, tol: Tolerance):
-    """The pseudoinverse of ``am`` from its factorization ``f``, if its Penrose
-    residuals are within ``tol.eq_tol``; for an ``(N, m, n)`` stack, the list of
-    each slice's, certified ``_width`` slices at a time; a stack raises the first
-    refusal met (``slicewise_errors`` finds its first refused slice)."""
+    """``V Sigma^+ U*`` from the factorization ``f`` of ``am``, if its Penrose residuals are
+    within ``tol.eq_tol``; for an ``(N, m, n)`` stack, each slice's, from one ``tolist`` of
+    sigma, one stacked inverse per run of equal ranks into one ``(N, n, m)`` array, and a
+    certificate per ``_width`` slices; the first refusal met is raised."""
+    size = max(am.shape[-2:])
     if am.ndim == 2:
-        x, r = _inverse(f, tol)
+        r = _rank(f.sigma.tolist(), size, tol)
+        # Rank 0 gives the n-by-m zero matrix, a product over an empty inner axis.
+        x = (f.v[:, :r] / f.sigma[:r]) @ adjoint(f.u[:, :r])
         return _accepted(x, r, _penrose(am, x)[0], f, tol)
-    fs = [f[i] for i in range(len(am))]
-    built = [_inverse(fi, tol) for fi in fs]
-    width = _width(max(am.shape[1:]))
-    checked = [res for lo in range(0, len(am), width) for res in _penrose(
-        am[lo:lo + width], _stack([x for x, _ in built[lo:lo + width]]))]
-    return [_accepted(x, r, res, fi, tol) for (x, r), res, fi in zip(built, checked, fs)]
+    ranks = [_rank(sigma, size, tol) for sigma in f.sigma.tolist()]
+    x, lo = np.empty((len(am), am.shape[2], am.shape[1]), np.complex128), 0
+    for r, run in itertools.groupby(ranks):
+        k = slice(lo, lo := lo + len(list(run)))  # basic slices keep each slice's layout
+        np.matmul(f.v[k, :, :r] / f.sigma[k, None, :r], adjoint(f.u[k, :, :r]), out=x[k])
+    width = _width(size)
+    checked = [res for lo in range(0, len(am), width)
+               for res in _penrose(am[lo:lo + width], x[lo:lo + width])]
+    return [_accepted(x[i], r, res, f[i], tol) for i, (r, res) in enumerate(zip(ranks, checked))]
 
 
-def _inverse(f: SvdFactorization, tol: Tolerance) -> tuple:
-    """``(V Sigma^+ U*, r)`` from the ``r`` singular values of ``f`` above the cutoff."""
-    r = numerical_rank(f, tol)
+def _rank(sigma: list, size: int, tol: Tolerance) -> int:
+    """``numerical_rank`` from singular values as floats, refusing an overflowing inverse."""
+    cut = _cutoff(sigma[0], size, tol)
+    r = sum(s > cut for s in sigma)
     # Unit rows of u and v bound every |x_ij| by (1 + O(n eps)) / sigma_r,
     # so a finite 2 / sigma_r keeps x finite.
-    if r and not math.isfinite(2.0 / float(f.sigma[r - 1])):
+    if r and not math.isfinite(2.0 / sigma[r - 1]):
         raise PenroseResidualError(
             "pseudoinverse overflows float64 (smallest kept singular value "
-            f"{float(f.sigma[r - 1])!r})", PenroseResiduals(*[math.inf] * 4))
-    # Rank 0 gives the n-by-m zero matrix, a product over an empty inner axis.
-    return (f.v[:, :r] / f.sigma[:r]) @ adjoint(f.u[:, :r]), r
+            f"{sigma[r - 1]!r})", PenroseResiduals(*[math.inf] * 4))
+    return r
 
 
 def _accepted(x, r: int, res: PenroseResiduals, f: SvdFactorization, tol: Tolerance):

@@ -111,9 +111,9 @@ class _Workspace:
 
     ``pinv`` certifies ``a``, ``b`` and, unless ``with_ab`` is False, ``ab``, each run of
     equal shapes as one stack (its first failing matrix raises its own error), and
-    gives their norms; an adjoint has its matrix's.  A square pair up to n =
-    ``_ARENA_N`` writes each leaf once, into one ``(10, n, n)`` block, whose head
-    ``pinv`` certifies in place and whose four adjoints are one ``conj`` call; any
+    gives their norms; an adjoint has its matrix's.  A square pair up to n = ``_ARENA_N``
+    writes each leaf once, into one ``(10, n, n)`` block: ``pinv`` certifies its head in
+    place, its pseudoinverses are one copy and its four adjoints one ``conj`` call; any
     other pair keeps one array per leaf, which the walk frees after its last reader.
     """
 
@@ -137,12 +137,15 @@ class _Workspace:
                         np.matmul(a, b, out=slot)
                 else:
                     slot[...] = a if name == "a" else b
-            for name, slot, result in zip(run, stack, pinv(stack, tol)):
+            results = pinv(stack, tol)
+            for name, slot, result in zip(run, stack, results):
                 at, dag = _AT[name], _AT[name + "_dag"]
-                self.leaves[at], self.leaves[dag] = slot, result.pinv
+                if not block:  # a block holds the stack, and takes its pseudoinverses below
+                    self.leaves[at], self.leaves[dag] = slot, result.pinv
                 self.norms[at], self.norms[dag] = result.residuals.norms
                 self.ranks[name] = result.rank
-        if block:
+        if block:  # after its one run, the pseudoinverses as the one array they are
+            self.leaves[_DAG:_DAG + len(names)] = results[0].pinv.base
             np.conj(self.leaves.take(_FROM, axis=0).swapaxes(1, 2), out=self.leaves[_AH:])
         else:
             self.leaves[_AH:] = [adjoint(self.leaves[i]) for i in _FROM]
@@ -210,7 +213,7 @@ _CONDITIONS = {
 _LEAVES = ("a", "b", "ab", "a_dag", "b_dag", "ab_dag", "ah", "bh", "adh", "bdh")
 _PROGRAM = _Program(_CONDITIONS, _DEFS, _LEAVES)
 _AT = {name: i for i, name in enumerate(_PROGRAM.leaves)}
-_AH, _FROM = _AT["ah"], [_AT[name] for name in ("a", "b", "a_dag", "b_dag")]
+_DAG, _AH, _FROM = _AT["a_dag"], _AT["ah"], [_AT[name] for name in ("a", "b", "a_dag", "b_dag")]
 _REPORT_ORDER = tuple((cond, cond.value) for cond in ConditionId)
 _ROW_PROGRAMS = {cond: _Program({cond: row}, _DEFS) for cond, row in _CONDITIONS.items()}
 

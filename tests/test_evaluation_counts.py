@@ -26,8 +26,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mpinv import (FormulationId, formulation_residual, generate_regular, pinv_matrix, run_trial,
-                   save_matrix)
+from mpinv import (FormulationId, formulation_residual, generate_regular, pinv, pinv_matrix,
+                   run_trial, save_matrix)
 import mpinv
 from mpinv import core, isometry
 from mpinv.cli import main
@@ -117,12 +117,11 @@ MODULES = [importlib.import_module(f"mpinv.{info.name}")
            for info in pkgutil.iter_modules(mpinv.__path__)]
 
 
-@pytest.fixture
-def core_calls(monkeypatch):
-    """The number of calls of each of five ``core`` functions since the fixture
-    started, from every module, ``core`` included, that binds the function."""
+def _tap(monkeypatch, names) -> Counter:
+    """The number of calls of each of the ``core`` functions ``names`` from now on,
+    from every module, ``core`` included, that binds the function."""
     calls = Counter()
-    for name in ("as_matrix", "frobenius_norm", "frobenius_norms", "approx_eq", "operator_norm"):
+    for name in names:
         real = getattr(core, name)
 
         def tap(*args, real=real, name=name, **kwargs):
@@ -134,6 +133,13 @@ def core_calls(monkeypatch):
                 if value is real:
                     monkeypatch.setattr(module, attr, tap)
     return calls
+
+
+@pytest.fixture
+def core_calls(monkeypatch):
+    """The number of calls of each of five ``core`` functions since the fixture started."""
+    return _tap(monkeypatch,
+                ("as_matrix", "frobenius_norm", "frobenius_norms", "approx_eq", "operator_norm"))
 
 
 @pytest.mark.parametrize("suite, per_trial", [
@@ -148,15 +154,31 @@ def core_calls(monkeypatch):
     # a^2 .. a^5 as one validated stack and forms a^2 and a^3 once: as_matrix
     # 7.0 and frobenius_norm 73.02 while a, a* and the powers took three
     # certificates, and 61.02 before the algebraic check skipped the a^2
-    # hermitian test where a^3 != a (on 224 random b).  No isometry trial
-    # takes a stacked norm: each certificate there is of one matrix.
-    ("mph", {"as_matrix": 3.0, "frobenius_norm": 17858 / 300, "frobenius_norms": 1.0}),
+    # hermitian test where a^3 != a (on 224 random b), and 59.53 while the
+    # trial took distance(a, a^3) twice.  No isometry trial takes a stacked
+    # norm: each certificate there is of one matrix.
+    ("mph", {"as_matrix": 3.0, "frobenius_norm": 16958 / 300, "frobenius_norms": 1.0}),
     ("isometry", {"as_matrix": 4.0, "frobenius_norm": 7987 / 300}),  # 26.62
 ])
 def test_analysis_trials_validate_no_matrix_the_analysis_built(core_calls, suite, per_trial):
     for i in range(300):
         assert run_trial(suite, 3, i, 8) == []
     assert {name: count / 300 for name, count in core_calls.items()} == per_trial
+
+
+@pytest.mark.parametrize("count", range(1, 7))
+def test_stack_certificate_takes_one_norm_call(monkeypatch, count):
+    # A C-ordered (N, n, n) stack within one certificate chunk takes the six
+    # norms of every slice in one stacked dot, whatever N is, and the norm
+    # of no matrix alone.
+    rng = np.random.default_rng(count)
+    for n in (1, 2, 7, 12):
+        stack = np.stack([generate_regular(n, n, int(rng.integers(0, n + 1)), seed=rng)
+                          for _ in range(count)])
+        calls = _tap(monkeypatch, ("frobenius_norm", "frobenius_norms", "_dot_norms"))
+        assert len(pinv(stack)) == count
+        assert calls == {"frobenius_norms": 1, "_dot_norms": 1}, n
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("command, counts", [

@@ -343,6 +343,33 @@ def _assert_same_result(got, want):
     assert got.residuals.norms == want.residuals.norms
 
 
+def _layouts(ms):
+    """``(stack, its slices)`` for matrices of one shape in four layouts: C order,
+    F order (whose slices are neither C- nor F-ordered), every stride negative,
+    and nested lists, read as C order."""
+    c = np.stack(ms)
+    f = np.asfortranarray(c)
+    negative = np.stack([m[::-1, ::-1] for m in ms[::-1]])[::-1, ::-1, ::-1]
+    return [(c, list(c)), (f, list(f)), (negative, list(negative)),
+            ([m.tolist() for m in ms], list(c))]
+
+
+def _certified_alike(stack, slices):
+    """Assert that ``pinv(stack)`` gives each slice's result alone, bit for bit, or
+    raises the first refused slice's error and message; return True if it refused."""
+    got, want = _outcome(lambda: pinv(stack)), []
+    for m in slices:
+        want.append(_outcome(lambda: pinv(m)))
+        if isinstance(want[-1], Exception):
+            assert isinstance(got, PenroseResidualError), got
+            assert str(got) == str(want[-1])
+            return True
+    assert len(got) == len(slices)
+    for g, w in zip(got, want):
+        _assert_same_result(g, w)
+    return False
+
+
 class TestStackedPinv:
     def test_each_slice_is_bit_identical_to_its_scalar_call(self):
         rng = np.random.default_rng(211)
@@ -441,3 +468,24 @@ class TestStackedPinv:
             pinv(np.zeros((1, 2, 2, 2)))
         with pytest.raises(ValueError, match="positive dimensions"):
             pinv(np.zeros((0, 2, 2)))
+
+    @pytest.mark.parametrize("shape, ranks", [
+        # Across the certificate's chunks: 28 slices of 12 by 12 fit one, and
+        # a slice from n = 46 is a chunk of its own.
+        ((12, 12), [int(r) for r in np.random.default_rng(5).integers(0, 13, 30)]),
+        ((12, 9), [int(r) for r in np.random.default_rng(6).integers(0, 10, 30)]),
+        ((20, 20), [20, 7, 20]), ((48, 48), [48, 48, 13]), ((48, 20), [20, 0, 20]),
+        # Runs of equal rank that change mid-stack.
+        ((3, 3), [3, 3, 1, 1, 3, 0]), ((4, 3), [3, 3, 1, 1, 3, 0]), ((3, 5), [0, 2, 2, 3]),
+        # Shapes where numpy's vector kernels depend on the layout.
+        ((1, 1), [1, 0, 1, 1]), ((5, 1), [1, 0, 1, 1]), ((1, 5), [1, 1, 0, 1]),
+    ], ids=lambda v: "x".join(map(str, v)) if type(v) is tuple else f"N{len(v)}")
+    def test_chunks_rank_runs_and_layouts_are_bit_identical(self, shape, ranks):
+        rng = np.random.default_rng(len(ranks) * shape[0] * shape[1])
+        ms = [generate_regular(*shape, r, seed=rng) for r in ranks]
+        for stack, slices in _layouts(ms):
+            assert not _certified_alike(stack, slices)
+        if min(shape) > 1:  # a refused last slice, in the last chunk, raises its own message
+            ms[-1] = matrix_with_singular_values([1.0] + [1e-12] * (min(shape) - 1), shape, rng)
+            for stack, slices in _layouts(ms):
+                assert _certified_alike(stack, slices)

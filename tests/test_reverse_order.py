@@ -269,6 +269,11 @@ def _reference_product(w, factors, norm=1.0):
     return out, norm
 
 
+def _stack(ms):
+    """Matrices of one shape as an ``(N, m, n)`` stack; a single one is read in place."""
+    return ms[0][None] if len(ms) == 1 else np.array(ms)
+
+
 def _reference_workspace(a, b, with_ab=True):
     """The workspace as it formed p, q, r, s, a* a and r^+ itself, kept as the
     reference for ``ro._DEFS``: stacked matmuls of as many slices as the arena's
@@ -286,7 +291,7 @@ def _reference_workspace(a, b, with_ab=True):
     step = core._width(n) if m == n == k else 1
     for lo in range(0, len(products), step):
         names, xs, ys = zip(*products[lo:lo + step])
-        stack = np.matmul(core._stack(xs), core._stack(ys))
+        stack = np.matmul(_stack(xs), _stack(ys))
         w.mats.update(zip(names, stack))
         w.norms.update(zip(names, core.frobenius_norms(stack)))
     w.mats["q_dag"], w.norms["q_dag"] = w.mats["aa"], w.norms["aa"]
@@ -543,9 +548,9 @@ class TestCompiledProgram:
     def test_stacked_calls_of_one_report(self, monkeypatch):
         # One norm call for the 38 norms of the equations and definitions up
         # to n = 10 and two at n = 11 and 12 (33 and 28 slices each at most),
-        # one for the certificate of a, b and ab (its four differences, the
-        # three matrices and their pseudoinverses: six stacks of one slice
-        # length, 41 KiB at n = 12), and no norm of one matrix alone.
+        # one for the certificate of a, b and ab (the three matrices, their
+        # pseudoinverses and their four differences each: one buffer of 18
+        # slices, 41 KiB at n = 12), and no norm of one matrix alone.
         calls = Counter()
         for module, name in ((pinv_module, "frobenius_norms"), (core, "frobenius_norms"),
                              (core, "frobenius_norm"), (ro, "frobenius_norm")):
