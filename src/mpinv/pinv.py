@@ -35,10 +35,10 @@ from .core import (
     slicewise_errors,
     _cutoff,
     _factor,
-    _Program,
     _Report,
     _width,
 )
+from .program import _Program
 
 __all__ = [
     "PenroseResiduals",
@@ -137,9 +137,10 @@ def penrose_residuals(a, x) -> PenroseResiduals:
 
 def _penrose(am, xm) -> list:
     """``penrose_residuals`` of two validated matrices, as a batch of one, or of each slice
-    of an ``(N, m, n)`` and a C-ordered ``(N, n, m)`` stack, in stacked calls; a square
-    stack of C-ordered slices writes ``a``, ``x`` and the four differences, in the order
-    ``frobenius_norm`` reads each alone, into one buffer for one ``frobenius_norms`` call."""
+    of an ``(N, m, n)`` and a C-ordered ``(N, n, m)`` stack.  A square stack of C-ordered
+    slices writes ``a``, ``x`` and the four differences, in the order ``frobenius_norm``
+    reads each alone, into one buffer for one ``frobenius_norms`` call; any other stack is
+    certified slice by slice, each by the call it makes alone."""
     if am.ndim == 3 and am.shape[1] == am.shape[2] and am[0].flags.c_contiguous:
         d = np.empty((6, *am.shape), np.complex128)  # a, x, then the four differences
         d[0], d[1] = am, xm
@@ -147,15 +148,14 @@ def _penrose(am, xm) -> list:
         np.subtract(np.matmul(p, d[:2], out=d[2:4]), d[:2], out=d[2:4])
         # (ax)* - ax is anti-hermitian, so its C and F orders hold the same squares.
         np.subtract(np.conj(p.swapaxes(2, 3), out=d[4:]), p, out=d[4:])
-        parts = (d.reshape(-1, *am.shape[1:]),)
-    else:
-        ax = am @ xm
-        xa = xm @ am
-        parts = (am, xm, ax @ am - am, xa @ xm - xm, adjoint(ax) - ax, adjoint(xa) - xa)
-        if am.ndim == 2:
-            return [_residuals(*map(frobenius_norm, parts))]
-    norms = frobenius_norms(*parts)
-    return [_residuals(*norms[i::len(am)]) for i in range(len(am))]
+        norms = frobenius_norms(d.reshape(-1, *am.shape[1:]))
+        return [_residuals(*norms[i::len(am)]) for i in range(len(am))]
+    checked = []
+    for a, x in zip(am, xm) if am.ndim == 3 else [(am, xm)]:
+        ax, xa = a @ x, x @ a
+        parts = (a, x, ax @ a - a, xa @ x - x, adjoint(ax) - ax, adjoint(xa) - xa)
+        checked.append(_residuals(*map(frobenius_norm, parts)))
+    return checked
 
 
 def _residuals(na, nx, r1, r2, r3, r4) -> PenroseResiduals:

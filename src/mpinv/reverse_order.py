@@ -16,7 +16,7 @@ Each condition is one row of a table: a tuple of equations, each side a
 product of the workspace's leaves and of the table's definitions
 (``_DEFS``), scored by ``core``'s residual rule against the product of
 each side's operand norms, or, for the law itself, against its sides' own
-norms (scale None).  ``core._Program`` compiles the table once and runs it
+norms (scale None).  ``program._Program`` compiles the table once and runs it
 on the leaves, in ``_LEAVES`` order: level by level in stacked calls for a
 square pair up to n = 15, else one product at a time.
 """
@@ -37,10 +37,8 @@ from .core import (
     as_matrix,
     frobenius_norm,
     residual,
-    _ARENA_N,
-    _Comm,
-    _Program,
 )
+from .program import _ARENA_N, _Comm, _Program
 from .pinv import pinv
 
 __all__ = [
@@ -169,7 +167,7 @@ _DIRECT = ((("ab_dag",), ("b_dag", "a_dag"), None),)
 
 # Each condition is a tuple of equations ``(lhs, rhs)``, each side a
 # product of factors: a leaf or ``_DEFS`` name, a ``_Comm``, or a parenthesized
-# tuple of factors (see ``core._Program``).  An equation is scored by
+# tuple of factors (see ``program._Program``).  An equation is scored by
 # ``residual(lhs - rhs, ||lhs||, ||rhs||)``, each norm being the product
 # of its side's operand norms; ``rhs`` () means ``lhs = 0``.  The generalized-inverse
 # condition MBEKHTA_COMM pairs p = b b^+ with s = a^+ a.  A definition is formed

@@ -301,26 +301,43 @@ class TestStackedSvd:
         assert callers == {("isometry.py", "_Analysis")}, callers
 
     def test_one_identity_compiler(self):
-        # Only core's compiler scores an identity table, and each table is
+        # Only program's compiler scores an identity table, and each table is
         # compiled once, at import: no function compiles a plan per call.
         # Stacked calls are made by that compiler and by pinv's stacked
         # certificate only, so no module regrows a stacking path beside it.
+        # A call is matched by the last part of its dotted name.
         calls = {"_scaled_array": set(), "_Program": set()}
         stacking = {"frobenius_norms", "_stack", "_width"}
         stackers = set()
         for path in SRC.glob("*.py"):
             for top in ast.parse(path.read_text()).body:
                 for node in ast.walk(top):
-                    if isinstance(node, ast.Call) and ast.unparse(node.func) in calls:
-                        calls[ast.unparse(node.func)].add(
-                            (path.name, getattr(top, "name", "<module>")))
-                    if isinstance(node, ast.Call) and (
-                            ast.unparse(node.func).rpartition(".")[2] in stacking):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    name = ast.unparse(node.func).rpartition(".")[2]
+                    if name in calls:
+                        calls[name].add((path.name, getattr(top, "name", "<module>")))
+                    if name in stacking:
                         stackers.add(path.name)
-        assert calls == {"_scaled_array": {("core.py", "_Program")},
+        assert calls == {"_scaled_array": {("program.py", "_Program")},
                          "_Program": {("pinv.py", "<module>"),
                                       ("reverse_order.py", "<module>")}}, calls
-        assert stackers == {"core.py", "pinv.py"}, stackers
+        assert stackers == {"pinv.py", "program.py"}, stackers
+
+    def test_core_stays_below_the_compiler(self):
+        # The compiler imports core, never the reverse, and its plan's
+        # constants live beside it alone.
+        imports = [ast.unparse(node) for node in ast.walk(ast.parse((SRC / "core.py").read_text()))
+                   if isinstance(node, (ast.Import, ast.ImportFrom))]
+        assert imports and not [line for line in imports if "program" in line], imports
+        defined = {name: set() for name in ("_ARENA_N", "_WALK_WIDEST")}
+        for path in SRC.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        if isinstance(target, ast.Name) and target.id in defined:
+                            defined[target.id].add(path.name)
+        assert defined == {"_ARENA_N": {"program.py"}, "_WALK_WIDEST": {"program.py"}}, defined
 
     def test_one_refusal_order(self):
         # Only slicewise_errors decides what a refused stack raises: no other
@@ -742,7 +759,7 @@ class TestPlanChoice:
     def test_arena_gathers_only_through_take(self):
         # Inside _Program.run the arena is subscripted with basic slices
         # only: every gather of its operands is an arena.take call.
-        run = next(node for node in ast.walk(ast.parse((SRC / "core.py").read_text()))
+        run = next(node for node in ast.walk(ast.parse((SRC / "program.py").read_text()))
                    if isinstance(node, ast.FunctionDef) and node.name == "run")
         subscripts = [node for node in ast.walk(run) if isinstance(node, ast.Subscript)
                       and ast.unparse(node.value) == "arena"]

@@ -34,6 +34,7 @@ from mpinv import (
     rol_negative_pair,
 )
 from mpinv import core
+from mpinv import program as compiler
 from mpinv import reverse_order as ro
 from mpinv.core import DEFAULT_TOL, distance, residual
 
@@ -613,7 +614,7 @@ class TestCompiledProgram:
         real = core.frobenius_norms
         monkeypatch.setattr(core, "frobenius_norms", lambda *s: stacked.append(1) or real(*s))
         rng = np.random.default_rng(239)
-        shapes = [(n, n, n) for n in (1, 2, 4, 9, core._ARENA_N, core._ARENA_N + 1, 20)]
+        shapes = [(n, n, n) for n in (1, 2, 4, 9, compiler._ARENA_N, compiler._ARENA_N + 1, 20)]
         shapes += [(2, 3, 4), (4, 4, 1), (1, 3, 1), (5, 2, 5)]
         for m, n, k in shapes:
             for scale in (1.0, 2.0 ** 41):
@@ -623,7 +624,7 @@ class TestCompiledProgram:
                 got = program.run(*ro._Workspace(a, b, DEFAULT_TOL).operands(program))
                 arena = bool(stacked)
                 want = ro._PROGRAM.run(*ro._Workspace(a, b, DEFAULT_TOL).operands(ro._PROGRAM))
-                assert arena == (m == n == k <= core._ARENA_N), (m, n, k)
+                assert arena == (m == n == k <= compiler._ARENA_N), (m, n, k)
                 assert {c: _bits(r) for c, r in got.items()} == {
                     c: _bits(r) for c, r in want.items()}, (m, n, k)
                 assert {c.value: _bits(r) for c, r in got.items()} == {
@@ -636,7 +637,7 @@ class TestCompiledProgram:
         alone = Counter()  # the norms the compiled program takes of one matrix alone
         real = core.frobenius_norm
         monkeypatch.setattr(core, "frobenius_norm", lambda m: (
-            sys._getframe(1).f_code is core._Program.run.__code__ and alone.update([m.shape]))
+            sys._getframe(1).f_code is compiler._Program.run.__code__ and alone.update([m.shape]))
             or real(m))
         rng = np.random.default_rng(167)
         assert core._width(1) >= ro._PROGRAM.widest
@@ -727,13 +728,13 @@ class TestStackedWorkspace:
         real_pinv = ro.pinv
         monkeypatch.setattr(ro, "pinv", lambda m, tol: stacks.append(m) or real_pinv(m, tol))
         rng = np.random.default_rng(241)
-        for m, n, k in ((1, 1, 1), (3, 3, 3), (core._ARENA_N,) * 3, (core._ARENA_N + 1,) * 3,
-                        (3, 3, 2), (2, 4, 3)):
+        for m, n, k in ((1, 1, 1), (3, 3, 3), (compiler._ARENA_N,) * 3,
+                        (compiler._ARENA_N + 1,) * 3, (3, 3, 2), (2, 4, 3)):
             a = 2.0 ** -33 * generate_regular(m, n, min(m, n), seed=rng)
             b = generate_regular(n, k, max(1, min(n, k) - 1), seed=rng)
             stacks.clear()
             w = ro._Workspace(a, b, DEFAULT_TOL)
-            block = m == n == k <= core._ARENA_N
+            block = m == n == k <= compiler._ARENA_N
             assert isinstance(w.leaves, np.ndarray) == block, (m, n, k)
             if block:
                 assert len(stacks) == 1 and stacks[0].base is w.leaves
