@@ -8,9 +8,8 @@ behind every verdict: a Frobenius residual divided by
 ``residual_scale`` of the norms it is measured against, for scalars
 (``_scaled``) and, bit for bit alike, for arrays (``_scaled_array``),
 which ``program``'s identity compiler scores through; this module imports
-nothing from it.  ``frobenius_norms`` takes the norm of each slice of one
-or more stacks, bit for bit the norm of that slice alone, and a stacked
-call copies at most ``_STACK_BYTES`` of slices.  Each answer has one
+nothing from it.  ``frobenius_norms`` takes the norm of each slice of a
+stack, bit for bit the norm of that slice alone.  Each answer has one
 certificate: ``svd`` checks the factors it answers with, while ``pinv``
 factors through ``_factor`` and its Penrose residuals certify it.
 ``SvdFactorization`` checks nothing when built; ``_factor`` and
@@ -110,44 +109,30 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 def frobenius_norm(m: np.ndarray) -> float:
     """``float(np.linalg.norm(m))`` bit for bit; for float64 and complex128
     arrays it runs that function's own kernel without its dispatch."""
-    if type(m) is np.ndarray and m.dtype.char in ("d", "D"):
-        x = m.ravel(order="K")
-        if x.dtype.char == "d":
+    if type(m) is np.ndarray and (char := m.dtype.char) in "dD":
+        x = m.ravel("K")
+        if char == "d":
             return math.sqrt(x.dot(x))
         re, im = x.real, x.imag
         return math.sqrt(re.dot(re) + im.dot(im))
     return float(np.linalg.norm(m))
 
 
-def frobenius_norms(*stacks) -> list:
-    """``frobenius_norm`` of each slice of each ``(N, m, n)`` stack in turn, a matrix
-    being a batch of one, bit for bit: a C- or F-ordered slice is read in its memory
-    order and summed by the same BLAS dot, one per slice of a stacked ``matmul``, which
-    joins consecutive such stacks of one flat slice length while the copy holds at most
-    ``_STACK_BYTES``; a stack of one slice, or of another layout, is read slice by slice."""
-    norms, run, size = [], [], 0
-    for stack in stacks:
-        stack = stack[None] if stack.ndim == 2 else stack
-        first = stack[0].flags
-        x = None
-        if len(stack) > 1 and (first.c_contiguous or first.f_contiguous):
-            if stack.strides[-1] > stack.strides[-2]:
-                stack = stack.swapaxes(-1, -2)
-            x = stack.reshape(len(stack), -1)
-        if run and (x is None or x.shape[1] != run[0].shape[1] or size + x.nbytes > _STACK_BYTES):
-            norms += _dot_norms(run)
-            run, size = [], 0
-        if x is None:
-            norms += [frobenius_norm(m) for m in stack]
-        else:
-            run.append(x)
-            size += x.nbytes
-    return norms + _dot_norms(run) if run else norms
+def frobenius_norms(stack) -> list:
+    """``frobenius_norm`` of each slice of an ``(N, m, n)`` stack, a matrix being a batch
+    of one, bit for bit: a stack of C- or F-ordered slices is read in its memory order and
+    summed by the same BLAS dot, one per slice of a stacked ``matmul``; a stack of one
+    slice, or of another layout, is read slice by slice."""
+    stack = stack[None] if stack.ndim == 2 else stack
+    if len(stack) == 1 or not (stack[0].flags.c_contiguous or stack[0].flags.f_contiguous):
+        return [frobenius_norm(m) for m in stack]
+    if stack.strides[-1] > stack.strides[-2]:
+        stack = stack.swapaxes(-1, -2)
+    return _dot_norms(stack.reshape(len(stack), -1))
 
 
-def _dot_norms(run) -> list:
-    """The norm of each row of the ``(N, L)`` complex arrays ``run``, in one stacked call."""
-    x = run[0] if len(run) == 1 else np.concatenate(run)
+def _dot_norms(x) -> list:
+    """The norm of each row of the ``(N, L)`` complex array ``x``, in one stacked call."""
     re, im = x.real[:, None], x.imag[:, None]
     sq = np.matmul(re, re.swapaxes(1, 2))
     sq += np.matmul(im, im.swapaxes(1, 2))
@@ -221,7 +206,16 @@ class SvdFactorization:
 
 
 def _check_order(sigma):
-    # NaN passes both tests, as it passes ``np.diff(s) > 0``
+    """Refuse a negative or increasing sigma, or stack of them; NaN passes, as it passes
+    ``np.diff(s) > 0``.  From one ``tolist``, a row passes at once if its sum is finite, it
+    ends non-negative and it equals its descending sort; numpy decides any other sigma."""
+    if 0 < sigma.size <= 64 and (sigma.ndim == 1 or len(sigma) <= 3):  # else numpy is faster
+        rows = sigma.tolist()
+        for row in [rows] if sigma.ndim == 1 else rows:
+            if not (row[-1] >= 0 and row == sorted(row, reverse=True) and math.isfinite(sum(row))):
+                break
+        else:
+            return
     if (sigma < 0).any() or (sigma[..., 1:] > sigma[..., :-1]).any():
         raise ValueError("sigma must be non-negative and non-increasing")
 
@@ -385,9 +379,12 @@ def _scaled(d: float, *norms) -> float:
 
 
 def _scaled_array(d, s1, s2) -> np.ndarray:
-    """``_scaled(d, s1, s2)`` of each element of three float64 arrays, bit for bit."""
-    finite = np.isfinite(d) & np.isfinite(s1) & np.isfinite(s2)
+    """``_scaled(d, s1, s2)`` of each element of three float64 arrays, bit for bit; when
+    every element is finite, one ``isfinite`` call says so and nothing is masked."""
     scale = np.maximum(np.maximum(s1, s2), 1.0)
+    if np.isfinite((d, s1, s2)).all():
+        return np.divide(d, scale, out=scale)
+    finite = np.isfinite(d) & np.isfinite(s1) & np.isfinite(s2)
     return np.divide(d, scale, out=np.full(d.shape, math.inf), where=finite)
 
 

@@ -209,7 +209,7 @@ def _certified(am, f: SvdFactorization, tol: Tolerance):
 def _rank(sigma: list, size: int, tol: Tolerance) -> int:
     """``numerical_rank`` from singular values as floats, refusing an overflowing inverse."""
     cut = _cutoff(sigma[0], size, tol)
-    r = sum(s > cut for s in sigma)
+    r = sum(map(cut.__lt__, sigma))  # s > cut, and False for NaN
     # Unit rows of u and v bound every |x_ij| by (1 + O(n eps)) / sigma_r,
     # so a finite 2 / sigma_r keeps x finite.
     if r and not math.isfinite(2.0 / sigma[r - 1]):

@@ -24,7 +24,8 @@ square pair up to n = 15, else one product at a time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import InitVar, dataclass
 from enum import Enum
 
 import numpy as np
@@ -86,8 +87,8 @@ MP_ROL_CONDITIONS = tuple(c for c in ConditionId if c not in MBEKHTA_CONDITIONS)
 class RolIntermediates:
     """The projection-flavored products derived from a pair (a, b).
 
-    All six matrices are n-by-n (for a m-by-n, b n-by-k) and hermitian;
-    p and s are orthogonal projections.
+    All six matrices are n-by-n (for a m-by-n, b n-by-k) and hermitian to
+    ``tol.eq_tol``; p and s are orthogonal projections.
     """
 
     p: np.ndarray
@@ -96,11 +97,12 @@ class RolIntermediates:
     s: np.ndarray
     q_dag: np.ndarray
     r_dag: np.ndarray
+    tol: InitVar[Tolerance] = DEFAULT_TOL
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         for name, m in vars(self).items():
             herm = residual(adjoint(m) - m, frobenius_norm(m))
-            if herm > 1e-9:
+            if herm > tol.eq_tol:
                 raise ValueError(f"intermediate {name} is not hermitian ({herm:.3e})")
 
 
@@ -212,7 +214,8 @@ _LEAVES = ("a", "b", "ab", "a_dag", "b_dag", "ab_dag", "ah", "bh", "adh", "bdh")
 _PROGRAM = _Program(_CONDITIONS, _DEFS, _LEAVES)
 _AT = {name: i for i, name in enumerate(_PROGRAM.leaves)}
 _DAG, _AH, _FROM = _AT["a_dag"], _AT["ah"], [_AT[name] for name in ("a", "b", "a_dag", "b_dag")]
-_REPORT_ORDER = tuple((cond, cond.value) for cond in ConditionId)
+_REPORT_ORDER = tuple(ConditionId)
+_NAMES = tuple(cond.value for cond in _REPORT_ORDER)
 _ROW_PROGRAMS = {cond: _Program({cond: row}, _DEFS) for cond, row in _CONDITIONS.items()}
 
 
@@ -223,7 +226,7 @@ def rol_intermediates(a, b, tol: Tolerance = DEFAULT_TOL) -> RolIntermediates:
     """
     leaf = dict(zip(_PROGRAM.leaves, _Workspace(a, b, tol, with_ab=False).leaves))
     return RolIntermediates(*(np.matmul(*map(leaf.get, _DEFS[name]))
-                              for name in ("p", "q", "r", "s", "q_dag", "r_dag")))
+                              for name in ("p", "q", "r", "s", "q_dag", "r_dag")), tol)
 
 
 def evaluate_condition(a, b, condition: ConditionId, tol: Tolerance = DEFAULT_TOL):
@@ -245,9 +248,8 @@ def evaluate_condition(a, b, condition: ConditionId, tol: Tolerance = DEFAULT_TO
 def full_report(a, b, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
     """Evaluate the whole catalog on (a, b), recording pinv ranks too."""
     w = _Workspace(a, b, tol)
-    report = ConditionReport(tolerance_used=tol)
     residuals = _PROGRAM.run(w.leaves, w.norms)
-    for cond, name in _REPORT_ORDER:
-        report.add(name, residuals[cond])
-    report.ranks = w.ranks
-    return report
+    # ConditionReport.add's verdict of each residual, in one pass in the report's order.
+    residuals = dict(zip(_NAMES, map(residuals.__getitem__, _REPORT_ORDER)))
+    verdicts = map(operator.le, residuals.values(), itertools.repeat(tol.eq_tol))
+    return ConditionReport(dict(zip(_NAMES, verdicts)), residuals, tol, w.ranks)

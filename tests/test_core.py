@@ -7,6 +7,7 @@ import itertools
 import math
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +204,33 @@ class TestSvd:
             sigma = rng.choice(specials, size=3)
             with np.errstate(invalid="ignore"):  # inf - inf in the reference
                 expect = bool(np.any(sigma < 0) or np.any(np.diff(sigma) > 0))
+            try:
+                _check_order(sigma)
+                raised = False
+            except ValueError:
+                raised = True
+            assert raised == expect, sigma
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (7,), (64,), (65,), (300,), (1, 5), (2, 8),
+                                       (3, 21), (3, 22), (4, 2), (4, 16), (6, 8), (64, 48)])
+    def test_order_check_matches_diff_reference_on_every_path(self, shape):
+        # Up to 64 values in at most 3 rows, sigma is decided from one tolist,
+        # any other in numpy; both agree with np.diff along each row, on
+        # vectors and stacks on each side of that crossover, on ordered rows
+        # (the list path's pass) and on rows with specials in random places.
+        specials = [0.0, -0.0, 5e-324, 1e-310, 1.0, 2.0, np.inf, -np.inf, np.nan, -1.0, 1e308]
+        rng = np.random.default_rng(157)
+        for trial in range(120):
+            sigma = -np.sort(-rng.random(shape) * 10.0 ** rng.integers(-300, 300), axis=-1)
+            if trial % 4 == 1:
+                sigma = rng.choice(specials, size=shape)
+            elif trial % 4 > 1:
+                k = int(rng.integers(1, 4))
+                sigma[tuple(rng.integers(0, d, size=k) for d in shape)] = rng.choice(specials, k)
+            if trial % 8 == 3:  # an ordered row of specials: inf first, zeros last
+                sigma = np.sort(np.abs(np.nan_to_num(sigma, nan=0.0)), axis=-1)[..., ::-1]
+            with np.errstate(invalid="ignore"):  # inf - inf in the reference
+                expect = bool(np.any(sigma < 0) or np.any(np.diff(sigma, axis=-1) > 0))
             try:
                 _check_order(sigma)
                 raised = False
@@ -478,14 +506,13 @@ class TestFrobeniusNorms:
             seen += got
         assert any(map(math.isinf, seen)) and any(map(math.isnan, seen))
 
-    def test_several_stacks_share_calls_bit_for_bit(self, monkeypatch):
+    def test_every_stack_kind_is_read_bit_for_bit(self, monkeypatch):
         # The certificate's shapes of a stack of m-by-n matrices, C- and
         # F-ordered, strided and of one slice, with overflowing and NaN
-        # slices: consecutive stacks of one flat length are joined, each
-        # joined copy within _STACK_BYTES, and a slice alone (36 KiB at
-        # 48-by-48) is never copied.
-        runs, real = [], core._dot_norms
-        monkeypatch.setattr(core, "_dot_norms", lambda run: runs.append(run) or real(run))
+        # slices, one call each: a stack of C- or F-ordered slices is one
+        # stacked call, and a slice alone (36 KiB at 48-by-48) is never copied.
+        stacked, real = [], core._dot_norms
+        monkeypatch.setattr(core, "_dot_norms", lambda x: stacked.append(x) or real(x))
         rng = np.random.default_rng(149)
 
         def z(*shape):
@@ -496,16 +523,13 @@ class TestFrobeniusNorms:
                       z(1, m, n), np.asfortranarray(z(n, m)), z(3, n, m), z(2, n, m)]
             stacks[0][1] *= 1e154  # the squares overflow: inf
             stacks[2][0, 0, -1] = np.nan
-            with np.errstate(over="ignore", invalid="ignore"):
-                got = frobenius_norms(*stacks)
-                want = [frobenius_norm(s) for stack in stacks
-                        for s in (stack if stack.ndim == 3 else [stack])]
-            assert len(got) == len(want) and all(map(self.same, got, want)), (m, n)
-            assert all(type(v) is float for v in got)
-        joined = [run for run in runs if len(run) > 1]
-        assert joined and max(sum(x.nbytes for x in run) for run in joined) <= core._STACK_BYTES
-        assert all(len(x) > 1 for run in runs for x in run)
-        assert frobenius_norms() == []
+            for stack in stacks:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = frobenius_norms(stack)
+                    want = [frobenius_norm(s) for s in (stack if stack.ndim == 3 else [stack])]
+                assert len(got) == len(want) and all(map(self.same, got, want)), (m, n, stack.shape)
+                assert all(type(v) is float for v in got)
+        assert stacked and all(len(x) > 1 for x in stacked)
 
     def test_a_matrix_is_a_batch_of_one(self):
         z = np.asfortranarray(np.arange(12.0).reshape(3, 4) * (1 + 2j))
@@ -661,6 +685,28 @@ class TestResidualRule:
         # A missing side reads 1.0.
         assert [v.hex() for v in _scaled_array(d, s1, np.ones_like(d)).tolist()] == [
             _scaled(*args).hex() for args in zip(d.tolist(), s1.tolist())]
+
+    def test_array_rule_fast_path_is_the_scalar_rule_bit_for_bit(self):
+        # When every element is finite, _scaled_array skips the mask; finite
+        # values whose sums or products overflow take that path too.  A -inf or
+        # NaN anywhere, or +inf, takes the masked path.  Neither path warns.
+        rng = np.random.default_rng(163)
+        finite = [rng.uniform(0, 3, (3, 40)), 10.0 ** rng.uniform(-320, 308, (3, 40)),
+                  np.full((3, 7), 1.7e308), np.array([[0.0, 5e-324, 1e308], [1e308] * 3,
+                                                      [1e-310, 1.0, 1.5]])]
+        cases = [*finite]
+        for bad in (-math.inf, math.nan, math.inf):
+            for row in range(3):  # d, then each side
+                for x in finite:
+                    x = x.copy()
+                    x[row, int(rng.integers(0, x.shape[1]))] = bad
+                    cases.append(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d, s1, s2 in cases:
+                got = _scaled_array(d, s1, s2)
+                assert [v.hex() for v in got.tolist()] == [
+                    _scaled(*args).hex() for args in zip(d.tolist(), s1.tolist(), s2.tolist())]
 
     def test_ratio_is_plain_division_on_finite_values(self):
         rng = np.random.default_rng(17)

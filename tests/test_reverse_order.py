@@ -133,6 +133,28 @@ class TestIntermediates:
         with pytest.raises(ValueError, match=r"^intermediate r is not hermitian \(1\.414e\+00\)$"):
             RolIntermediates(**{**fields, "r": shift})
 
+    def test_hermitian_check_reads_the_callers_tolerance(self):
+        eye = np.eye(2, dtype=complex)
+        shift = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        fields = dict.fromkeys(("p", "q", "r", "s", "q_dag", "r_dag"), eye)
+        small, large = eye + 1e-10 * shift, eye + 2e-9 * shift
+        herm = [residual(adjoint(m) - m, frobenius_norm(m)) for m in (small, large)]
+        assert 1e-12 < herm[0] < 1e-9 < herm[1] < 1e-6
+        RolIntermediates(**{**fields, "q": small})
+        with pytest.raises(ValueError, match=r"^intermediate q is not hermitian"):
+            RolIntermediates(**{**fields, "q": small}, tol=core.Tolerance(eq_tol=1e-12))
+        with pytest.raises(ValueError, match=r"^intermediate q is not hermitian"):
+            RolIntermediates(**{**fields, "q": large})
+        RolIntermediates(**{**fields, "q": large}, tol=core.Tolerance(eq_tol=1e-6))
+
+    def test_rol_intermediates_checks_with_its_tolerance(self, monkeypatch):
+        seen, real = [], ro.RolIntermediates
+        monkeypatch.setattr(ro, "RolIntermediates", lambda *args: seen.append(args[6:]) or
+                            real(*args))
+        tol = core.Tolerance(eq_tol=1e-6)
+        rol_intermediates(np.eye(2), np.eye(2), tol)
+        assert seen == [(tol,)]
+
 
 class TestEvaluateCondition:
     def test_holding_pair(self):
@@ -192,6 +214,26 @@ class TestFullReport:
     def test_ranks_recorded(self):
         report = full_report(FAILING_A, FAILING_B)
         assert report.ranks == {"a": 1, "b": 1, "ab": 1}
+
+    def test_one_pass_report_is_nineteen_adds_bit_for_bit(self):
+        # full_report fills its report from the run's dict in one pass: on 200
+        # seeded pairs, square, rectangular and 2^k-scaled, it reads as the
+        # report that 19 ConditionReport.add calls build from the same run, in
+        # key order, bits and value types, also under an int eq_tol.
+        def typed(x):
+            if isinstance(x, dict):
+                return [(key, typed(v)) for key, v in x.items()]
+            return type(x).__name__, x.hex() if type(x) is float else x
+
+        for tol, count in ((DEFAULT_TOL, 200), (core.Tolerance(eq_tol=1), 20)):
+            for a, b in _seeded_pairs(167, count):
+                w = ro._Workspace(a, b, tol)
+                residuals = ro._PROGRAM.run(w.leaves, w.norms)
+                want = core.ConditionReport(tolerance_used=tol)
+                for cond in ConditionId:
+                    want.add(cond.value, residuals[cond])
+                want.ranks = w.ranks
+                assert typed(full_report(a, b, tol).as_dict()) == typed(want.as_dict())
 
 
 class TestMbekhtaGap:
