@@ -107,27 +107,23 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def frobenius_norm(m: np.ndarray) -> float:
-    """``float(np.linalg.norm(m))`` bit for bit; for float64 and complex128
-    arrays it runs that function's own kernel without its dispatch."""
-    if type(m) is np.ndarray and (char := m.dtype.char) in "dD":
+    """``float(np.linalg.norm(m))`` bit for bit; a complex128 array, the one dtype the
+    package passes, runs that function's own kernel without its dispatch."""
+    if type(m) is np.ndarray and m.dtype.char == "D":
         x = m.ravel("K")
-        if char == "d":
-            return math.sqrt(x.dot(x))
         re, im = x.real, x.imag
         return math.sqrt(re.dot(re) + im.dot(im))
     return float(np.linalg.norm(m))
 
 
 def frobenius_norms(stack) -> list:
-    """``frobenius_norm`` of each slice of an ``(N, m, n)`` stack, a matrix being a batch
-    of one, bit for bit: a stack of C- or F-ordered slices is read in its memory order and
-    summed by the same BLAS dot, one per slice of a stacked ``matmul``; a stack of one
-    slice, or of another layout, is read slice by slice."""
+    """``frobenius_norm`` of each slice of an ``(N, m, n)`` stack, or of a matrix, bit for
+    bit: a stack of C-ordered slices (the arena's gathers, the certificate's buffer) is
+    summed in that order by the same BLAS dot, one per slice of a stacked ``matmul``; a
+    stack of one slice, or of another layout, is read slice by slice."""
     stack = stack[None] if stack.ndim == 2 else stack
-    if len(stack) == 1 or not (stack[0].flags.c_contiguous or stack[0].flags.f_contiguous):
+    if len(stack) == 1 or not stack[0].flags.c_contiguous:
         return [frobenius_norm(m) for m in stack]
-    if stack.strides[-1] > stack.strides[-2]:
-        stack = stack.swapaxes(-1, -2)
     return _dot_norms(stack.reshape(len(stack), -1))
 
 

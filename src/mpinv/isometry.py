@@ -262,11 +262,11 @@ def random_partial_isometry(n: int, rank: int, seed) -> np.ndarray:
 
 
 def random_hermitian_partial_isometry(n: int, inertia, seed) -> np.ndarray:
-    """Seeded Q diag(+1.., -1.., 0..) Q* with the prescribed inertia.
-
-    ``inertia`` is (plus, minus, zero) and must sum to n.
-    """
+    """Seeded n-by-n Q diag(+1.., -1.., 0..) Q*, n >= 1, with the prescribed inertia
+    ``(plus, minus, zero)``, which must sum to n."""
     plus, minus, zero = (int(v) for v in inertia)
+    if n < 1:
+        raise ValueError(f"shape {(n, n)} must have positive dimensions")
     if min(plus, minus, zero) < 0 or plus + minus + zero != n:
         raise ValueError(f"inertia {inertia} must be non-negative and sum to {n}")
     d = np.concatenate([np.ones(plus), -np.ones(minus), np.zeros(zero)])

@@ -34,7 +34,7 @@ from .core import (
     _haar_columns,
     _Report,
 )
-from .isometry import _Analysis
+from .isometry import _Analysis, matrix_with_singular_values
 
 __all__ = [
     "SubspaceBasis",
@@ -270,8 +270,8 @@ def generate_mp_hermitian(
     if cond_cap < 1.0:
         raise ValueError("cond_cap must be at least 1")
     rng = np.random.default_rng(seed)
-    if k == 0:
-        return np.zeros((n, n), dtype=np.complex128)
+    if k == 0:  # the zero matrix, refusing n = 0 as the other generators do
+        return matrix_with_singular_values((), (n, n), rng)
 
     if plus_count is None:
         signs = np.where(rng.random(k) < 0.5, 1.0, -1.0)

@@ -136,11 +136,10 @@ def penrose_residuals(a, x) -> PenroseResiduals:
 
 
 def _penrose(am, xm) -> list:
-    """``penrose_residuals`` of two validated matrices, as a batch of one, or of each slice
-    of an ``(N, m, n)`` and a C-ordered ``(N, n, m)`` stack.  A square stack of C-ordered
-    slices writes ``a``, ``x`` and the four differences, in the order ``frobenius_norm``
-    reads each alone, into one buffer for one ``frobenius_norms`` call; any other stack is
-    certified slice by slice, each by the call it makes alone."""
+    """``penrose_residuals`` of two validated matrices, in a list of one, or of each slice of
+    an ``(N, m, n)`` and a C-ordered ``(N, n, m)`` stack.  A square stack of C-ordered slices
+    writes ``a``, ``x`` and the four differences, in the order ``frobenius_norm`` reads each
+    alone, into one ``frobenius_norms`` buffer; a matrix or any other stack, slice by slice."""
     if am.ndim == 3 and am.shape[1] == am.shape[2] and am[0].flags.c_contiguous:
         d = np.empty((6, *am.shape), np.complex128)  # a, x, then the four differences
         d[0], d[1] = am, xm
@@ -175,10 +174,10 @@ def pinv(a, tol: Tolerance = DEFAULT_TOL):
     exceeds ``tol.eq_tol``.  As ``a^+`` is the only solution of the four
     equations, that is its one certificate: the SVD is not checked again.
 
-    An ``(N, m, n)`` stack is factored in one SVD call and gives a list of
-    N results, each bit for bit the ``PinvResult`` of its slice alone, and
-    raises what N calls in a row would raise (``core.slicewise_errors``); their
-    ``pinv`` arrays are views of one ``(N, n, m)`` array, each one's ``base``.
+    A matrix takes the certificate's 2-D body; an ``(N, m, n)`` stack, its stack
+    body: one SVD call and N results, each bit for bit the ``PinvResult`` of its
+    slice alone, raising what N calls in a row would (``core.slicewise_errors``),
+    whose ``pinv`` arrays are views of one ``(N, n, m)`` array, each one's ``base``.
     """
     am = as_matrix(a, "a", stack=True)
     return _certified(am, _factor(am), tol)
@@ -186,10 +185,12 @@ def pinv(a, tol: Tolerance = DEFAULT_TOL):
 
 def _certified(am, f: SvdFactorization, tol: Tolerance):
     """``V Sigma^+ U*`` from the factorization ``f`` of ``am``, if its Penrose residuals are
-    within ``tol.eq_tol``; for an ``(N, m, n)`` stack, each slice's, from one ``tolist`` of
-    sigma, one stacked inverse per run of equal ranks into one ``(N, n, m)`` array, and a
-    certificate per ``_width`` slices; the first refusal met is raised."""
+    within ``tol.eq_tol``; of a stack, each slice's, from one ``tolist`` of sigma, one stacked
+    inverse per run of equal ranks into one ``(N, n, m)`` array, and a certificate per
+    ``_width`` slices; the first refusal met is raised."""
     size = max(am.shape[-2:])
+    # Two bodies by measurement: a matrix certified as a stack of one, through the stack
+    # body, read 7.6-7.8% slower end to end (BENCH_certificate_bodies.json, op_p50_ms).
     if am.ndim == 2:
         r = _rank(f.sigma.tolist(), size, tol)
         # Rank 0 gives the n-by-m zero matrix, a product over an empty inner axis.

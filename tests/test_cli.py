@@ -249,6 +249,22 @@ class TestGenCommand:
         assert code == 1 and out == ""
         assert err == "error: singular values must be comma-separated numbers\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--kind", "mph", "--rank", "0"],
+         ["--kind", "hermitian_partial_isometry", "--inertia", "0,0,0"],
+         ["--kind", "regular", "--rank", "0"],
+         ["--kind", "partial_isometry", "--rank", "0"],
+         ["--kind", "prescribed_singular_values", "--singular-values", "1"]],
+        ids=["mph", "hermitian_partial_isometry", "regular", "partial_isometry", "prescribed"],
+    )
+    def test_zero_dim_exit_1(self, capsys, tmp_path, argv):
+        # No command reads a 0-by-0 matrix, so gen writes none, for any kind.
+        out_path = tmp_path / "m.json"
+        code, out, err = run_cli(capsys, "gen", *argv, "--dim", "0", "--out", str(out_path))
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err == "error: shape (0, 0) must have positive dimensions\n"
+
     def test_missing_inertia_exit_1(self, capsys):
         code, out, err = run_cli(capsys, "gen", "--kind", "hermitian_partial_isometry",
                                  "--dim", "3")

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from mpinv import (
     EPS,
+    FuzzConfig,
     FuzzReport,
     PenroseResidualError,
     SvdFactorization,
@@ -26,8 +27,11 @@ from mpinv import (
     approx_eq,
     as_matrix,
     frobenius_norm,
+    full_report,
+    fuzz,
     generate_mp_hermitian,
     generate_regular,
+    generate_rol_pair,
     haar_unitary,
     hermitian_residual,
     is_mp_hermitian,
@@ -509,8 +513,9 @@ class TestFrobeniusNorms:
     def test_every_stack_kind_is_read_bit_for_bit(self, monkeypatch):
         # The certificate's shapes of a stack of m-by-n matrices, C- and
         # F-ordered, strided and of one slice, with overflowing and NaN
-        # slices, one call each: a stack of C- or F-ordered slices is one
-        # stacked call, and a slice alone (36 KiB at 48-by-48) is never copied.
+        # slices, one call each: a stack of C-ordered slices is one stacked
+        # call, any other is read slice by slice, and a slice alone (36 KiB
+        # at 48-by-48) is never copied.
         stacked, real = [], core._dot_norms
         monkeypatch.setattr(core, "_dot_norms", lambda x: stacked.append(x) or real(x))
         rng = np.random.default_rng(149)
@@ -530,6 +535,22 @@ class TestFrobeniusNorms:
                 assert len(got) == len(want) and all(map(self.same, got, want)), (m, n, stack.shape)
                 assert all(type(v) is float for v in got)
         assert stacked and all(len(x) > 1 for x in stacked)
+
+    def test_callers_pass_c_ordered_stacks(self, monkeypatch):
+        # frobenius_norms keeps one stacked layout, C order, because its callers
+        # (the arena's gathers and the certificate's buffer) pass no other.
+        received, real = [], core.frobenius_norms
+        for module in (core, importlib.import_module("mpinv.pinv")):  # program reads core's
+            monkeypatch.setattr(module, "frobenius_norms",
+                                lambda stack: received.append(stack) or real(stack))
+        for n in range(1, 21):  # the arena to n = 15, the walk from 16
+            for mode in ("random", "forced_unitary", "forced_pinv"):
+                full_report(*generate_rol_pair(n, mode, n))
+        for suite in ("formulations", "mph"):
+            fuzz(FuzzConfig(suite=suite, trials=100, max_dim=8, seed=1))
+        assert len(received) > 100
+        assert all(stack.ndim == 3 and all(s.flags.c_contiguous for s in stack)
+                   for stack in received)
 
     def test_a_matrix_is_a_batch_of_one(self):
         z = np.asfortranarray(np.arange(12.0).reshape(3, 4) * (1 + 2j))

@@ -8,6 +8,7 @@ import pytest
 
 from mpinv import (
     ConditionId,
+    FormulationId,
     FuzzConfig,
     PenroseResidualError,
     Tolerance,
@@ -15,6 +16,7 @@ from mpinv import (
     evaluate_condition,
     frobenius_norm,
     fuzz,
+    generate_mp_hermitian,
     generate_regular,
     generate_rol_pair,
     harness,
@@ -25,6 +27,8 @@ from mpinv import (
     nonnormal_mph_fixture,
     numerical_rank,
     pinv,
+    random_hermitian_partial_isometry,
+    random_partial_isometry,
     rol_negative_pair,
     run_trial,
     svd,
@@ -238,6 +242,93 @@ class TestFailureRecordDigest:
         assert h.hexdigest() == self.DIGEST
 
 
+class TestEveryFailureRecord:
+    # The records that no seeded trial writes at the default tolerance.  Each
+    # test breaks one relation by patching the library call its record reads,
+    # and pins the record's condition_pair, residual keys and matrix keys.
+
+    @staticmethod
+    def records(suite, trial_index):
+        return [(f.condition_pair, set(f.residuals), set(f.matrices), f)
+                for f in run_trial(suite, 1, trial_index, 8)]
+
+    def test_formulation_perturbed(self, monkeypatch):
+        # Every formulation reads 0, at x and at the perturbed x alike.
+        monkeypatch.setattr(harness, "_formulation_residuals",
+                            lambda am, xm: dict.fromkeys(FormulationId, 0.0))
+        records = self.records("formulations", 0)
+        assert [pair for pair, *_ in records] == [
+            f"formulation_perturbed:{fid.value}" for fid in FormulationId]
+        for _, residuals, matrices, record in records:
+            assert residuals == {"residual"} and matrices == {"a", "x"}
+            x_bad = (1.0 + 1e-3) * pinv(record.matrices["a"]).pinv
+            assert record.matrices["x"].tobytes() == x_bad.tobytes()
+
+    @staticmethod
+    def patch_full_report(monkeypatch, verdicts=(), residuals=()):
+        real = harness.full_report
+
+        def patched(a, b, tol):
+            report = real(a, b, tol)
+            report.verdicts.update(verdicts)
+            report.residuals.update(residuals)
+            return report
+
+        monkeypatch.setattr(harness, "full_report", patched)
+
+    def test_t31_ii_implies_iii(self, monkeypatch):
+        self.patch_full_report(monkeypatch, {ConditionId.T31_II.value: True},
+                               {ConditionId.T31_III.value: 1.0})
+        records = [r for r in self.records("rol", 0) if r[0] == "t31_ii_implies_iii"]
+        ((_, residuals, matrices, record),) = records
+        assert residuals == {"residual"} and matrices == {"a", "b"}
+        assert record.residuals["residual"] == 1.0
+
+    def test_mbekhta_gap_witness(self, monkeypatch):
+        # The generalized-inverse side reads False, so no gap pair witnesses
+        # the gap; only trials that drew one write the record.
+        drawn, real_gap = [], harness.mbekhta_gap_pair
+        monkeypatch.setattr(harness, "mbekhta_gap_pair",
+                            lambda n, rng: drawn.append(n) or real_gap(n, rng))
+        self.patch_full_report(monkeypatch, {ConditionId.MBEKHTA_GI.value: False})
+        witnessed = []
+        for trial_index in range(40):
+            del drawn[:]
+            records = [r for r in self.records("rol", trial_index) if r[0] == "mbekhta_gap_witness"]
+            assert len(records) == len(drawn)
+            for _, residuals, matrices, _ in records:
+                assert residuals == {"MBEKHTA_GI", "ROL_DIRECT"} and matrices == {"a", "b"}
+                witnessed.append(trial_index)
+        assert witnessed
+
+    def test_mph_detection_agreement(self, monkeypatch):
+        real = harness.algebraic_mph_check
+        monkeypatch.setattr(harness, "algebraic_mph_check", lambda b, tol: not real(b, tol))
+        ((pair, residuals, matrices, record),) = self.records("mph", 0)
+        assert pair == "mph_detection_agreement" and matrices == {"a"}
+        assert residuals == {"pinv_def", "algebraic", "subspace"}
+        assert record.residuals["algebraic"] != record.residuals["pinv_def"]
+
+    def test_normal_mph_consistency(self, monkeypatch):
+        # A hermitian residual of 1 makes every hermitian partial isometry,
+        # normal and MP-hermitian, fail the theorem's other side.
+        drawn, real_draw = [], harness.random_hermitian_partial_isometry
+        monkeypatch.setattr(harness, "random_hermitian_partial_isometry",
+                            lambda *args: drawn.append(args) or real_draw(*args))
+        monkeypatch.setattr(isometry._Analysis, "hermitian", 1.0)
+        seen = 0
+        for trial_index in range(40):
+            del drawn[:]
+            records = [r for r in self.records("isometry", trial_index)
+                       if r[0] == "normal_mph_consistency"]
+            assert len(records) >= len(drawn)
+            for _, residuals, matrices, _ in records:
+                assert residuals == {"normal_mp_hermitian", "hermitian_partial_isometry",
+                                     "consistent"} and matrices == {"a"}
+            seen += len(drawn)
+        assert seen
+
+
 class TestMphTrialStack:
     def test_each_slice_answers_as_its_matrix_alone(self, monkeypatch):
         # An mph trial certifies a, a* and a^2 .. a^5 as one stack.  a and the
@@ -337,4 +428,23 @@ class TestPaddedSizeRule:
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match=r"^need n >= 2$"):
             fixture(1, rng)
+        assert rng.bit_generator.state == before
+
+
+class TestZeroSizeRule:
+    @pytest.mark.parametrize(
+        "draw",
+        [lambda rng: generate_mp_hermitian(0, 0, rng),
+         lambda rng: random_hermitian_partial_isometry(0, (0, 0, 0), rng),
+         lambda rng: generate_regular(0, 0, 0, seed=rng),
+         lambda rng: random_partial_isometry(0, 0, rng)],
+        ids=["mph", "hermitian_partial_isometry", "regular", "partial_isometry"],
+    )
+    def test_n0_refused_before_any_draw(self, draw):
+        # A 0-by-0 fixture is a file no command reads, so every generator
+        # refuses it alike, and draws nothing first.
+        rng = np.random.default_rng(17)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"^shape \(0, 0\) must have positive dimensions$"):
+            draw(rng)
         assert rng.bit_generator.state == before
