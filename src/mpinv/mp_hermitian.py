@@ -255,7 +255,7 @@ def generate_mp_hermitian(
     plus_count: int | None = None,
     cond_cap: float = 10.0,
 ) -> np.ndarray:
-    """Seeded random MPH matrix of size n and rank k.
+    """Seeded random MPH matrix of size n >= 1 and rank k.
 
     The rank-k core is ``S D S^-1`` with D diagonal of +/-1 entries (at
     least one of each when k >= 2, unless plus_count pins the inertia)

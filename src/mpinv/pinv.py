@@ -138,8 +138,8 @@ def penrose_residuals(a, x) -> PenroseResiduals:
 def _penrose(am, xm) -> list:
     """``penrose_residuals`` of two validated matrices, in a list of one, or of each slice of
     an ``(N, m, n)`` and a C-ordered ``(N, n, m)`` stack.  A square stack of C-ordered slices
-    writes ``a``, ``x`` and the four differences, in the order ``frobenius_norm`` reads each
-    alone, into one ``frobenius_norms`` buffer; a matrix or any other stack, slice by slice."""
+    writes ``a``, ``x`` and the four differences, in the order ``frobenius_norm`` reads each,
+    into one ``frobenius_norms`` buffer; a matrix, or another stack's slice, takes six norms."""
     if am.ndim == 3 and am.shape[1] == am.shape[2] and am[0].flags.c_contiguous:
         d = np.empty((6, *am.shape), np.complex128)  # a, x, then the four differences
         d[0], d[1] = am, xm
