@@ -3,7 +3,7 @@
 Every higher-level identity in this package is evaluated on plain 2-D
 ``complex128`` arrays.  This module owns input validation, the SVD
 factorization, which also factors an ``(N, m, n)`` stack in one LAPACK
-call, the rank threshold, and the one residual-normalization rule
+call, the one rank rule (``_rank``), and the one residual-normalization rule
 behind every verdict: a Frobenius residual divided by
 ``residual_scale`` of the norms it is measured against, for scalars
 (``_scaled``) and, bit for bit alike, for arrays (``_scaled_array``),
@@ -73,6 +73,8 @@ class Tolerance:
             raise ValueError("rank_tol_factor must be positive")
         if not (self.eq_tol >= EPS):
             raise ValueError(f"eq_tol must be at least machine epsilon ({EPS:.3e})")
+        if math.inf in (self.rank_tol_factor, self.eq_tol):  # NaN is refused above
+            raise ValueError(f"rank_tol_factor and eq_tol must be finite, got {self}")
 
 
 DEFAULT_TOL = Tolerance()
@@ -321,21 +323,18 @@ def svd(m) -> SvdFactorization:
     return _svd(as_matrix(m, stack=True))
 
 
-def rank_threshold(f: SvdFactorization, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Cutoff below which singular values count as zero, for one matrix."""
+def numerical_rank(f: SvdFactorization, tol: Tolerance = DEFAULT_TOL) -> int:
+    """``_rank`` of one matrix's factorization: its singular values above the cutoff."""
     if f.sigma.ndim != 1:
         raise ValueError("a stack's factorization f has one rank per slice; index it as f[i]")
-    return _cutoff(float(f.sigma[0]) if len(f.sigma) else 0.0, max(f.rows, f.cols), tol)
+    return _rank(f.sigma.tolist(), max(f.rows, f.cols), tol)
 
 
-def _cutoff(sigma_max: float, size: int, tol: Tolerance) -> float:
-    """``rank_threshold`` from the largest singular value and the larger dimension."""
-    return sigma_max * size * EPS * tol.rank_tol_factor
-
-
-def numerical_rank(f: SvdFactorization, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of singular values above the scale-aware cutoff."""
-    return int(np.count_nonzero(f.sigma > rank_threshold(f, tol)))
+def _rank(sigma: list, size: int, tol: Tolerance) -> int:
+    """The one rank rule: how many floats of the descending ``sigma``, if any, exceed the cutoff
+    ``sigma[0] * size * EPS * tol.rank_tol_factor`` (size: max(m, n)); NaN never does."""
+    cut = sigma[0] * size * EPS * tol.rank_tol_factor if sigma else 0.0
+    return sum(map(cut.__lt__, sigma))
 
 
 def operator_norm(m) -> float:
@@ -374,14 +373,15 @@ def _scaled(d: float, *norms) -> float:
     return d / residual_scale(*norms)
 
 
-def _scaled_array(d, s1, s2) -> np.ndarray:
-    """``_scaled(d, s1, s2)`` of each element of three float64 arrays, bit for bit; when
-    every element is finite, one ``isfinite`` call says so and nothing is masked."""
-    scale = np.maximum(np.maximum(s1, s2), 1.0)
-    if np.isfinite((d, s1, s2)).all():
+def _scaled_array(block) -> np.ndarray:
+    """``_scaled(d, s1, s2)`` of each column of the ``(3, E)`` float64 ``block``, whose rows
+    are ``d, s1, s2``, bit for bit; when every element is finite, one ``isfinite`` call on
+    the block says so and nothing is masked."""
+    d, s1, s2 = block
+    scale, finite = np.maximum(np.maximum(s1, s2), 1.0), np.isfinite(block)
+    if finite.all():
         return np.divide(d, scale, out=scale)
-    finite = np.isfinite(d) & np.isfinite(s1) & np.isfinite(s2)
-    return np.divide(d, scale, out=np.full(d.shape, math.inf), where=finite)
+    return np.divide(d, scale, out=np.full(d.shape, math.inf), where=finite.all(axis=0))
 
 
 def distance(x, y) -> float:

@@ -33,8 +33,8 @@ from .core import (
     ratio,
     residual_scale,
     slicewise_errors,
-    _cutoff,
     _factor,
+    _rank,
     _Report,
     _width,
 )
@@ -192,11 +192,11 @@ def _certified(am, f: SvdFactorization, tol: Tolerance):
     # Two bodies by measurement: a matrix certified as a stack of one, through the stack
     # body, read 7.6-7.8% slower end to end (BENCH_certificate_bodies.json, op_p50_ms).
     if am.ndim == 2:
-        r = _rank(f.sigma.tolist(), size, tol)
+        r = _kept_rank(f.sigma.tolist(), size, tol)
         # Rank 0 gives the n-by-m zero matrix, a product over an empty inner axis.
         x = (f.v[:, :r] / f.sigma[:r]) @ adjoint(f.u[:, :r])
         return _accepted(x, r, _penrose(am, x)[0], f, tol)
-    ranks = [_rank(sigma, size, tol) for sigma in f.sigma.tolist()]
+    ranks = [_kept_rank(sigma, size, tol) for sigma in f.sigma.tolist()]
     x, lo = np.empty((len(am), am.shape[2], am.shape[1]), np.complex128), 0
     for r, run in itertools.groupby(ranks):
         k = slice(lo, lo := lo + len(list(run)))  # basic slices keep each slice's layout
@@ -207,10 +207,9 @@ def _certified(am, f: SvdFactorization, tol: Tolerance):
     return [_accepted(x[i], r, res, f[i], tol) for i, (r, res) in enumerate(zip(ranks, checked))]
 
 
-def _rank(sigma: list, size: int, tol: Tolerance) -> int:
-    """``numerical_rank`` from singular values as floats, refusing an overflowing inverse."""
-    cut = _cutoff(sigma[0], size, tol)
-    r = sum(map(cut.__lt__, sigma))  # s > cut, and False for NaN
+def _kept_rank(sigma: list, size: int, tol: Tolerance) -> int:
+    """``core._rank`` of the singular values ``sigma``, refusing an overflowing inverse."""
+    r = _rank(sigma, size, tol)
     # Unit rows of u and v bound every |x_ij| by (1 + O(n eps)) / sigma_r,
     # so a finite 2 / sigma_r keeps x finite.
     if r and not math.isfinite(2.0 / sigma[r - 1]):

@@ -62,9 +62,9 @@ class _Program:
     other run takes ``_walk``, one instruction at a time in the table's order,
     dropping each matrix after its last reader.  Both fill one list of norms,
     which ``run`` scores through index arrays: the side products (``_sides``),
-    if any, one ``_scaled_array`` call for every equation (``_scores``) and,
-    where a row has two equations, one ``np.maximum.reduce`` for every row's
-    worst (``_worst``).
+    if any, one ``_scaled_array`` call on one ``(3, E)`` gather for every equation
+    (``_scores``) and, where a row has two equations, one ``np.maximum.reduce`` for
+    every row's worst (``_worst``).
     """
 
     def __init__(self, rows: dict, defs: dict | None = None, order: tuple = ()):
@@ -159,7 +159,7 @@ class _Program:
             sides = ([scale(f) for f in factors if f] if factors is not None
                      else [at[(x, None)], at[(y, None)]])
             scores.append([at[(x, y)], *sides, *[one] * (2 - len(sides))])
-        self._scores = np.array(scores, np.intp).T  # the rows d, s1, s2 of _scaled_array
+        self._scores = np.array(scores, np.intp).T  # _scaled_array's block: rows d, s1, s2
         # Each side's factors, left to right, padded to the widest with the exact 1.0.
         self._sides = np.full((max(map(len, products), default=1), len(products)), one, np.intp)
         for k, places in enumerate(products):
@@ -206,6 +206,6 @@ class _Program:
         if self._sides.shape[1]:  # each side's factors multiplied left to right, as math.prod
             with np.errstate(over="ignore", invalid="ignore"):  # inf, and 0 * inf nan
                 norms = np.concatenate((norms, np.multiply.reduce(norms[self._sides])))
-        scores = core._scaled_array(*norms[self._scores])[self._worst]
+        scores = core._scaled_array(norms[self._scores])[self._worst]  # one (3, E) block
         worst = np.maximum.reduce(scores) if len(scores) > 1 else scores[0]
         return dict(zip(self.rows, worst.tolist()))

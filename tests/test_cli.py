@@ -22,6 +22,7 @@ from mpinv import (
     penrose_residuals,
     pinv,
     random_hermitian_partial_isometry,
+    rol_negative_pair,
     save_matrix,
 )
 from mpinv.cli import main
@@ -365,6 +366,25 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         assert err.startswith("error: pseudoinverse overflows") and err.count("\n") == 1
         assert "x contains" not in err
+
+    def test_infinite_tol_exit_1(self, capsys, write_json):
+        # An infinite eq_tol would pass every verdict of a pair the law fails, and
+        # print "eq_tol": Infinity, which is not JSON; it is refused in one line.
+        a, b = rol_negative_pair(4, 1)
+        args = ["--a", write_json("a.json", a), "--b", write_json("b.json", b)]
+        code, out, err = run_cli(capsys, "rol", *args, "--tol", "inf")
+        assert code == 1 and out == ""
+        assert err == ("error: rank_tol_factor and eq_tol must be finite, got "
+                       "Tolerance(rank_tol_factor=1.0, eq_tol=inf)\n")
+        assert run_cli(capsys, "rol", *args)[0] == 0
+
+    def test_infinite_rank_tol_factor_exit_1(self, capsys, write_json):
+        # An infinite factor would give every nonzero matrix rank 0.
+        path = write_json("a.json", generate_regular(4, 3, 3, seed=0))
+        code, out, err = run_cli(capsys, "pinv", "--in", path, "--rank-tol-factor", "inf")
+        assert code == 1 and out == ""
+        assert err == ("error: rank_tol_factor and eq_tol must be finite, got "
+                       "Tolerance(rank_tol_factor=inf, eq_tol=1e-09)\n")
 
     def test_svd_failure_exit_1(self, capsys, write_json, monkeypatch):
         def no_convergence(a):

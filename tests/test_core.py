@@ -26,6 +26,7 @@ from mpinv import (
     annihilator_spectrum_check,
     approx_eq,
     as_matrix,
+    classify,
     frobenius_norm,
     full_report,
     fuzz,
@@ -604,6 +605,57 @@ class TestNumericalRank:
         assert numerical_rank(f, Tolerance(rank_tol_factor=1.0)) == 2
         assert numerical_rank(f, Tolerance(rank_tol_factor=1e4)) == 1
 
+    @pytest.mark.parametrize("factor", [1.0, 1e4])
+    def test_every_reader_counts_one_rank(self, factor):
+        # numerical_rank, pinv, classify and full_report's ranks all read core._rank.
+        # Real diagonal profiles, square and rectangular, put their small values on
+        # either side of the cutoff at one factor or the other: LAPACK factors them
+        # exactly, so pinv certifies each rank kept.  Generated matrices of each
+        # rank, and pairs of both, read the stacked certificate too.
+        tol = Tolerance(rank_tol_factor=factor)
+        profiles = [(1.0,), (1.0, 1e-13), (1.0, 1e-17), (1.0, 0.5, 0.0), (0.0, 0.0),
+                    (4.0, 3e-13, 1e-15, 0.0), (2.0 ** -40, 2.0 ** -40 * 1e-13)]
+        matrices = []
+        for values in profiles:
+            k = len(values)
+            for m, n in ((k, k), (k, k + 2), (k + 1, k)):
+                a = np.zeros((m, n), complex)
+                a[range(k), range(k)] = values
+                matrices.append(a)
+        rng = np.random.default_rng(31)
+        for m, n in ((3, 3), (5, 5), (4, 6), (7, 2), (16, 16)):
+            matrices += [generate_regular(m, n, r, seed=rng) for r in range(min(m, n) + 1)]
+        ranks = set()
+        for a in matrices:
+            rank = numerical_rank(svd(a), tol)
+            assert pinv(a, tol).rank == classify(a, tol).rank == rank, (a.shape, factor)
+            ranks.add(rank)
+        assert ranks == set(range(17))
+        pairs = [(a, a.T) for a in matrices] + [
+            (a, b) for a, b in zip(matrices, matrices[1:]) if a.shape[1] == b.shape[0]]
+        for a, b in pairs:
+            assert full_report(a, b, tol).ranks == {
+                name: numerical_rank(svd(m), tol) for name, m in (("a", a), ("b", b),
+                                                                  ("ab", a @ b))}
+        assert len(pairs) > len(matrices)
+        assert [numerical_rank(svd(matrices[3]), Tolerance(rank_tol_factor=f))
+                for f in (1.0, 1e4)] == [2, 1]
+
+    @pytest.mark.parametrize("factor", [1.0, 1e4])
+    def test_value_at_the_cutoff_is_not_counted(self, factor):
+        tol = Tolerance(rank_tol_factor=factor)
+        cut = 1.0 * 2 * EPS * factor
+        at = SvdFactorization(np.eye(2), np.array([1.0, cut]), np.eye(2))
+        above = SvdFactorization(np.eye(2), np.array([1.0, np.nextafter(cut, 2.0)]), np.eye(2))
+        assert numerical_rank(at, tol) == 1 and numerical_rank(above, tol) == 2
+
+    def test_empty_and_nan_sigma(self):
+        empty = SvdFactorization(np.eye(2), np.zeros(0), np.eye(3))
+        assert numerical_rank(empty) == 0 == core._rank([], 3, Tolerance())
+        # NaN is never above the cutoff, and a NaN leading value leaves no cutoff.
+        assert core._rank([1.0, math.nan, 0.5], 3, Tolerance()) == 2
+        assert core._rank([math.nan, 1.0], 2, Tolerance()) == 0
+
 
 class TestOperatorNorm:
     def test_diagonal(self):
@@ -695,16 +747,61 @@ class TestResidualRule:
         assert counts.pop("core.py") == [1, 1]  # residual_scale and _scaled_array
         assert not any(map(any, counts.values())), counts
 
+    def test_rank_rule_lives_only_in_core(self):
+        # Only core._rank compares singular values with the rank cutoff.  A cutoff is
+        # an expression holding a product that reads rank_tol_factor, a call of a
+        # function that returns one, or a name bound to one; a function compares with
+        # it by an operator, a comparison method (cut.__lt__) or a numpy comparison.
+        functions = [(p.name, node) for p in SRC.glob("*.py")
+                     for node in ast.walk(ast.parse(p.read_text()))
+                     if isinstance(node, ast.FunctionDef)]
+        returns_cut, comparers = set(), set()
+
+        def callee(node):
+            return ast.unparse(node.func).rpartition(".")[2]
+
+        def is_cut(expr, names):
+            return any(isinstance(n, ast.BinOp) and "rank_tol_factor" in ast.unparse(n)
+                       or isinstance(n, ast.Call) and callee(n) in returns_cut
+                       or isinstance(n, ast.Name) and n.id in names for n in ast.walk(expr))
+
+        def cut_names(fn):
+            names, bound = set(), [n for n in ast.walk(fn)
+                                   if isinstance(n, (ast.Assign, ast.NamedExpr))]
+            for _ in range(2):  # a name bound to a name bound to a cutoff
+                names |= {t.id for n in bound if is_cut(n.value, names)
+                          for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+                          if isinstance(t, ast.Name)}
+            return names
+
+        for _ in range(3):  # a function returning a call of one that returns a cutoff
+            returns_cut |= {fn.name for _, fn in functions if any(
+                isinstance(n, ast.Return) and n.value is not None
+                and is_cut(n.value, cut_names(fn)) for n in ast.walk(fn))}
+        for path, fn in functions:
+            names = cut_names(fn)
+            for n in ast.walk(fn):
+                operands = (
+                    [n.left, *n.comparators] if isinstance(n, ast.Compare)
+                    else [n.value] if isinstance(n, ast.Attribute)
+                    and n.attr in ("__lt__", "__le__", "__gt__", "__ge__")
+                    else n.args if isinstance(n, ast.Call)
+                    and callee(n) in ("greater", "greater_equal", "less", "less_equal")
+                    else [])
+                if any(is_cut(x, names) for x in operands):
+                    comparers.add((path, fn.name))
+        assert comparers == {("core.py", "_rank")}, comparers
+
     def test_array_rule_is_the_scalar_rule_bit_for_bit(self):
         with np.errstate(over="ignore"):
             values = [0.0, 5e-324, 0.5, 1.0, 1.5, 1e300, 1e300 * 1e300, math.inf, math.nan,
                       3e-200 * 7e-200, 3.0 * 7e300 * 1e10]
         d, s1, s2 = np.array(list(itertools.product(values, repeat=3))).T
-        got = _scaled_array(d, s1, s2)
+        got = _scaled_array(np.array([d, s1, s2]))
         assert [v.hex() for v in got.tolist()] == [
             _scaled(*args).hex() for args in zip(d.tolist(), s1.tolist(), s2.tolist())]
         # A missing side reads 1.0.
-        assert [v.hex() for v in _scaled_array(d, s1, np.ones_like(d)).tolist()] == [
+        assert [v.hex() for v in _scaled_array(np.array([d, s1, np.ones_like(d)])).tolist()] == [
             _scaled(*args).hex() for args in zip(d.tolist(), s1.tolist())]
 
     def test_array_rule_fast_path_is_the_scalar_rule_bit_for_bit(self):
@@ -724,8 +821,9 @@ class TestResidualRule:
                     cases.append(x)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for d, s1, s2 in cases:
-                got = _scaled_array(d, s1, s2)
+            for block in cases:
+                d, s1, s2 = block
+                got = _scaled_array(block)
                 assert [v.hex() for v in got.tolist()] == [
                     _scaled(*args).hex() for args in zip(d.tolist(), s1.tolist(), s2.tolist())]
 
@@ -891,6 +989,17 @@ class TestTolerance:
     def test_rejects_sub_eps_eq_tol(self):
         with pytest.raises(ValueError):
             Tolerance(eq_tol=EPS / 10)
+
+    @pytest.mark.parametrize("field", ["eq_tol", "rank_tol_factor"])
+    def test_rejects_non_finite_values(self, field):
+        # An infinite eq_tol would pass every verdict, and an infinite factor would
+        # give every nonzero matrix rank 0.  NaN keeps its earlier refusal.
+        with pytest.raises(ValueError, match=rf"^rank_tol_factor and eq_tol must be finite, "
+                                             rf"got Tolerance\([^\n]*{field}=inf"):
+            Tolerance(**{field: math.inf})
+        with pytest.raises(ValueError, match=rf"^{field} must be at least machine|^{field} must "
+                                             r"be positive$"):
+            Tolerance(**{field: math.nan})
 
 
 class TestHaarUnitary:

@@ -44,8 +44,8 @@ def equations(monkeypatch):
     fixture started: one ``core._scaled_array`` call per run scores each of them."""
     seen = []
     real = core._scaled_array
-    monkeypatch.setattr(core, "_scaled_array", lambda d, *sides: seen.append(len(d))
-                        or real(d, *sides))
+    monkeypatch.setattr(core, "_scaled_array", lambda block: seen.append(block.shape[1])
+                        or real(block))
     return seen
 
 

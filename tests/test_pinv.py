@@ -27,7 +27,7 @@ from mpinv import (
     pinv_matrix,
     svd,
 )
-from mpinv import core
+from mpinv import core, program
 from mpinv.core import residual
 
 pinv_module = importlib.import_module("mpinv.pinv")
@@ -209,8 +209,8 @@ class TestFormulations:
             assert {f: r.hex() for f, r in got.items()} == {
                 f: r.hex() for f, r in ref.items()}, (a.shape, a.strides)
             seen.update(math.inf if r == math.inf else r <= 1e-9 for r in got.values())
-            n = a.shape[0]
-            plans.add(a.shape == x.shape and n <= 22)  # the arena holds the widest level
+            # Square leaves up to program._ARENA_N run in the arena; the rest walk.
+            plans.add(a.shape == x.shape and a.shape[0] <= program._ARENA_N)
         assert len(pairs) >= 2000 and seen == {True, False, math.inf} and plans == {True, False}
 
 
@@ -258,10 +258,10 @@ def _layout(m, k):
 
 
 def _formulation_pairs():
-    """About 2,100 (a, x) pairs: square a with n = 1-22 (the arena) and n =
-    23-30 (one instruction at a time), rectangular a up to 22 with dimension 1
-    among them, in three layouts, scaled by 2^k, each with x = a^+, (1 + 1e-3) a^+
-    and a random matrix."""
+    """About 2,100 (a, x) pairs: square a with n = 1-30 (the arena to n =
+    ``program._ARENA_N``, one instruction at a time beyond), rectangular a up to 22
+    with dimension 1 among them, in three layouts, scaled by 2^k, each with x = a^+,
+    (1 + 1e-3) a^+ and a random matrix."""
     rng = np.random.default_rng(197)
     for i in range(700):
         if i % 25 == 0:

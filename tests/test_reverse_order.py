@@ -633,15 +633,15 @@ class TestCompiledProgram:
         # Both plans score the 31 equations of a report by one call of the
         # array rule, in the arena, one at a time and for a rectangular pair.
         seen = []
-        monkeypatch.setattr(core, "_scaled_array", lambda *args, real=core._scaled_array:
-                            seen.append(args) or real(*args))
+        monkeypatch.setattr(core, "_scaled_array", lambda block, real=core._scaled_array:
+                            seen.append(block) or real(block))
         rng = np.random.default_rng(11)
         pairs = [(np.eye(n), np.eye(n)) for n in (1, 2, 48)]
         pairs.append((generate_regular(3, 4, 3, seed=rng), generate_regular(4, 2, 2, seed=rng)))
         for a, b in pairs:
             seen.clear()
             full_report(a, b)
-            assert [[len(v) for v in args] for args in seen] == [[31] * 3], a.shape
+            assert [block.shape for block in seen] == [(3, 31)], a.shape
 
     def test_leaves_are_read_by_place_in_any_order(self, monkeypatch):
         # The same rows in reverse order read their leaves in another order.
